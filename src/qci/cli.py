@@ -8,8 +8,11 @@ error, 3 guard violation, 4 internal invariant failure.
 from __future__ import annotations
 
 import argparse
+import multiprocessing
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from pathlib import Path
 
 from .core import QciInput, analyze_qci
@@ -31,6 +34,13 @@ _FAMILY_MAP = {
     "lines": "lines_through_point",
     "smooth-plus-line": "smooth_plus_line",
 }
+
+# Status prefix of a sweep row whose analysis failed a certified invariant.
+_INTERNAL_STATUS = "internal error: "
+
+# Each sweep worker already has a core to itself, so its BLAS must not
+# start threads of its own; spawned workers read these at numpy import.
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def _parse_range(text: str) -> tuple[int, int]:
@@ -108,13 +118,30 @@ def _emit(payload: str, out: str | None) -> None:
 
 def _sweep_worker(task: tuple[str, int, int, int]) -> list[str]:
     family_name, d, prime, max_ext = task
+    blank = [family_name, str(d), str(prime), "", "", "", "", "", ""]
     try:
         field = PrimeField(prime)
         C = family(_FAMILY_MAP[family_name], field, d=d)
         rep = analyze_curve(C, max_extensions=max_ext)
     except (GuardError, PolyParseError) as exc:
-        return [family_name, str(d), str(prime), "", "", "", "", "", "", f"error: {exc}"]
+        return blank + [f"error: {exc}"]
+    except InternalError as exc:
+        return blank + [f"{_INTERNAL_STATUS}{exc}"]
     return curve_csv_row(family_name, d, prime, rep)
+
+
+@contextmanager
+def _single_threaded_blas_children():
+    saved = {name: os.environ.get(name) for name in _BLAS_THREAD_VARS}
+    os.environ.update(dict.fromkeys(_BLAS_THREAD_VARS, "1"))
+    try:
+        yield
+    finally:
+        for name, value in saved.items():
+            if value is None:
+                del os.environ[name]
+            else:
+                os.environ[name] = value
 
 
 def _run_sweep(args) -> int:
@@ -123,12 +150,22 @@ def _run_sweep(args) -> int:
         (args.family, d, args.prime, args.max_window_extensions)
         for d in range(lo, hi + 1)
     ]
-    if args.jobs > 1 and tasks:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    workers = min(args.jobs, len(tasks), os.cpu_count() or 1)
+    if workers > 1:
+        ctx = multiprocessing.get_context("spawn")
+        with _single_threaded_blas_children(), ProcessPoolExecutor(
+            max_workers=workers, mp_context=ctx
+        ) as pool:
             rows = list(pool.map(_sweep_worker, tasks))
     else:
         rows = [_sweep_worker(t) for t in tasks]
     _emit(sweep_csv(rows), args.out)
+    # Rows that hit an internal error are in the CSV; the exit code says so.
+    failed = sum(row[-1].startswith(_INTERNAL_STATUS) for row in rows)
+    if failed:
+        print(f"internal error in {failed} sweep row(s); see the status column",
+              file=sys.stderr)
+        return 4
     return 0
 
 

@@ -225,7 +225,6 @@ class _Analysis:
         a, b, c = Q.degrees
         self.a, self.b, self.c = a, b, c
         self.k_star = a + b + c - 2
-        self._maps: dict[int, np.ndarray] = {}
         self._ranks: dict[int, int] = {}
         self._kernels: dict[int, np.ndarray] = {}
         self._left: dict[int, np.ndarray] = {}
@@ -236,12 +235,10 @@ class _Analysis:
     # -- evaluation maps ------------------------------------------------
 
     def map_at(self, m: int) -> np.ndarray:
-        M = self._maps.get(m)
-        if M is None:
-            blocks = [mult_matrix(f, m - f.degree) for f in self.Q.polys]
-            M = np.hstack(blocks)
-            self._maps[m] = M
-        return M
+        # Built afresh on each call: a map is cheap to rebuild, and every
+        # consumer caches what it derives, so keeping all of them would
+        # only hold tens of MB at the larger degrees.
+        return np.hstack([mult_matrix(f, m - f.degree) for f in self.Q.polys])
 
     def rank_at(self, m: int) -> int:
         v = self._ranks.get(m)
@@ -381,7 +378,7 @@ class _Analysis:
             if prev.shape[0] == 0:
                 new = h0
             else:
-                cols = self.map_at(m).shape[1]
+                cols = sum(dim_S(m - f.degree) for f in self.Q.polys)
                 lifted = np.zeros((3 * prev.shape[0], cols), dtype=np.int64)
                 for axis in range(3):
                     idx = self._lift_index(m - 1, axis)
@@ -470,6 +467,9 @@ class _Analysis:
                 ]
                 blocks.append(N[:, cols])
             stacked = np.vstack(blocks)
+            # the stack is tall (dim_S(e) copies of N); drop the copies
+            # before elimination adds its own
+            del blocks
             v = dim_S(m) - rank(stacked, self.field)
         self._sat[m] = v
         return v

@@ -5,16 +5,23 @@ reduction uses one fixed pivot rule (first nonzero entry, scanning columns
 left to right and rows top to bottom, no pivoting heuristics), so every
 result is bit-identical across runs and across hosts.
 
-The prime is capped well below the machine word so that products and the
-dot-product accumulations appearing here stay inside ``int64``:
-``p < 2**21`` leaves headroom of ``2**21`` summands of size ``(p-1)**2``.
+The prime is capped at ``p < 2**21``, so a product of two residues is
+below ``2**42``.  The per-pivot loop reduces after every update.  Wide
+matrices are reduced in panels of ``_NB`` columns: inside a panel an entry
+takes at most ``_NB`` updates before it is reduced, staying below
+``2**48`` in int64, and the columns right of the panel receive the panel's
+row operations as one float64 matrix product whose every term is a
+product of residues.  A sum of at most ``_NB`` such terms stays below
+``2**53``, where float64 represents every integer exactly and rounds
+nothing, so both paths perform the same exact arithmetic and return the
+same bytes.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import GuardError
+from .errors import GuardError, InternalError
 
 PRIME_MAX = 1 << 21
 
@@ -69,22 +76,46 @@ class PrimeField:
         return f"PrimeField({self.p})"
 
 
-def as_matrix(entries, field: PrimeField) -> np.ndarray:
-    """Coerce a 2-d array-like to an int64 residue matrix."""
+def _int_matrix(entries) -> np.ndarray:
+    """``entries`` as a 2-d int64 array; an int64 array is not copied."""
     M = np.asarray(entries, dtype=np.int64)
     if M.ndim != 2:
         raise ValueError(f"expected a 2-d matrix, got shape {M.shape}")
-    return M % field.p
+    return M
+
+
+def as_matrix(entries, field: PrimeField) -> np.ndarray:
+    """Coerce a 2-d array-like to an int64 residue matrix."""
+    return _int_matrix(entries) % field.p
+
+
+# Panel width of the blocked elimination.  A trailing update sums at most
+# _NB products of residues, each below (p-1)**2 < 2**42, so with
+# _NB <= 2**10 every float64 partial sum is an integer below 2**53 and the
+# BLAS product is exact.
+_NB = 64
+# Narrower matrices have too few columns right of a panel for a BLAS
+# product to repay the bookkeeping; they take the per-pivot loop.
+_BLOCKED_MIN_COLS = 2 * _NB
 
 
 def _echelon(M: np.ndarray, p: int, reduced: bool):
-    """Row-reduce in place (on a copy) with the fixed pivot rule.
+    """Row-reduce a copy of ``M`` with the fixed pivot rule.
 
     Returns (R, pivots).  With ``reduced`` the result is the reduced row
     echelon form (pivots scaled to 1, eliminated above and below);
-    otherwise only entries below each pivot are cleared, which is enough
-    for rank and is roughly twice as fast.
+    otherwise pivots are scaled to 1 and only entries below each pivot are
+    cleared, which is enough for rank and is roughly twice as fast.  Both
+    paths perform the same row operations, so they return identical bytes.
     """
+    if M.shape[1] < _BLOCKED_MIN_COLS:
+        return _echelon_loop(M, p, reduced)
+    return _echelon_blocked(M, p, reduced)
+
+
+def _echelon_loop(M: np.ndarray, p: int, reduced: bool):
+    """Per-pivot elimination over the whole row; the reference for
+    :func:`_echelon_blocked`."""
     R = M % p
     m, n = R.shape
     pivots: list[int] = []
@@ -118,16 +149,101 @@ def _echelon(M: np.ndarray, p: int, reduced: bool):
     return R, tuple(pivots)
 
 
+def _echelon_blocked(M: np.ndarray, p: int, reduced: bool, nb: int = _NB):
+    """Elimination one panel of ``nb`` columns at a time.
+
+    The per-pivot loop runs on the panel columns only.  Beside them it
+    carries a block E that writes every row as a combination of the
+    panel's pivot rows as they stood before the panel; the columns right
+    of the panel then receive the whole panel's row operations as one
+    float64 product, restricted to the rows E touches and the columns where
+    a pivot row is nonzero, so sparse maps stay cheap.
+
+    Inside a panel, entries are reduced mod p only where a value is read:
+    the pivot column and the pivot row.  Every other entry takes at most
+    ``nb`` subtractions of a product below p**2 < 2**42 before the panel
+    ends and reduces it, so it stays far inside int64.
+    """
+    R = M % p
+    m, n = R.shape
+    pivots: list[int] = []
+    row = 0
+    for c0 in range(0, n, nb):
+        if row == m:
+            break
+        c1 = min(c0 + nb, n)
+        w = c1 - c0
+        # Rows above the panel's first pivot change only when reducing.
+        top = 0 if reduced else row
+        r0 = row
+        W = np.zeros((m - top, w + nb), dtype=np.int64)
+        W[:, :w] = R[top:, c0:c1]
+        # A column that is zero from row r0 down stays so through the
+        # panel (its pivot rows are zero there), so it holds no pivot.
+        for jc in np.flatnonzero(W[r0 - top :, :w].any(axis=0)).tolist():
+            if row == m:
+                break
+            lr = row - top
+            col = W[:, jc] % p
+            nz = col[lr:].nonzero()[0]
+            if nz.size == 0:
+                continue
+            piv = lr + int(nz[0])
+            if piv != lr:
+                W[[lr, piv]] = W[[piv, lr]]
+                col[[lr, piv]] = col[[piv, lr]]
+                R[[row, top + piv], c1:] = R[[top + piv, row], c1:]
+            # The pivot row is the k-th pivot row itself plus what earlier
+            # pivots of this panel already subtracted from it.
+            k = row - r0
+            W[lr, w + k] = 1
+            inv = pow(int(col[lr]), p - 2, p)
+            tail = W[:, jc : w + k + 1]
+            tail[lr] = (tail[lr] % p * inv) % p
+            if reduced:
+                col[lr] = 0
+                lo = 0
+            else:
+                lo = lr + 1
+            colvals = col[lo:]
+            mask = colvals != 0
+            hits = np.count_nonzero(mask)
+            if 2 * hits > colvals.size:
+                tail[lo:] -= np.outer(colvals, tail[lr])
+            elif hits:
+                rows = lo + np.flatnonzero(mask)
+                tail[rows] -= np.outer(colvals[mask], tail[lr])
+            pivots.append(c0 + jc)
+            row += 1
+        W %= p
+        R[top:, c0:c1] = W[:, :w]
+        k = row - r0
+        if k == 0 or c1 == n:
+            continue
+        E = W[:, w : w + k]
+        rows = top + np.flatnonzero(E.any(axis=1))
+        cols = c1 + np.flatnonzero(R[r0:row, c1:].any(axis=0))
+        U = R[r0:row, cols].astype(np.float64)
+        # Pivot rows are wholly described by E, other rows keep themselves.
+        R[r0:row, c1:] = 0
+        block = np.ix_(rows, cols)
+        T = (E[rows - top].astype(np.float64) @ U).astype(np.int64)
+        T += R[block]
+        # int64 remainder: float64 fmod is many times slower on values
+        # this far above p.
+        T %= p
+        R[block] = T
+    return R, tuple(pivots)
+
+
 def rank(M, field: PrimeField) -> int:
-    A = as_matrix(M, field)
-    _, pivots = _echelon(A, field.p, reduced=False)
+    _, pivots = _echelon(_int_matrix(M), field.p, reduced=False)
     return len(pivots)
 
 
 def rref(M, field: PrimeField):
     """Reduced row echelon form. Returns (R, pivot_columns)."""
-    A = as_matrix(M, field)
-    return _echelon(A, field.p, reduced=True)
+    return _echelon(_int_matrix(M), field.p, reduced=True)
 
 
 def kernel_basis(M, field: PrimeField) -> np.ndarray:
@@ -136,24 +252,27 @@ def kernel_basis(M, field: PrimeField) -> np.ndarray:
     The basis is itself brought to reduced row echelon form, so the output
     depends only on the kernel as a subspace, not on the path taken.
     """
-    A = as_matrix(M, field)
-    m, n = A.shape
+    A = _int_matrix(M)
+    n = A.shape[1]
     R, pivots = _echelon(A, field.p, reduced=True)
-    pivot_set = set(pivots)
-    free = [j for j in range(n) if j not in pivot_set]
-    basis = np.zeros((len(free), n), dtype=np.int64)
-    for row_i, j in enumerate(free):
-        basis[row_i, j] = 1
-        for pr, pc in enumerate(pivots):
-            basis[row_i, pc] = (-int(R[pr, j])) % field.p
-    if basis.shape[0]:
-        basis, _ = _echelon(basis, field.p, reduced=True)
-    # rank-nullity, asserted on every kernel computation
-    assert basis.shape[0] + len(pivots) == n
+    piv = np.array(pivots, dtype=np.intp)
+    free = np.setdiff1d(np.arange(n), piv)
+    # One vector per free column j: 1 at j and -R[i, j] at the i-th pivot.
+    basis = np.zeros((free.size, n), dtype=np.int64)
+    basis[np.arange(free.size), free] = 1
+    basis[:, piv] = (-R[: piv.size, free].T) % field.p
+    kernel_pivots = ()
+    if free.size:
+        basis, kernel_pivots = _echelon(basis, field.p, reduced=True)
+    # rank-nullity, checked on every kernel computation
+    if len(kernel_pivots) + len(pivots) != n:
+        raise InternalError(
+            f"kernel of a {A.shape[0]}x{n} matrix has {len(kernel_pivots)} "
+            f"independent vectors, but rank-nullity needs {n - len(pivots)}"
+        )
     return basis
 
 
 def left_kernel_basis(M, field: PrimeField) -> np.ndarray:
     """Canonical basis of the left kernel (row vectors w with w M = 0)."""
-    A = as_matrix(M, field)
-    return kernel_basis(A.T, field)
+    return kernel_basis(_int_matrix(M).T, field)

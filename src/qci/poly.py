@@ -323,8 +323,16 @@ def mult_matrix(g: HomogPoly, src_degree: int) -> np.ndarray:
     M = np.zeros((dim_S(tgt_degree), dim_S(src_degree)), dtype=np.int64)
     if M.size == 0 or g.is_zero:
         return M
-    idx = basis_index(tgt_degree)
-    for col, (i, j, k) in enumerate(monomial_basis(src_degree)):
-        for (gi, gj, gk), c in g.coeffs.items():
-            M[idx[(gi + i, gj + j, gk + k)], col] = c
+    # In any degree, (i, j, k) sits at (j+k)(j+k+1)/2 + k of monomial_basis:
+    # the monomials before it have a smaller j+k, or the same j+k and a
+    # smaller k.  Column c of the source basis is therefore the monomial
+    # with j+k = s and k = c - s(s+1)/2.
+    cols = np.arange(M.shape[1])
+    s = np.repeat(np.arange(src_degree + 1), np.arange(1, src_degree + 2))
+    k = cols - s * (s + 1) // 2
+    exps = np.array(list(g.coeffs), dtype=np.int64)
+    g_k = exps[:, 2:]
+    t_s = s + exps[:, 1:2] + g_k
+    coeffs = np.fromiter(g.coeffs.values(), dtype=np.int64, count=len(g.coeffs))
+    M[t_s * (t_s + 1) // 2 + k + g_k, cols] = coeffs[:, None]
     return M

@@ -3,10 +3,12 @@
 import csv
 import io
 import json
+import os
 
 import jsonschema
 import pytest
 
+from qci import InternalError, cli
 from qci.cli import build_parser, main
 from qci.report import CSV_COLUMNS, REPORT_SCHEMA, SCHEMA_VERSION
 
@@ -181,6 +183,52 @@ def test_sweep_out_file(capsys, tmp_path):
     assert rc == 0 and out == ""
     rows = read_csv(path.read_text())
     assert len(rows) == 3
+
+
+def test_sweep_reports_internal_error_per_row(capsys, monkeypatch):
+    real = cli.analyze_curve
+
+    def fails_at_degree_4(C, max_extensions=2):
+        if C.f.degree == 4:
+            raise InternalError("injected failure")
+        return real(C, max_extensions=max_extensions)
+
+    monkeypatch.setattr(cli, "analyze_curve", fails_at_degree_4)
+    rc, out, err = run_cli(capsys, ["sweep", "--family", "lines", "--d-range", "3..5"])
+    assert rc == 4 and "internal error in 1 sweep row" in err
+    rows = read_csv(out)
+    assert [row[9] for row in rows[1:]] == ["ok", "internal error: injected failure", "ok"]
+    assert rows[2][3:9] == [""] * 6
+    assert [int(row[3]) for row in (rows[1], rows[3])] == [4, 16]
+
+
+@pytest.mark.parametrize("cpus, workers", [(64, 3), (2, 2)])
+def test_sweep_pool_size_and_blas_threads(capsys, monkeypatch, cpus, workers):
+    seen = {}
+
+    class RecordingPool:
+        def __init__(self, max_workers, mp_context):
+            seen["workers"] = max_workers
+            seen["start"] = mp_context.get_start_method()
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            seen["blas"] = os.environ.get("OPENBLAS_NUM_THREADS")
+            return map(fn, tasks)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "7")
+    argv = ["sweep", "--family", "lines", "--d-range", "3..5", "--jobs", "16"]
+    rc, out, _ = run_cli(capsys, argv)
+    assert rc == 0 and len(read_csv(out)) == 4
+    assert seen == {"workers": workers, "start": "spawn", "blas": "1"}
+    assert os.environ["OPENBLAS_NUM_THREADS"] == "7"
 
 
 # ---------------------------------------------------------------------------

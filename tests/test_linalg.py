@@ -5,6 +5,7 @@ import pytest
 
 from qci import (
     GuardError,
+    InternalError,
     PRIME_MAX,
     PrimeField,
     as_matrix,
@@ -13,6 +14,9 @@ from qci import (
     rank,
     rref,
 )
+from qci import linalg
+from qci.core import QciInput, graded_map_matrix
+from qci.curve import family
 
 
 def test_prime_field_accepts_primes():
@@ -129,3 +133,54 @@ def test_rref_reproduces_row_space(field):
 def test_as_matrix_rejects_non_2d(field):
     with pytest.raises(ValueError):
         as_matrix([1, 2, 3], field)
+
+
+def test_kernel_basis_checks_rank_nullity(field, monkeypatch):
+    real = linalg._echelon
+
+    def drops_last_pivot(M, p, reduced):
+        R, pivots = real(M, p, reduced)
+        return R, pivots[:-1]
+
+    monkeypatch.setattr(linalg, "_echelon", drops_last_pivot)
+    with pytest.raises(InternalError):
+        kernel_basis(as_matrix([[1, 1, 0], [0, 1, 1]], field), field)
+
+
+# ---------------------------------------------------------------------------
+# blocked elimination against the per-pivot loop
+
+
+def _test_matrices(p, rng):
+    """Dense, rank-deficient and sparse matrices with zero column blocks,
+    on both sides of the blocked path's width threshold and of the panel
+    edges."""
+    cross = linalg._BLOCKED_MIN_COLS
+    shapes = [(1, 7), (9, 1), (30, 63), (20, 64), (40, 65), (50, 129)]
+    shapes += [(60, cross - 1), (60, cross), (100, cross + 1), (cross + 9, 40)]
+    for m, n in shapes:
+        yield rng.integers(0, p, size=(m, n))
+        r = int(rng.integers(1, min(m, n) + 1))
+        low = rng.integers(0, p, size=(m, r)) @ rng.integers(0, p, size=(r, n))
+        yield low % p
+        sparse = rng.integers(0, p, size=(m, n)) * (rng.random((m, n)) < 0.05)
+        sparse[:, n // 3 : n // 3 + 20] = 0
+        yield sparse
+    if p > 8:
+        # a lines-through-a-point map: one zero block, few entries per column
+        C = family("lines_through_point", PrimeField(p), d=8)
+        yield graded_map_matrix(QciInput.of(*C.f.partials()), 18)
+
+
+@pytest.mark.parametrize("p", [2, 3, 32003, 2097143])
+def test_blocked_echelon_matches_loop(p):
+    rng = np.random.default_rng(p)
+    for M in _test_matrices(p, rng):
+        for A in (M, M.T):
+            for reduced in (False, True):
+                R, pivots = linalg._echelon_loop(A, p, reduced)
+                for nb in (5, linalg._NB):
+                    blocked = linalg._echelon_blocked(A, p, reduced, nb)
+                    assert blocked[1] == pivots
+                    assert blocked[0].dtype == R.dtype
+                    assert blocked[0].tobytes() == R.tobytes()

@@ -205,13 +205,20 @@ def test_euler_identity(degree, seed):
 # multiplication matrices
 
 
-@given(seed=st.integers(0, 10**9))
-@settings(max_examples=25, deadline=None)
-def test_mult_matrix_matches_product(seed):
+@given(seed=st.integers(0, 10**9), kind=st.sampled_from(["dense", "sparse", "zero"]))
+@settings(max_examples=40, deadline=None)
+def test_mult_matrix_matches_product(seed, kind):
     F = PrimeField(32003)
     rng = random.Random(seed)
-    g = random_homog(rng.randrange(1, 4), F, rng)
-    k = rng.randrange(0, 3)
+    degree = rng.randrange(0, 6)
+    if kind == "dense":
+        g = random_homog(degree, F, rng)
+    elif kind == "sparse":
+        monos = rng.sample(monomial_basis(degree), min(2, dim_S(degree)))
+        g = HomogPoly(degree, {m: rng.randrange(1, F.p) for m in monos}, F)
+    else:
+        g = HomogPoly.zero(degree, F)
+    k = rng.randrange(0, 13)
     h = random_homog(k, F, rng)
     M = mult_matrix(g, k)
     assert M.shape == (dim_S(g.degree + k), dim_S(k))
