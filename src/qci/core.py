@@ -12,6 +12,25 @@ drives the saturation computation.  The scheme degree t is read off as the
 plateau of the quotient Hilbert function; the minimal syzygy degree r is
 the first twist in the window [a-c, a+b-c] carrying a syzygy (the upper
 end always does, by the Koszul relation between the first two forms).
+
+At the top of the Hilbert window the maps are the largest while the
+quotient is small, so there the engine carries the inverse system
+(Macaulay) instead: from degree c on, I_{m+1} = S_1 * I_m, hence
+
+    I_{m+1}^perp = { L : x_i -| L lies in I_m^perp for i = 0, 1, 2 },
+
+and a basis N_m of I_m^perp (the left null space of the map) is stepped
+to N_{m+1} by the integration method (Mourrain, JPAA 1997): the unknowns
+are the coordinates of the three contractions x_i -| L in the basis N_m,
+bound by one compatibility equation per pair of variables and per
+degree-(m-1) monomial.  The system has 3*HF(m) unknowns, and its kernel
+has dimension HF(m+1).  The chain starts at the first degree m >= max(c, 1)
+where a shape-only cost estimate puts a step at under a quarter of the
+direct elimination (see ``_Analysis._switches_at``); sparse maps with a
+large quotient, such as the pencil of lines, stay direct.  Where the chain
+reaches the top of the window, N is multiplied against the direct map
+there and must annihilate it exactly, or the run fails with InternalError.
+The stepped N_m also serves the saturation, which reads only its span.
 """
 
 from __future__ import annotations
@@ -22,10 +41,19 @@ import numpy as np
 
 from .errors import GuardError, InternalError, PlateauError
 from .linalg import PrimeField, kernel_basis, rank
-from .poly import HomogPoly, basis_index, dim_S, monomial_basis, mult_matrix
+from .poly import (
+    HomogPoly,
+    dim_S,
+    mult_matrix,
+    product_positions,
+    shift_index,
+)
 
 # plateau confirmation needs this many equal trailing Hilbert values
 _TAIL = 4
+
+# pairs of variables whose contractions of one functional must commute
+_PAIRS = ((0, 1), (0, 2), (1, 2))
 
 
 def _chi(k: int) -> int:
@@ -211,6 +239,45 @@ def _opt_int(x):
     return None if x is None else int(x)
 
 
+def _contraction_system(N: np.ndarray, m: int, p: int) -> np.ndarray:
+    """Equations on the contractions of a degree-(m+1) functional.
+
+    The rows of N span the functionals on degree-m forms that vanish on
+    I_m.  A functional L of degree m+1 with x_i -| L = c_i N for
+    i = 0, 1, 2 exists exactly when (c_i N)[beta + e_j] = (c_j N)[beta + e_i]
+    for every pair i < j and every monomial beta of degree m-1.  Returns
+    the 3*dim_S(m-1) x 3*h matrix of these equations in the unknowns
+    (c_0, c_1, c_2), h = rows of N; its right kernel is I_{m+1}^perp.
+    """
+    h = N.shape[0]
+    D = dim_S(m - 1)
+    A = np.zeros((len(_PAIRS) * D, 3 * h), dtype=np.int64)
+    for q, (i, j) in enumerate(_PAIRS):
+        eqs = A[q * D : (q + 1) * D]
+        eqs[:, i * h : (i + 1) * h] = N[:, shift_index(m - 1, j)].T
+        eqs[:, j * h : (j + 1) * h] = (-N[:, shift_index(m - 1, i)].T) % p
+    return A
+
+
+def _integrate(C: np.ndarray, N: np.ndarray, m: int, p: int) -> np.ndarray:
+    """The degree-(m+1) functionals whose contractions are C's rows over N.
+
+    Each monomial of degree m+1 is read off one contraction: x times a
+    degree-m monomial keeps its position, which covers the first dim_S(m)
+    positions; the rest have no x and are y or z times one of the last
+    m+1 monomials of degree m (x-free, in order), z^(m+1) coming from z^m.
+    A product entry sums h < 2**21 terms below p**2 < 2**42, inside int64.
+    """
+    h = N.shape[0]
+    return np.hstack(
+        [
+            C[:, :h] @ N % p,
+            C[:, h : 2 * h] @ N[:, -(m + 1) :] % p,
+            C[:, 2 * h :] @ N[:, -1:] % p,
+        ]
+    )
+
+
 class _Analysis:
     """Per-input computation engine with degreewise caches.
 
@@ -227,6 +294,8 @@ class _Analysis:
         self.k_star = a + b + c - 2
         self._ranks: dict[int, int] = {}
         self._kernels: dict[int, np.ndarray] = {}
+        # left null spaces N_m, direct or stepped; any N_m with
+        # m >= max(c, 1) can be stepped to N_{m+1}
         self._left: dict[int, np.ndarray] = {}
         self._sat: dict[int, int] = {}
         self._dim_info = None
@@ -242,10 +311,55 @@ class _Analysis:
 
     def rank_at(self, m: int) -> int:
         v = self._ranks.get(m)
-        if v is None:
-            v = 0 if m < 0 else rank(self.map_at(m), self.field)
-            self._ranks[m] = v
+        if v is not None:
+            return v
+        prev = self._left.get(m - 1) if m - 1 >= max(self.c, 1) else None
+        if m < 0:
+            v = 0
+        elif prev is None and not self._switches_at(m):
+            v = rank(self.map_at(m), self.field)
+        else:
+            if prev is None:
+                N = kernel_basis(self.map_at(m).T, self.field)
+            else:
+                p = self.field.p
+                C = kernel_basis(_contraction_system(prev, m - 1, p), self.field)
+                N = _integrate(C, prev, m - 1, p)
+            self._left[m] = N
+            v = dim_S(m) - N.shape[0]
+        self._ranks[m] = v
         return v
+
+    def _switches_at(self, m: int) -> bool:
+        """Whether degree m starts the inverse-system chain.
+
+        Shapes alone decide.  A step into degree m eliminates a
+        3*dim_S(m-1) x 3h system, h = HF(m-1), taken here to cost
+        18 h^2 dim_S(m-1); the direct map costs about
+        (dim_S(m) - h) * dim_S(m) * cols.  The chain starts only where the
+        step is estimated at under a quarter of that: direct maps are often
+        sparse, which the estimate does not see, and with a smaller margin
+        the pencil-of-lines maps (plateau (d-1)^2) ran slower stepped.
+        Maps narrower than 64 columns, and a lone Hilbert value with no
+        HF(m-1) at hand, stay direct.
+        """
+        if m < max(self.c, 1) or m - 1 not in self._ranks:
+            return False
+        cols = sum(dim_S(m - f.degree) for f in self.Q.polys)
+        h = dim_S(m - 1) - self._ranks[m - 1]
+        step_cost = 18 * h * h * dim_S(m - 1)
+        direct_cost = (dim_S(m) - h) * dim_S(m) * cols
+        return cols >= 64 and 4 * step_cost < direct_cost
+
+    def _check_annihilation(self, m: int) -> None:
+        # One exact int64 product: each term is below 2**42, and a sum of
+        # dim_S(m) < 2**21 of them stays below 2**63.
+        N = self._left.get(m)
+        if N is not None and (N @ self.map_at(m) % self.field.p).any():
+            raise InternalError(
+                f"stepped inverse system in degree {m} does not annihilate "
+                "the ideal; the integration step is broken"
+            )
 
     def hilbert_value(self, k: int) -> int:
         if k < 0:
@@ -280,6 +394,7 @@ class _Analysis:
                 )
             extensions += 1
             k_max += 3
+        self._check_annihilation(k_max)
         tag, t, plateau = info
         table = HilbertTable(
             values=values,
@@ -342,23 +457,13 @@ class _Analysis:
     def _lift_index(self, m: int, axis: int) -> np.ndarray:
         # column map of multiplication by the axis variable from the
         # syzygy coordinate space at twist m - c into the one at m - c + 1
-        src_offsets = []
-        off = 0
-        for f in self.Q.polys:
-            src_offsets.append(off)
-            off += dim_S(m - f.degree)
-        idx = np.empty(off, dtype=np.int64)
+        parts = []
         tgt_off = 0
-        for block, f in enumerate(self.Q.polys):
+        for f in self.Q.polys:
             e = m - f.degree
-            tgt_index = basis_index(e + 1)
-            base = src_offsets[block]
-            for j, mono in enumerate(monomial_basis(e)):
-                lifted = list(mono)
-                lifted[axis] += 1
-                idx[base + j] = tgt_off + tgt_index[tuple(lifted)]
+            parts.append(tgt_off + shift_index(e, axis))
             tgt_off += dim_S(e + 1)
-        return idx
+        return np.concatenate(parts)
 
     def _generator_degrees(self, lo: int, hi: int) -> tuple[int, ...]:
         """New minimal syzygy generators per twist, scanned over [lo, hi].
@@ -458,17 +563,13 @@ class _Analysis:
         if N.shape[0] == 0:
             v = dim_S(m)
         else:
-            tgt = basis_index(m + e)
             blocks = []
-            for nu in monomial_basis(e):
-                cols = [
-                    tgt[(mu[0] + nu[0], mu[1] + nu[1], mu[2] + nu[2])]
-                    for mu in monomial_basis(m)
-                ]
-                blocks.append(N[:, cols])
+            for cols in product_positions(m, e):
+                B = N[:, cols]
+                # zero rows, most of the stack at large e, add no rank
+                blocks.append(B[B.any(axis=1)])
             stacked = np.vstack(blocks)
-            # the stack is tall (dim_S(e) copies of N); drop the copies
-            # before elimination adds its own
+            # drop the blocks before elimination adds its own copy
             del blocks
             v = dim_S(m) - rank(stacked, self.field)
         self._sat[m] = v

@@ -48,6 +48,39 @@ def basis_index(degree: int) -> dict[Monomial, int]:
     return {m: i for i, m in enumerate(monomial_basis(degree))}
 
 
+def _positions(degree: int) -> tuple[np.ndarray, np.ndarray]:
+    # In any degree, (i, j, k) sits at (j+k)(j+k+1)/2 + k of monomial_basis:
+    # the monomials before it have a smaller j+k, or the same j+k and a
+    # smaller k.  Position c is therefore the monomial with j+k = s and
+    # k = c - s(s+1)/2; this returns s and k for every position.
+    s = np.repeat(np.arange(degree + 1), np.arange(1, degree + 2))
+    k = np.arange(s.size) - s * (s + 1) // 2
+    return s, k
+
+
+def product_positions(degree: int, e: int) -> np.ndarray:
+    """Positions of products in ``monomial_basis(degree + e)``: entry (r, c)
+    is where ``nu * mu`` sits, for ``nu`` the r-th monomial of degree ``e``
+    and ``mu`` the c-th monomial of degree ``degree``."""
+    s, k = _positions(degree)
+    s_nu, k_nu = _positions(e)
+    t = s_nu[:, None] + s
+    return t * (t + 1) // 2 + k_nu[:, None] + k
+
+
+@functools.cache
+def shift_index(degree: int, axis: int) -> np.ndarray:
+    """Positions of ``x_axis * mu`` for the degree-``degree`` monomials mu;
+    cached and read-only.
+
+    Read backwards it is a contraction: for a functional L on degree + 1
+    forms, ``L[shift_index(degree, i)]`` is ``x_i`` contracted into L.
+    """
+    idx = product_positions(degree, 1)[axis]
+    idx.setflags(write=False)
+    return idx
+
+
 def _order_key(mono: Monomial):
     # graded-lex position within a fixed degree: larger x, then larger y, first
     return (-mono[0], -mono[1])
@@ -197,6 +230,9 @@ def variables(field: PrimeField) -> tuple[HomogPoly, HomogPoly, HomogPoly]:
 
 
 _VAR_AXIS = {"x": 0, "y": 1, "z": 2}
+# ASCII only: str.isdigit also accepts characters such as '²' that int()
+# rejects
+_DIGITS = frozenset("0123456789")
 
 
 def parse_poly(text: str, field: PrimeField) -> HomogPoly:
@@ -222,7 +258,7 @@ def parse_poly(text: str, field: PrimeField) -> HomogPoly:
     def read_int() -> int:
         nonlocal pos
         start = pos
-        while pos < n and text[pos].isdigit():
+        while pos < n and text[pos] in _DIGITS:
             pos += 1
         return int(text[start:pos])
 
@@ -240,7 +276,7 @@ def parse_poly(text: str, field: PrimeField) -> HomogPoly:
         term_start = pos
         coeff = None
         exps = [0, 0, 0]
-        if pos < n and text[pos].isdigit():
+        if pos < n and text[pos] in _DIGITS:
             coeff = read_int()
         saw_factor = False
         while True:
@@ -259,7 +295,7 @@ def parse_poly(text: str, field: PrimeField) -> HomogPoly:
                 if pos < n and text[pos] == "^":
                     pos += 1
                     skip_ws()
-                    if pos >= n or not text[pos].isdigit():
+                    if pos >= n or text[pos] not in _DIGITS:
                         raise PolyParseError("expected an exponent after '^'", pos)
                     exp = read_int()
                     if exp < 1:
@@ -323,13 +359,8 @@ def mult_matrix(g: HomogPoly, src_degree: int) -> np.ndarray:
     M = np.zeros((dim_S(tgt_degree), dim_S(src_degree)), dtype=np.int64)
     if M.size == 0 or g.is_zero:
         return M
-    # In any degree, (i, j, k) sits at (j+k)(j+k+1)/2 + k of monomial_basis:
-    # the monomials before it have a smaller j+k, or the same j+k and a
-    # smaller k.  Column c of the source basis is therefore the monomial
-    # with j+k = s and k = c - s(s+1)/2.
     cols = np.arange(M.shape[1])
-    s = np.repeat(np.arange(src_degree + 1), np.arange(1, src_degree + 2))
-    k = cols - s * (s + 1) // 2
+    s, k = _positions(src_degree)
     exps = np.array(list(g.coeffs), dtype=np.int64)
     g_k = exps[:, 2:]
     t_s = s + exps[:, 1:2] + g_k

@@ -1,14 +1,18 @@
 """Command line interface: exit codes, JSON shape, CSV sweeps."""
 
+import contextlib
 import csv
 import io
 import json
 import os
+import warnings
 
 import jsonschema
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from qci import InternalError, cli
+from qci import InternalError, PolyParseError, PrimeField, cli, parse_poly
 from qci.cli import build_parser, main
 from qci.report import CSV_COLUMNS, REPORT_SCHEMA, SCHEMA_VERSION
 
@@ -61,6 +65,73 @@ def test_bad_range_syntax_exits_two(capsys):
 def test_unknown_family_rejected(capsys):
     with pytest.raises(SystemExit):
         main(["sweep", "--family", "cubics", "--d-range", "3..5"])
+
+
+# Polynomial text for the fuzz test: mostly near the grammar, with total
+# degree at most 6 so that no draw builds a large map.
+_MAX_DEGREE = 6
+
+
+@st.composite
+def _term(draw, degree):
+    exps = [0, 0, 0]
+    for _ in range(degree):
+        exps[draw(st.integers(0, 2))] += 1
+    factors = [v if e == 1 else f"{v}^{e}" for v, e in zip("xyz", exps) if e]
+    coeff = draw(st.none() | st.integers(0, 10**30))
+    if coeff is not None or not factors:
+        factors.insert(0, str(1 if coeff is None else coeff))
+    return draw(st.sampled_from(["*", "", " * "])).join(factors)
+
+
+@st.composite
+def _poly_text(draw):
+    count = draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        degrees = [draw(st.integers(0, _MAX_DEGREE))] * count
+    else:  # mixed degrees, for the homogeneity check
+        degrees = [draw(st.integers(0, _MAX_DEGREE)) for _ in range(count)]
+    text = draw(st.sampled_from(["", "-", " "])) + draw(_term(degrees[0]))
+    for degree in degrees[1:]:
+        text += draw(st.sampled_from([" + ", " - ", "+", "-"])) + draw(_term(degree))
+    return text
+
+
+def _degree_at_most(text, bound):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        try:
+            return parse_poly(text, PrimeField(32003)).degree <= bound
+        except PolyParseError:
+            return True
+
+
+_junk = st.text(max_size=16) | st.text(alphabet="xyz0123456789^*+- \t", max_size=16)
+_poly_arg = (_poly_text() | _junk).filter(lambda t: _degree_at_most(t, _MAX_DEGREE))
+
+
+@settings(max_examples=150, deadline=None)
+@example(command="analyze-curve", texts=("x^\u00b2", "", ""), as_json=False)
+@example(command="hilbert", texts=("\u0663x", "y", "z"), as_json=True)
+@given(
+    command=st.sampled_from(["analyze-curve", "analyze-qci", "hilbert"]),
+    texts=st.tuples(_poly_arg, _poly_arg, _poly_arg),
+    as_json=st.booleans(),
+)
+def test_cli_fuzz_exit_codes(command, texts, as_json):
+    # --name=value keeps text that starts with '-' out of option parsing
+    if command == "analyze-curve":
+        argv = [command, f"--f={texts[0]}"]
+    else:
+        argv = [command] + [f"--{n}={t}" for n, t in zip(("fa", "fb", "fc"), texts)]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        rc = main(argv + ["--json"] * as_json)
+    assert rc in (0, 2, 3), (rc, err.getvalue())
+    if rc:
+        assert err.getvalue().startswith("error:")
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,188 @@
+"""The inverse-system chain that carries I_m^perp up the Hilbert window.
+
+Every stepped Hilbert value is compared with the direct rank of the same
+degree's map, and on monomial ideals with the counting oracle of
+conftest.py.  The step helpers are called directly, so these checks do not
+depend on where the engine's cost rule starts the chain.
+"""
+
+import random
+
+import pytest
+
+from qci import (
+    HomogPoly,
+    InternalError,
+    PrimeField,
+    QciInput,
+    analyze_qci,
+    dim_S,
+    family,
+    kernel_basis,
+    monomial_basis,
+    parse_poly,
+    random_homog,
+    rank,
+    rref,
+)
+from qci import core
+
+LARGE_PRIMES = (32003, 2097143)
+
+
+def _prime_above(n):
+    q = n + 1
+    while any(q % d == 0 for d in range(2, int(q**0.5) + 1)):
+        q += 1
+    return q
+
+
+def _node_partials(d, field, seed):
+    # a dense curve without z^d, x z^(d-1), y z^(d-1): singular at [0:0:1]
+    rng = random.Random(seed)
+    skip = {(0, 0, d), (1, 0, d - 1), (0, 1, d - 1)}
+    coeffs = {m: rng.randrange(1, field.p) for m in monomial_basis(d) if m not in skip}
+    return HomogPoly(d, coeffs, field).partials()
+
+
+def _stepped_hilbert(Q):
+    """HF(m) for m in [m0, k_max] by stepping N_m0 up with the core helpers."""
+    eng = core._Analysis(Q)
+    p = Q.prime
+    m0 = max(Q.degrees[2], 1)
+    N = kernel_basis(eng.map_at(m0).T, Q.field)
+    values = {m0: N.shape[0]}
+    for m in range(m0, eng.k_star + 3):
+        C = kernel_basis(core._contraction_system(N, m, p), Q.field)
+        N = core._integrate(C, N, m, p)
+        assert not (N @ eng.map_at(m + 1) % p).any()
+        values[m + 1] = N.shape[0]
+    return values
+
+
+def _direct_hilbert(Q, m):
+    return dim_S(m) - rank(core._Analysis(Q).map_at(m), Q.field)
+
+
+def _check_against_direct(Q):
+    stepped = _stepped_hilbert(Q)
+    assert len(stepped) > 1
+    for m, h in stepped.items():
+        assert h == _direct_hilbert(Q, m), m
+
+
+def _case_input(field, which):
+    if which.startswith("node"):
+        d = int(which[4:])
+        return QciInput.of(*_node_partials(d, field, seed=d))
+    if which.startswith("lines"):
+        d = int(which[5:])
+        return QciInput.of(*family("lines_through_point", field, d=d).f.partials())
+    if which == "smooth":
+        rng = random.Random(7)
+        f = HomogPoly.zero(5, field)
+        for _ in range(3):
+            l = random_homog(1, field, rng)
+            f = f + l * l * l * l * l
+        return QciInput.of(*f.partials())
+    if which == "x2g":
+        g = random_homog(3, field, random.Random(11))
+        return QciInput.of(*(parse_poly("x^2", field) * g).partials())
+    if which == "zero-form":
+        return QciInput.of(*parse_poly("x^6 + y^6", field).partials())
+    raise ValueError(which)
+
+
+_CASES = [f"node{d}" for d in range(4, 8)] + [
+    "lines4",
+    "lines6",
+    "smooth",
+    "x2g",
+    "zero-form",
+]
+
+
+@pytest.mark.parametrize(
+    "which, prime",
+    [(w, p) for w in _CASES for p in ("small", *LARGE_PRIMES)]
+    + [("node8", "small"), ("node9", "small")],
+)
+def test_stepped_hilbert_matches_direct_rank(which, prime):
+    if prime == "small":
+        # the least prime the input guard admits for these degrees
+        prime = _prime_above(sum(_case_input(PrimeField(32003), which).degrees))
+    _check_against_direct(_case_input(PrimeField(prime), which))
+
+
+@pytest.mark.parametrize(
+    "gens",
+    [
+        ((2, 0, 0), (1, 1, 0), (0, 3, 0)),
+        ((1, 0, 0), (0, 2, 0), (0, 1, 1)),
+        ((0, 1, 1), (1, 0, 1), (1, 1, 0)),
+        ((3, 0, 0), (0, 3, 0), (0, 0, 3)),
+        ((2, 1, 0), (0, 4, 0), (1, 0, 3)),
+    ],
+)
+@pytest.mark.parametrize("p", [13, *LARGE_PRIMES])
+def test_stepped_hilbert_matches_monomial_oracle(gens, p, monomial_oracle):
+    field = PrimeField(p)
+    Q = QciInput.of(*(HomogPoly.monomial(g, field) for g in gens))
+    for m, h in _stepped_hilbert(Q).items():
+        assert h == monomial_oracle(gens, m), m
+
+
+def _chained_engine(field):
+    Q = QciInput.of(*_node_partials(7, field, seed=3))
+    eng = core._Analysis(Q)
+    eng.dimension()
+    assert eng._left, "the cost rule should start the chain on a dense node"
+    return Q, eng
+
+
+def test_chain_spans_the_direct_left_null_space(field):
+    Q, eng = _chained_engine(field)
+    for m, N in sorted(eng._left.items()):
+        K = kernel_basis(eng.map_at(m).T, field)
+        R, _ = rref(N, field)
+        assert R.tobytes() == K.tobytes(), m
+
+
+def test_lone_hilbert_value_stays_direct(field):
+    Q, eng = _chained_engine(field)
+    top = max(eng._left)
+    fresh = core._Analysis(Q)
+    assert fresh.hilbert_value(top) == eng.hilbert_value(top)
+    assert not fresh._left
+
+
+def test_no_step_below_the_top_generator_degree(field):
+    # below c, I_{m+1} is not S_1 * I_m: the forms of degree c are new there
+    Q, eng = _chained_engine(field)
+    c = Q.degrees[2]
+    fresh = core._Analysis(Q)
+    fresh.left_null(c - 1)
+    assert fresh.rank_at(c) == eng.rank_at(c) == 3
+
+
+def test_corrupted_lift_fails_the_annihilation_check(field, monkeypatch):
+    Q, eng = _chained_engine(field)
+    k_max = eng.dimension()[2].k_max
+    integrate = core._integrate
+
+    def corrupted(C, N, m, p):
+        out = integrate(C, N, m, p)
+        if m + 1 == k_max:
+            out = out.copy()
+            out[0, 0] = (out[0, 0] + 1) % p
+        return out
+
+    monkeypatch.setattr(core, "_integrate", corrupted)
+    with pytest.raises(InternalError, match="does not annihilate"):
+        analyze_qci(Q)
+
+
+def test_engine_report_matches_direct_ranks(field):
+    Q, _ = _chained_engine(field)
+    values = analyze_qci(Q).hilbert.values
+    assert list(values) == [_direct_hilbert(Q, k) for k in range(len(values))]

@@ -23,6 +23,7 @@ from qci import (
     random_homog,
     variables,
 )
+from qci.poly import product_positions, shift_index
 
 
 def test_dim_S_values():
@@ -46,6 +47,19 @@ def test_basis_index_inverts_basis():
         assert len(basis) == dim_S(k)
         index = basis_index(k)
         assert all(basis[index[m]] == m for m in basis)
+
+
+def test_product_positions_match_basis_index():
+    for k in range(-1, 7):
+        for e in range(3):
+            tgt = basis_index(k + e)
+            expected = [
+                [tgt[(m[0] + nu[0], m[1] + nu[1], m[2] + nu[2])] for m in monomial_basis(k)]
+                for nu in monomial_basis(e)
+            ]
+            assert product_positions(k, e).tolist() == expected
+    assert shift_index(4, 1).tolist() == product_positions(4, 1)[1].tolist()
+    assert not shift_index(4, 1).flags.writeable
 
 
 # ---------------------------------------------------------------------------
