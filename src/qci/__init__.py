@@ -47,7 +47,6 @@ from .errors import (
     GuardError,
     InternalError,
     NonHomogeneousError,
-    PlateauError,
     PolyParseError,
     QciError,
 )
@@ -86,7 +85,6 @@ __all__ = [
     "InternalError",
     "NonHomogeneousError",
     "PRIME_MAX",
-    "PlateauError",
     "PolyParseError",
     "PrimeField",
     "QciError",

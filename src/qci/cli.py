@@ -63,12 +63,6 @@ def _add_common(sub: argparse.ArgumentParser, with_json: bool = True) -> None:
     if with_json:
         sub.add_argument("--json", action="store_true", help="emit JSON instead of text")
     sub.add_argument("--out", type=str, default=None, help="write output to this path")
-    sub.add_argument(
-        "--max-window-extensions",
-        type=int,
-        default=2,
-        help="extra plateau-window growth steps before giving up",
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -116,13 +110,13 @@ def _emit(payload: str, out: str | None) -> None:
         Path(out).write_text(payload, encoding="utf-8")
 
 
-def _sweep_worker(task: tuple[str, int, int, int]) -> list[str]:
-    family_name, d, prime, max_ext = task
+def _sweep_worker(task: tuple[str, int, int]) -> list[str]:
+    family_name, d, prime = task
     blank = [family_name, str(d), str(prime), "", "", "", "", "", ""]
     try:
         field = PrimeField(prime)
         C = family(_FAMILY_MAP[family_name], field, d=d)
-        rep = analyze_curve(C, max_extensions=max_ext)
+        rep = analyze_curve(C)
     except (GuardError, PolyParseError) as exc:
         return blank + [f"error: {exc}"]
     except InternalError as exc:
@@ -146,10 +140,7 @@ def _single_threaded_blas_children():
 
 def _run_sweep(args) -> int:
     lo, hi = args.d_range
-    tasks = [
-        (args.family, d, args.prime, args.max_window_extensions)
-        for d in range(lo, hi + 1)
-    ]
+    tasks = [(args.family, d, args.prime) for d in range(lo, hi + 1)]
     workers = min(args.jobs, len(tasks), os.cpu_count() or 1)
     if workers > 1:
         ctx = multiprocessing.get_context("spawn")
@@ -175,25 +166,16 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "sweep":
             return _run_sweep(args)
         field = PrimeField(args.prime)
-        max_ext = args.max_window_extensions
         if args.command == "analyze-curve":
             f = parse_poly(args.f, field)
-            rep = analyze_curve(CurveInput(f), max_extensions=max_ext)
+            rep = analyze_curve(CurveInput(f))
             doc = curve_document(rep, args.f)
-        elif args.command == "analyze-qci":
-            fa = parse_poly(args.fa, field)
-            fb = parse_poly(args.fb, field)
-            fc = parse_poly(args.fc, field)
-            degrees = (fa.degree, fb.degree, fc.degree)
-            rep = analyze_qci(QciInput.of(fa, fb, fc), max_extensions=max_ext)
-            doc = qci_document(rep, args.fa, args.fb, args.fc, degrees)
         else:
-            fa = parse_poly(args.fa, field)
-            fb = parse_poly(args.fb, field)
-            fc = parse_poly(args.fc, field)
-            degrees = (fa.degree, fb.degree, fc.degree)
-            rep = analyze_qci(QciInput.of(fa, fb, fc), max_extensions=max_ext)
-            doc = hilbert_document(rep, args.fa, args.fb, args.fc, degrees)
+            texts = (args.fa, args.fb, args.fc)
+            polys = [parse_poly(text, field) for text in texts]
+            rep = analyze_qci(QciInput.of(*polys))
+            build = qci_document if args.command == "analyze-qci" else hilbert_document
+            doc = build(rep, *texts, tuple(f.degree for f in polys))
     except PolyParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

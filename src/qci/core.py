@@ -13,6 +13,15 @@ plateau of the quotient Hilbert function; the minimal syzygy degree r is
 the first twist in the window [a-c, a+b-c] carrying a syzygy (the upper
 end always does, by the Koszul relation between the first two forms).
 
+The Hilbert window is fixed at k = 0 .. max(k*, 0) + 3, k* = a+b+c-2.
+From k* on, Serre duality on the rank-2 syzygy bundle E, with
+c1(E) = -(a+b+c), gives h^1(E(k)) = 0 and h^1(I_T(k)) = h^0(E(a+b+c-3-k))
+= 0, so the quotient Hilbert function equals t there for every finite or
+empty scheme; under a common factor of degree e >= 1 it is
+dim S_k - dim S_{k-e} + HF_J(k-e), which strictly increases.  The four
+values k* .. k*+3 therefore decide the dimension class, and a tail that
+is neither constant nor strictly increasing is an InternalError.
+
 At the top of the Hilbert window the maps are the largest while the
 quotient is small, so there the engine carries the inverse system
 (Macaulay) instead: from degree c on, I_{m+1} = S_1 * I_m, hence
@@ -39,7 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GuardError, InternalError, PlateauError
+from .errors import GuardError, InternalError
 from .linalg import PrimeField, kernel_basis, rank
 from .poly import (
     HomogPoly,
@@ -49,7 +58,7 @@ from .poly import (
     shift_index,
 )
 
-# plateau confirmation needs this many equal trailing Hilbert values
+# the Hilbert window ends this many values past the anchor max(k*, 0)
 _TAIL = 4
 
 # pairs of variables whose contractions of one functional must commute
@@ -82,7 +91,16 @@ class QciInput:
             raise GuardError(
                 f"prime {p} too small for degrees summing to {total}; need p > a+b+c"
             )
-        return cls(tuple(sorted(triple, key=lambda f: f.degree)))
+        polys = tuple(sorted(triple, key=lambda f: f.degree))
+        if polys[0].is_zero and polys[0].degree < polys[1].degree:
+            # the invariants need Fa != 0: a zero form of least degree
+            # puts a syzygy at twist a - c, which forces t = a*c, while
+            # the scheme is V(Fb, Fc) of degree b*c
+            raise GuardError(
+                f"the form of least degree {polys[0].degree} is zero; a zero "
+                "form must tie in degree with another form"
+            )
+        return cls(polys)
 
     @property
     def degrees(self) -> tuple[int, int, int]:
@@ -107,7 +125,6 @@ class HilbertTable:
     values: tuple[int, ...]
     k_star: int
     k_max: int
-    extensions: int
     plateau: int | None
 
 
@@ -227,7 +244,8 @@ class QciReport:
             "hilbert": {
                 "k_star": int(self.hilbert.k_star),
                 "k_max": int(self.hilbert.k_max),
-                "extensions": int(self.hilbert.extensions),
+                # schema 1 keeps the key; the window is fixed
+                "extensions": 0,
                 "plateau": _opt_int(self.hilbert.plateau),
                 "values": [int(v) for v in self.hilbert.values],
             },
@@ -285,13 +303,14 @@ class _Analysis:
     the input, so evaluation order never changes a result.
     """
 
-    def __init__(self, Q: QciInput, max_extensions: int = 2):
+    def __init__(self, Q: QciInput):
         self.Q = Q
         self.field = Q.field
-        self.max_extensions = max_extensions
         a, b, c = Q.degrees
         self.a, self.b, self.c = a, b, c
         self.k_star = a + b + c - 2
+        # stabilization anchor: the Hilbert window is 0 .. anchor + _TAIL - 1
+        self.anchor = max(self.k_star, 0)
         self._ranks: dict[int, int] = {}
         self._kernels: dict[int, np.ndarray] = {}
         # left null spaces N_m, direct or stepped; any N_m with
@@ -369,48 +388,34 @@ class _Analysis:
     # -- dimension detection --------------------------------------------
 
     def dimension(self) -> tuple[str, int | None, HilbertTable]:
+        """Dimension class from the window's last four Hilbert values.
+
+        All zero is empty, constant is dim0, strictly increasing is
+        dim_ge_1 (see the module docstring); anything else is a fault.
+        """
         if self._dim_info is not None:
             return self._dim_info
-        k_max = max(self.k_star + _TAIL - 1, _TAIL - 1)
-        extensions = 0
-        while True:
-            values = tuple(self.hilbert_value(k) for k in range(k_max + 1))
-            tail = values[-_TAIL:]
-            if all(v == 0 for v in tail):
-                info = ("empty", 0, tail[0])
-                break
-            if all(v == tail[0] for v in tail):
-                info = ("dim0", tail[0], tail[0])
-                break
-            nondecreasing = all(x <= y for x, y in zip(tail, tail[1:]))
-            if nondecreasing and tail[-1] > tail[0]:
-                info = ("dim_ge_1", None, None)
-                break
-            if extensions >= self.max_extensions:
-                raise PlateauError(
-                    "quotient Hilbert values did not stabilize by degree "
-                    f"{k_max} (tail {list(tail)}); the input may not define "
-                    "a finite scheme"
-                )
-            extensions += 1
-            k_max += 3
+        k_max = self.anchor + _TAIL - 1
+        values = tuple(self.hilbert_value(k) for k in range(k_max + 1))
+        tail = values[-_TAIL:]
+        if not any(tail):
+            tag, t, plateau = "empty", 0, 0
+        elif all(v == tail[0] for v in tail):
+            tag, t, plateau = "dim0", tail[0], tail[0]
+        elif all(x < y for x, y in zip(tail, tail[1:])):
+            tag, t, plateau = "dim_ge_1", None, None
+        else:
+            raise InternalError(
+                f"quotient Hilbert tail {list(tail)} at k = {self.anchor}.."
+                f"{k_max} (k* = {self.k_star}) is neither constant nor "
+                "strictly increasing"
+            )
         self._check_annihilation(k_max)
-        tag, t, plateau = info
         table = HilbertTable(
-            values=values,
-            k_star=self.k_star,
-            k_max=k_max,
-            extensions=extensions,
-            plateau=plateau,
+            values=values, k_star=self.k_star, k_max=k_max, plateau=plateau
         )
         self._dim_info = (tag, t, table)
         return self._dim_info
-
-    @property
-    def eff_kstar(self) -> int:
-        # stabilization anchor, pushed up if the plateau needed extensions
-        tag, t, table = self.dimension()
-        return table.k_max - (_TAIL - 1)
 
     def require_dim0(self) -> int:
         tag, t, _ = self.dimension()
@@ -558,7 +563,7 @@ class _Analysis:
         v = self._sat.get(m)
         if v is not None:
             return v
-        e = max(1, self.eff_kstar + 1 - m)
+        e = max(1, self.anchor + 1 - m)
         N = self.left_null(m + e)
         if N.shape[0] == 0:
             v = dim_S(m)
@@ -686,7 +691,7 @@ class _Analysis:
         anchor, and the alternating Euler characteristic against t.
         """
         t = self.require_dim0()
-        base = self.eff_kstar
+        base = self.anchor
         for m in range(base, base + _TAIL):
             predicted = sum(dim_S(m - vj) for vj in v) - sum(
                 dim_S(m - ui) for ui in u
@@ -712,73 +717,68 @@ def quotient_hilbert(Q: QciInput, k: int) -> int:
     return _Analysis(Q).hilbert_value(k)
 
 
-def dimension_class(
-    Q: QciInput, max_extensions: int = 2
-) -> tuple[str, int | None]:
-    tag, t, _ = _Analysis(Q, max_extensions).dimension()
+def dimension_class(Q: QciInput) -> tuple[str, int | None]:
+    tag, t, _ = _Analysis(Q).dimension()
     return tag, t
 
 
-def degree_t(Q: QciInput, max_extensions: int = 2) -> int:
-    return _Analysis(Q, max_extensions).require_dim0()
+def degree_t(Q: QciInput) -> int:
+    return _Analysis(Q).require_dim0()
 
 
-def syzygy_dims(Q: QciInput, max_extensions: int = 2) -> SyzygyTable:
-    eng = _Analysis(Q, max_extensions)
+def syzygy_dims(Q: QciInput) -> SyzygyTable:
+    eng = _Analysis(Q)
     eng.require_dim0()
     return eng.syzygy_table()
 
 
-def c2_at_r(Q: QciInput, max_extensions: int = 2) -> int:
-    return _Analysis(Q, max_extensions).c2_at_r()
+def c2_at_r(Q: QciInput) -> int:
+    return _Analysis(Q).c2_at_r()
 
 
-def certify_bounds(Q: QciInput, max_extensions: int = 2) -> tuple[BoundsI, BoundsII]:
-    return _Analysis(Q, max_extensions).bounds()
+def certify_bounds(Q: QciInput) -> tuple[BoundsI, BoundsII]:
+    return _Analysis(Q).bounds()
 
 
-def saturation_dim(Q: QciInput, m: int, max_extensions: int = 2) -> int:
-    eng = _Analysis(Q, max_extensions)
+def saturation_dim(Q: QciInput, m: int) -> int:
+    eng = _Analysis(Q)
     eng.require_dim0()
     return eng.saturation_dim(m)
 
 
-def h1_E(Q: QciInput, k: int, max_extensions: int = 2) -> int:
-    eng = _Analysis(Q, max_extensions)
+def h1_E(Q: QciInput, k: int) -> int:
+    eng = _Analysis(Q)
     eng.require_dim0()
     return eng.h1E(k)
 
 
-def splits(Q: QciInput, max_extensions: int = 2) -> bool:
-    return _Analysis(Q, max_extensions).splits()[0]
+def splits(Q: QciInput) -> bool:
+    return _Analysis(Q).splits()[0]
 
 
-def syzygy_generator_degrees(
-    Q: QciInput, max_extensions: int = 2
-) -> tuple[int, ...]:
-    return syzygy_dims(Q, max_extensions).generator_degrees
+def syzygy_generator_degrees(Q: QciInput) -> tuple[int, ...]:
+    return syzygy_dims(Q).generator_degrees
 
 
-def classify(Q: QciInput, max_extensions: int = 2) -> Classification:
-    return _Analysis(Q, max_extensions).classify()
+def classify(Q: QciInput) -> Classification:
+    return _Analysis(Q).classify()
 
 
 def verify_resolution(
     Q: QciInput,
     resolution: tuple[tuple[int, ...], tuple[int, ...]],
-    max_extensions: int = 2,
 ) -> bool:
     u, v = resolution
-    return _Analysis(Q, max_extensions).verify_resolution(tuple(u), tuple(v))
+    return _Analysis(Q).verify_resolution(tuple(u), tuple(v))
 
 
-def linked_degree(Q: QciInput, max_extensions: int = 2) -> int:
-    return _Analysis(Q, max_extensions).gamma()
+def linked_degree(Q: QciInput) -> int:
+    return _Analysis(Q).gamma()
 
 
-def analyze_qci(Q: QciInput, max_extensions: int = 2) -> QciReport:
+def analyze_qci(Q: QciInput) -> QciReport:
     """Full invariant battery for one input, computed on a shared engine."""
-    eng = _Analysis(Q, max_extensions)
+    eng = _Analysis(Q)
     tag, t, table = eng.dimension()
     if tag != "dim0":
         refusal = (

@@ -206,13 +206,13 @@ def _classify(d: int, tau: int, r: int, c2: int, split_flag: bool):
     return curve_class, exponents, plus_one_case
 
 
-def analyze_curve(C: CurveInput, max_extensions: int = 2) -> CurveReport:
+def analyze_curve(C: CurveInput) -> CurveReport:
     """Run the full pipeline on the partials of the curve equation."""
     f = C.f
     d = C.d
     fx, fy, fz = f.partials()
     Q = QciInput.of(fx, fy, fz)
-    rep = analyze_qci(Q, max_extensions)
+    rep = analyze_qci(Q)
     if rep.dimension_class == "empty":
         return CurveReport(
             d=d,

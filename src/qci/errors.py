@@ -25,7 +25,3 @@ class GuardError(QciError):
 
 class InternalError(QciError):
     """A certified invariant failed. This indicates a bug, not bad input."""
-
-
-class PlateauError(InternalError):
-    """Hilbert values did not stabilize inside the extended window."""

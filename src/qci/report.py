@@ -37,7 +37,8 @@ def _diagnostics(rep: QciReport) -> dict:
     return {
         "k_star": int(rep.hilbert.k_star),
         "k_max": int(rep.hilbert.k_max),
-        "window_extensions": int(rep.hilbert.extensions),
+        # schema 1 keeps the key; the Hilbert window is fixed
+        "window_extensions": 0,
     }
 
 
@@ -271,7 +272,7 @@ _HILBERT_SCHEMA = {
     "properties": {
         "k_star": {"type": "integer"},
         "k_max": {"type": "integer"},
-        "extensions": {"type": "integer"},
+        "extensions": {"const": 0},
         "plateau": {"type": ["integer", "null"]},
         "values": {"type": "array", "items": {"type": "integer"}},
     },
@@ -292,7 +293,7 @@ REPORT_SCHEMA = {
             "properties": {
                 "k_star": {"type": "integer"},
                 "k_max": {"type": "integer"},
-                "window_extensions": {"type": "integer"},
+                "window_extensions": {"const": 0},
             },
             "required": ["k_star", "k_max", "window_extensions"],
         },

@@ -113,6 +113,7 @@ _poly_arg = (_poly_text() | _junk).filter(lambda t: _degree_at_most(t, _MAX_DEGR
 @settings(max_examples=150, deadline=None)
 @example(command="analyze-curve", texts=("x^\u00b2", "", ""), as_json=False)
 @example(command="hilbert", texts=("\u0663x", "y", "z"), as_json=True)
+@example(command="analyze-qci", texts=("x", "y", "0"), as_json=False)
 @given(
     command=st.sampled_from(["analyze-curve", "analyze-qci", "hilbert"]),
     texts=st.tuples(_poly_arg, _poly_arg, _poly_arg),
@@ -197,11 +198,13 @@ def test_out_flag_writes_file(capsys, tmp_path):
     assert doc["results"]["tau"] == 3
 
 
-def test_max_window_extensions_flag(capsys):
-    doc = run_json(
-        capsys,
-        ["analyze-curve", "--f", "x*y*z", "--max-window-extensions", "0"],
-    )
+def test_window_extensions_flag_removed(capsys):
+    # the Hilbert window is fixed; schema 1 still carries the key as 0
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze-curve", "--f", "x*y*z", "--max-window-extensions", "0"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    doc = run_json(capsys, ["analyze-curve", "--f", "x*y*z"])
     assert doc["results"]["tau"] == 3
     assert doc["diagnostics"]["window_extensions"] == 0
 
@@ -259,10 +262,10 @@ def test_sweep_out_file(capsys, tmp_path):
 def test_sweep_reports_internal_error_per_row(capsys, monkeypatch):
     real = cli.analyze_curve
 
-    def fails_at_degree_4(C, max_extensions=2):
+    def fails_at_degree_4(C):
         if C.f.degree == 4:
             raise InternalError("injected failure")
-        return real(C, max_extensions=max_extensions)
+        return real(C)
 
     monkeypatch.setattr(cli, "analyze_curve", fails_at_degree_4)
     rc, out, err = run_cli(capsys, ["sweep", "--family", "lines", "--d-range", "3..5"])
@@ -316,4 +319,3 @@ def test_parser_rejects_json_on_sweep():
 def test_parser_defaults():
     args = build_parser().parse_args(["analyze-curve", "--f", "x*y*z"])
     assert args.prime == 32003
-    assert args.max_window_extensions == 2

@@ -91,6 +91,32 @@ def test_input_rejects_all_zero(field):
         QciInput.of(zero, zero, zero)
 
 
+def test_input_rejects_zero_form_of_least_degree(field):
+    x, y = parse_poly("x", field), parse_poly("y", field)
+    with pytest.raises(GuardError, match="least degree 0"):
+        QciInput.of(x, y, HomogPoly.zero(0, field))
+    with pytest.raises(GuardError, match="least degree 1"):
+        QciInput.of(
+            HomogPoly.zero(1, field),
+            parse_poly("x^2", field),
+            parse_poly("y^2", field),
+        )
+
+
+def test_zero_form_tied_in_degree_still_analyzes(field):
+    # (0, x^2, y^3): the zero form ties with x^2, so the scheme is the
+    # complete intersection V(x^2, y^3) of degree 6
+    rep = analyze_qci(
+        QciInput.of(
+            HomogPoly.zero(2, field),
+            parse_poly("x^2", field),
+            parse_poly("y^3", field),
+        )
+    )
+    assert rep.dimension_class == "dim0" and rep.t == 6
+    assert rep.classification.tag == "complete-intersection"
+
+
 def test_input_rejects_small_prime():
     from qci import PrimeField
 
@@ -188,7 +214,7 @@ def test_triangle_invariants(field, triangle):
     assert (rep.m0, rep.h1_at_m0, rep.splits) == (0, 0, True)
     assert rep.hilbert.values == (1, 3, 3, 3, 3, 3, 3, 3)
     assert (rep.hilbert.k_star, rep.hilbert.k_max) == (4, 7)
-    assert rep.hilbert.plateau == 3 and rep.hilbert.extensions == 0
+    assert rep.hilbert.plateau == 3 and rep.to_dict()["hilbert"]["extensions"] == 0
     assert rep.syzygies.window == (0, 2)
     assert rep.syzygies.dims == ((0, 0), (1, 2), (2, 6))
     assert rep.generator_degrees == (1, 1)
