@@ -39,7 +39,16 @@ direct elimination (see ``_Analysis._switches_at``); sparse maps with a
 large quotient, such as the pencil of lines, stay direct.  Where the chain
 reaches the top of the window, N is multiplied against the direct map
 there and must annihilate it exactly, or the run fails with InternalError.
-The stepped N_m also serves the saturation, which reads only its span.
+
+Each degree's map is eliminated once per input, in ``_Analysis.rank_at``,
+which keeps the kernel a later stage reads: the right kernel K_m over the
+syzygy window [a-1, a+b+1] (lift degree, window, twist above), whose row
+count is h^0(E(m-c)); N_m on the chain; and a direct N_m above the anchor,
+where the saturation reads the span of N (a chain, once held, is stepped
+there too).  Only a degree that needs both kernels, which happens when
+c <= 2 or when the chain starts inside the syzygy window, is eliminated a
+second time.  The saturation stack of N's shifted copies is reduced in
+chunks once it exceeds 8 * dim S_m rows, so it is never held whole.
 """
 
 from __future__ import annotations
@@ -49,7 +58,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GuardError, InternalError
-from .linalg import PrimeField, kernel_basis, rank
+from .linalg import PrimeField, kernel_basis, matmul, rank
 from .poly import (
     HomogPoly,
     dim_S,
@@ -63,6 +72,10 @@ _TAIL = 4
 
 # pairs of variables whose contractions of one functional must commute
 _PAIRS = ((0, 1), (0, 2), (1, 2))
+
+# a saturation stack of more nonzero rows than this many times dim S_m is
+# reduced chunk by chunk, so the whole stack is never held at once
+_SAT_CHUNK = 8
 
 
 def _chi(k: int) -> int:
@@ -296,6 +309,25 @@ def _integrate(C: np.ndarray, N: np.ndarray, m: int, p: int) -> np.ndarray:
     )
 
 
+def _stack_chunks(N: np.ndarray, m: int, e: int, limit: int):
+    """The column-shifted copies N[:, positions of nu * mu] over the
+    degree-e monomials nu, zero rows dropped, stacked in chunks of just
+    over ``limit`` rows; the last chunk, or a lone one, may be smaller."""
+    blocks: list[np.ndarray] = []
+    held = 0
+    for cols in product_positions(m, e):
+        B = N[:, cols]
+        # zero rows, most of the stack at large e, add no rank
+        blocks.append(B[B.any(axis=1)])
+        held += blocks[-1].shape[0]
+        if held > limit:
+            X = np.vstack(blocks)
+            blocks, held = [], 0
+            yield X
+    if blocks:
+        yield np.vstack(blocks)
+
+
 class _Analysis:
     """Per-input computation engine with degreewise caches.
 
@@ -312,10 +344,12 @@ class _Analysis:
         # stabilization anchor: the Hilbert window is 0 .. anchor + _TAIL - 1
         self.anchor = max(self.k_star, 0)
         self._ranks: dict[int, int] = {}
+        # right kernels K_m and left null spaces N_m kept by rank_at
         self._kernels: dict[int, np.ndarray] = {}
-        # left null spaces N_m, direct or stepped; any N_m with
-        # m >= max(c, 1) can be stepped to N_{m+1}
         self._left: dict[int, np.ndarray] = {}
+        # degrees whose N_m belongs to the inverse-system chain; only these
+        # are stepped to N_{m+1}
+        self._chain: set[int] = set()
         self._sat: dict[int, int] = {}
         self._dim_info = None
         self._syzygy = None
@@ -329,23 +363,41 @@ class _Analysis:
         return np.hstack([mult_matrix(f, m - f.degree) for f in self.Q.polys])
 
     def rank_at(self, m: int) -> int:
+        """Rank of the degree-m map, from the one elimination of that degree.
+
+        The elimination keeps what a later stage reads of the degree: a
+        chain degree keeps its N_m; a degree of the syzygy window
+        [a-1, a+b+1] its right kernel K_m, for kernel_at; a degree above
+        the anchor its direct N_m, for left_null.  Both kept kernels are
+        taken only when HF(m-1) is known, so a lone Hilbert value stays
+        one plain rank.
+        """
         v = self._ranks.get(m)
         if v is not None:
             return v
-        prev = self._left.get(m - 1) if m - 1 >= max(self.c, 1) else None
+        follows = m == 0 or m - 1 in self._ranks
         if m < 0:
             v = 0
-        elif prev is None and not self._switches_at(m):
-            v = rank(self.map_at(m), self.field)
-        else:
-            if prev is None:
-                N = kernel_basis(self.map_at(m).T, self.field)
-            else:
-                p = self.field.p
+        elif m - 1 in self._chain or self._switches_at(m):
+            if m - 1 in self._chain:
+                prev, p = self._left[m - 1], self.field.p
                 C = kernel_basis(_contraction_system(prev, m - 1, p), self.field)
                 N = _integrate(C, prev, m - 1, p)
+            else:
+                N = kernel_basis(self.map_at(m).T, self.field)
+            self._left[m] = N
+            self._chain.add(m)
+            v = dim_S(m) - N.shape[0]
+        elif follows and self.a - 1 <= m <= self.a + self.b + 1:
+            K = kernel_basis(self.map_at(m), self.field)
+            self._kernels[m] = K
+            v = K.shape[1] - K.shape[0]
+        elif follows and m > self.anchor:
+            N = kernel_basis(self.map_at(m).T, self.field)
             self._left[m] = N
             v = dim_S(m) - N.shape[0]
+        else:
+            v = rank(self.map_at(m), self.field)
         self._ranks[m] = v
         return v
 
@@ -371,10 +423,15 @@ class _Analysis:
         return cols >= 64 and 4 * step_cost < direct_cost
 
     def _check_annihilation(self, m: int) -> None:
-        # One exact int64 product: each term is below 2**42, and a sum of
-        # dim_S(m) < 2**21 of them stays below 2**63.
-        N = self._left.get(m)
-        if N is not None and (N @ self.map_at(m) % self.field.p).any():
+        # a stepped N_m must annihilate the direct map, checked by exact
+        # products one form's block at a time, so that only one block's
+        # float64 copy is live; a directly eliminated N_m would prove nothing
+        if m not in self._chain or m - 1 not in self._chain:
+            return
+        N, p = self._left[m], self.field.p
+        if any(
+            matmul(N, mult_matrix(f, m - f.degree), p).any() for f in self.Q.polys
+        ):
             raise InternalError(
                 f"stepped inverse system in degree {m} does not annihilate "
                 "the ideal; the integration step is broken"
@@ -428,6 +485,8 @@ class _Analysis:
     # -- syzygies ---------------------------------------------------------
 
     def kernel_at(self, m: int) -> np.ndarray:
+        # rank_at keeps K_m over the syzygy window; a chain degree there,
+        # or a degree never ranked, is eliminated here
         K = self._kernels.get(m)
         if K is None:
             K = kernel_basis(self.map_at(m), self.field)
@@ -551,6 +610,10 @@ class _Analysis:
     # -- saturation --------------------------------------------------------
 
     def left_null(self, m: int) -> np.ndarray:
+        # above the anchor rank_at keeps N_m, stepped after a chain degree;
+        # a degree it spent on K_m, or never reached, is eliminated here
+        if m > self.anchor and m - 1 in self._ranks:
+            self.rank_at(m)
         N = self._left.get(m)
         if N is None:
             N = kernel_basis(self.map_at(m).T, self.field)
@@ -565,18 +628,28 @@ class _Analysis:
             return v
         e = max(1, self.anchor + 1 - m)
         N = self.left_null(m + e)
+        # The saturation in degree m is the common kernel of the stack of
+        # N's column-shifted copies.  A stack of at most _SAT_CHUNK * n
+        # nonzero rows comes as one chunk and is ranked at once; a larger
+        # one is never held whole: a kernel K of the rows seen so far is
+        # restricted one chunk X at a time, K <- ker(X K^T) K.
+        n = dim_S(m)
+        limit = _SAT_CHUNK * n
+        chunks = _stack_chunks(N, m, e, limit)
+        X = next(chunks)
         if N.shape[0] == 0:
-            v = dim_S(m)
+            v = n
+        elif X.shape[0] <= limit:
+            v = n - rank(X, self.field)
         else:
-            blocks = []
-            for cols in product_positions(m, e):
-                B = N[:, cols]
-                # zero rows, most of the stack at large e, add no rank
-                blocks.append(B[B.any(axis=1)])
-            stacked = np.vstack(blocks)
-            # drop the blocks before elimination adds its own copy
-            del blocks
-            v = dim_S(m) - rank(stacked, self.field)
+            p = self.field.p
+            K = kernel_basis(X, self.field)
+            for X in chunks:
+                if K.shape[0] == 0:
+                    break
+                C = kernel_basis(matmul(X, K.T, p), self.field)
+                K = matmul(C, K, p)
+            v = K.shape[0]
         self._sat[m] = v
         return v
 

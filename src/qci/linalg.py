@@ -14,7 +14,9 @@ row operations as one float64 matrix product whose every term is a
 product of residues.  A sum of at most ``_NB`` such terms stays below
 ``2**53``, where float64 represents every integer exactly and rounds
 nothing, so both paths perform the same exact arithmetic and return the
-same bytes.
+same bytes.  :func:`matmul` applies the same bound to a plain product: it
+cuts the inner dimension into runs of ``2**53 // (p-1)**2`` terms, one
+float64 BLAS product each, and reduces in int64.
 """
 
 from __future__ import annotations
@@ -234,6 +236,25 @@ def _echelon_blocked(M: np.ndarray, p: int, reduced: bool, nb: int = _NB):
         T %= p
         R[block] = T
     return R, tuple(pivots)
+
+
+def matmul(A, B, p: int) -> np.ndarray:
+    """Exact ``A @ B mod p`` of two residue matrices, by float64 BLAS.
+
+    The inner dimension is cut into runs of ``2**53 // (p-1)**2`` terms
+    (2048 at the largest admitted prime): a run sums products below
+    ``(p-1)**2``, so every float64 partial sum is an integer of at most
+    ``2**53`` and exact.  Each run's product is reduced in int64.
+    """
+    A = _int_matrix(A)
+    B = _int_matrix(B)
+    run = (1 << 53) // (p - 1) ** 2
+    out = np.zeros((A.shape[0], B.shape[1]), dtype=np.int64)
+    for s in range(0, A.shape[1], run):
+        P = A[:, s : s + run].astype(np.float64) @ B[s : s + run].astype(np.float64)
+        out += P.astype(np.int64)
+        out %= p
+    return out
 
 
 def rank(M, field: PrimeField) -> int:

@@ -4,10 +4,17 @@ Every stepped Hilbert value is compared with the direct rank of the same
 degree's map, and on monomial ideals with the counting oracle of
 conftest.py.  The step helpers are called directly, so these checks do not
 depend on where the engine's cost rule starts the chain.
+
+The engine eliminates each degree's map once: ``_Analysis.rank_at`` keeps
+the kernel a later stage reads (K_m in the syzygy window, N_m above the
+anchor or on the chain), so ``kernel_at`` and ``left_null`` only read it.
+The saturation stack is reduced in chunks when it is large; forcing tiny
+chunks must not move any value.
 """
 
 import random
 
+import numpy as np
 import pytest
 
 from qci import (
@@ -25,7 +32,8 @@ from qci import (
     rank,
     rref,
 )
-from qci import core
+from qci import core, linalg
+from qci.poly import product_positions
 
 LARGE_PRIMES = (32003, 2097143)
 
@@ -136,7 +144,9 @@ def _chained_engine(field):
     Q = QciInput.of(*_node_partials(7, field, seed=3))
     eng = core._Analysis(Q)
     eng.dimension()
-    assert eng._left, "the cost rule should start the chain on a dense node"
+    assert any(m - 1 in eng._chain for m in eng._chain), (
+        "the cost rule should start the chain on a dense node and step it"
+    )
     return Q, eng
 
 
@@ -146,6 +156,17 @@ def test_chain_spans_the_direct_left_null_space(field):
         K = kernel_basis(eng.map_at(m).T, field)
         R, _ = rref(N, field)
         assert R.tobytes() == K.tobytes(), m
+
+
+def test_left_null_steps_above_the_window(field):
+    # after the chain, the saturation's degree above k_max is stepped, not
+    # eliminated afresh
+    Q, eng = _chained_engine(field)
+    top = eng.dimension()[2].k_max + 1
+    N = eng.left_null(top)
+    assert top in eng._chain and top - 1 in eng._chain
+    R, _ = rref(N, field)
+    assert R.tobytes() == kernel_basis(eng.map_at(top).T, field).tobytes()
 
 
 def test_lone_hilbert_value_stays_direct(field):
@@ -186,3 +207,126 @@ def test_engine_report_matches_direct_ranks(field):
     Q, _ = _chained_engine(field)
     values = analyze_qci(Q).hilbert.values
     assert list(values) == [_direct_hilbert(Q, k) for k in range(len(values))]
+
+
+def _record_engines(monkeypatch):
+    """A list that every engine built from here on is appended to."""
+    engines = []
+
+    class Recorded(core._Analysis):
+        def __init__(self, Q):
+            super().__init__(Q)
+            engines.append(self)
+
+    monkeypatch.setattr(core, "_Analysis", Recorded)
+    return engines
+
+
+def _analyze_recording(Q, monkeypatch):
+    """analyze_qci(Q), the engine it ran on, and every matrix it eliminated."""
+    seen = []
+
+    def recording(fn):
+        def wrapper(M, field):
+            seen.append(np.array(M))
+            return fn(M, field)
+
+        return wrapper
+
+    monkeypatch.setattr(core, "rank", recording(core.rank))
+    monkeypatch.setattr(core, "kernel_basis", recording(core.kernel_basis))
+    engines = _record_engines(monkeypatch)
+    report = analyze_qci(Q)
+    (eng,) = engines
+    return report, eng, seen
+
+
+def _eliminations_per_degree(eng, seen):
+    counts = {}
+    for m in range(eng.anchor + 5):
+        M = eng.map_at(m)
+        counts[m] = sum(
+            (A.shape == M.shape and np.array_equal(A, M))
+            or (A.shape == M.T.shape and np.array_equal(A, M.T))
+            for A in seen
+        )
+    return counts
+
+
+@pytest.mark.parametrize(
+    "which, both",
+    [
+        # the chain starts above the syzygy window: no degree needs both
+        ("node9", set()),
+        # the pencil of lines stays direct; the top degrees keep N_m
+        ("lines6", set()),
+        # c = 1: the top degrees 2, 3 lie in the window [0, 3]
+        ("x,y,x+y", {2, 3}),
+        # c = 2: the first top degree a+b+1 is the window's last
+        ("nodal cubic", {5}),
+        # the chain starts at a+b+1 = 13, the window's last degree
+        ("node7", {13}),
+    ],
+)
+def test_each_map_is_eliminated_once(which, both, field, monkeypatch):
+    if which == "nodal cubic":
+        Q = QciInput.of(*parse_poly("y^2*z - x^3 - x^2*z", field).partials())
+    elif "," in which:
+        Q = QciInput.of(*(parse_poly(s, field) for s in which.split(",")))
+    else:
+        Q = _case_input(field, which)
+    report, eng, seen = _analyze_recording(Q, monkeypatch)
+    assert report.dimension_class == "dim0"
+    counts = _eliminations_per_degree(eng, seen)
+    # a degree needing both kernels is the one fallback: K_m and N_m
+    twice = {m for m, n in counts.items() if n > 1}
+    assert twice == both
+    assert all(n <= 2 for n in counts.values())
+    # every degree the engine ranked without a step was eliminated
+    stepped = {m for m in eng._chain if m - 1 in eng._chain}
+    assert all(counts[m] for m in eng._ranks if m not in stepped)
+    if which.startswith("node"):
+        assert any(m - 1 in eng._chain for m in eng._chain)
+    if which == "lines6":
+        assert not eng._chain
+
+
+def test_lone_values_stay_plain_ranks(field):
+    Q = _case_input(field, "lines6")
+    eng = core._Analysis(Q)
+    a, b = Q.degrees[:2]
+    for m in (a + b, eng.anchor + 2):
+        eng.hilbert_value(m)
+    assert not eng._kernels and not eng._left
+
+
+def _full_stack_saturation(Q, m):
+    # dim S_m minus the rank of every column-shifted copy of N, held whole
+    eng = core._Analysis(Q)
+    e = max(1, eng.anchor + 1 - m)
+    N = kernel_basis(eng.map_at(m + e).T, Q.field)
+    stack = np.vstack([N[:, cols] for cols in product_positions(m, e)])
+    return dim_S(m) - rank(stack, Q.field)
+
+
+@pytest.mark.parametrize("which", ["lines6", "lines7", "lines8", "node6"])
+def test_chunked_saturation_matches_the_full_stack(which, field, monkeypatch):
+    Q = _case_input(field, which)
+    expected = analyze_qci(Q).to_dict()
+    products = []
+
+    def counting(A, B, p):
+        products.append(A.shape)
+        return linalg.matmul(A, B, p)
+
+    monkeypatch.setattr(core, "_SAT_CHUNK", 1)
+    monkeypatch.setattr(core, "matmul", counting)
+    engines = _record_engines(monkeypatch)
+    assert analyze_qci(Q).to_dict() == expected
+    (eng,) = engines
+    assert eng._sat
+    for m, v in eng._sat.items():
+        assert v == _full_stack_saturation(Q, m), m
+    if which.startswith("lines"):
+        # no chain, so every product restricted a saturation kernel
+        assert products

@@ -184,3 +184,24 @@ def test_blocked_echelon_matches_loop(p):
                     assert blocked[1] == pivots
                     assert blocked[0].dtype == R.dtype
                     assert blocked[0].tobytes() == R.tobytes()
+
+
+@pytest.mark.parametrize("p", [2, 3, 32003, 2097143])
+def test_matmul_matches_python_ints(p):
+    rng = np.random.default_rng(p)
+    # inner dimensions: empty, short, and at p = 2097143 three exact
+    # float64 runs of 2048 terms
+    for inner in (0, 1, 7, 130, 4101):
+        # entries anywhere, and entries in the top half, whose 4101
+        # products at the largest prime sum past 2**53 in one float64 sum
+        for low in (0, p // 2):
+            X = rng.integers(low, p, size=(3, inner), dtype=np.int64)
+            Y = rng.integers(low, p, size=(inner, 4), dtype=np.int64)
+            expected = [
+                [sum(int(X[i, k]) * int(Y[k, j]) for k in range(inner)) % p
+                 for j in range(4)]
+                for i in range(3)
+            ]
+            out = linalg.matmul(X, Y, p)
+            assert out.dtype == np.int64 and out.shape == (3, 4)
+            assert out.tolist() == expected, inner
