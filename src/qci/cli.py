@@ -106,8 +106,12 @@ def build_parser() -> argparse.ArgumentParser:
 def _emit(payload: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(payload)
-    else:
+        return
+    try:
         Path(out).write_text(payload, encoding="utf-8")
+    except OSError as exc:
+        # an unwritable --out is bad input, refused like the others (exit 3)
+        raise GuardError(f"cannot write {out}: {exc.strerror or exc}") from None
 
 
 def _sweep_worker(task: tuple[str, int, int]) -> list[str]:
@@ -163,9 +167,10 @@ def _run_sweep(args) -> int:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        # a bad prime refuses the whole sweep; per-row guards are row statuses
+        field = PrimeField(args.prime)
         if args.command == "sweep":
             return _run_sweep(args)
-        field = PrimeField(args.prime)
         if args.command == "analyze-curve":
             f = parse_poly(args.f, field)
             rep = analyze_curve(CurveInput(f))
@@ -176,6 +181,8 @@ def main(argv: list[str] | None = None) -> int:
             rep = analyze_qci(QciInput.of(*polys))
             build = qci_document if args.command == "analyze-qci" else hilbert_document
             doc = build(rep, *texts, tuple(f.degree for f in polys))
+        payload = document_json(doc) if getattr(args, "json", False) else render_text(doc)
+        _emit(payload, args.out)
     except PolyParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -185,8 +192,6 @@ def main(argv: list[str] | None = None) -> int:
     except InternalError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 4
-    payload = document_json(doc) if getattr(args, "json", False) else render_text(doc)
-    _emit(payload, args.out)
     return 0
 
 

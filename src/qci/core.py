@@ -40,15 +40,18 @@ large quotient, such as the pencil of lines, stay direct.  Where the chain
 reaches the top of the window, N is multiplied against the direct map
 there and must annihilate it exactly, or the run fails with InternalError.
 
-Each degree's map is eliminated once per input, in ``_Analysis.rank_at``,
-which keeps the kernel a later stage reads: the right kernel K_m over the
-syzygy window [a-1, a+b+1] (lift degree, window, twist above), whose row
-count is h^0(E(m-c)); N_m on the chain; and a direct N_m above the anchor,
-where the saturation reads the span of N (a chain, once held, is stepped
-there too).  Only a degree that needs both kernels, which happens when
-c <= 2 or when the chain starts inside the syzygy window, is eliminated a
-second time.  The saturation stack of N's shifted copies is reduced in
-chunks once it exceeds 8 * dim S_m rows, so it is never held whole.
+Each degree's map is eliminated in ``_Analysis.rank_at``, which keeps the
+kernel a later stage reads: a chain degree keeps N_m (stepped, or
+eliminated at the chain's start); any other degree keeps the right kernel
+K_m over the syzygy window [a-1, a+b+1] (lift degree, window, twist
+above), whose row count is h^0(E(m-c)), and N_m above the anchor, where the
+saturation reads the span of N.  Every kernel costs one elimination, and
+``left_null`` only reads what ``rank_at`` kept.  The one second
+elimination of a degree's map is ``kernel_at``'s, for K_m on a chain
+degree inside the syzygy window; apart from it, when c <= 2 a degree both
+in the window and above the anchor keeps K_m and N_m, one elimination
+each.  The saturation stack of N's shifted copies is reduced in chunks
+once it exceeds 8 * dim S_m rows, so it is never held whole.
 """
 
 from __future__ import annotations
@@ -363,19 +366,18 @@ class _Analysis:
         return np.hstack([mult_matrix(f, m - f.degree) for f in self.Q.polys])
 
     def rank_at(self, m: int) -> int:
-        """Rank of the degree-m map, from the one elimination of that degree.
+        """Rank of the degree-m map, read off the kernel the degree keeps.
 
-        The elimination keeps what a later stage reads of the degree: a
-        chain degree keeps its N_m; a degree of the syzygy window
-        [a-1, a+b+1] its right kernel K_m, for kernel_at; a degree above
-        the anchor its direct N_m, for left_null.  Both kept kernels are
-        taken only when HF(m-1) is known, so a lone Hilbert value stays
-        one plain rank.
+        A chain degree keeps its N_m, for left_null.  Any other degree
+        keeps its right kernel K_m if it lies in the syzygy window
+        [a-1, a+b+1], for kernel_at, and its N_m if it lies above the
+        anchor, for left_null; when c <= 2 a degree can lie in both and
+        keeps both, each from its own elimination.  A degree in neither
+        range is one plain rank.
         """
         v = self._ranks.get(m)
         if v is not None:
             return v
-        follows = m == 0 or m - 1 in self._ranks
         if m < 0:
             v = 0
         elif m - 1 in self._chain or self._switches_at(m):
@@ -388,16 +390,18 @@ class _Analysis:
             self._left[m] = N
             self._chain.add(m)
             v = dim_S(m) - N.shape[0]
-        elif follows and self.a - 1 <= m <= self.a + self.b + 1:
-            K = kernel_basis(self.map_at(m), self.field)
-            self._kernels[m] = K
-            v = K.shape[1] - K.shape[0]
-        elif follows and m > self.anchor:
-            N = kernel_basis(self.map_at(m).T, self.field)
-            self._left[m] = N
-            v = dim_S(m) - N.shape[0]
         else:
-            v = rank(self.map_at(m), self.field)
+            M = self.map_at(m)
+            if self.a - 1 <= m <= self.a + self.b + 1:
+                K = kernel_basis(M, self.field)
+                self._kernels[m] = K
+                v = K.shape[1] - K.shape[0]
+            if m > self.anchor:
+                N = kernel_basis(M.T, self.field)
+                self._left[m] = N
+                v = dim_S(m) - N.shape[0]
+            if v is None:
+                v = rank(M, self.field)
         self._ranks[m] = v
         return v
 
@@ -485,8 +489,9 @@ class _Analysis:
     # -- syzygies ---------------------------------------------------------
 
     def kernel_at(self, m: int) -> np.ndarray:
-        # rank_at keeps K_m over the syzygy window; a chain degree there,
-        # or a degree never ranked, is eliminated here
+        # rank_at keeps K_m over the syzygy window, except on a chain
+        # degree, whose elimination kept N_m; that map is eliminated here
+        self.rank_at(m)
         K = self._kernels.get(m)
         if K is None:
             K = kernel_basis(self.map_at(m), self.field)
@@ -610,15 +615,9 @@ class _Analysis:
     # -- saturation --------------------------------------------------------
 
     def left_null(self, m: int) -> np.ndarray:
-        # above the anchor rank_at keeps N_m, stepped after a chain degree;
-        # a degree it spent on K_m, or never reached, is eliminated here
-        if m > self.anchor and m - 1 in self._ranks:
-            self.rank_at(m)
-        N = self._left.get(m)
-        if N is None:
-            N = kernel_basis(self.map_at(m).T, self.field)
-            self._left[m] = N
-        return N
+        # read above the anchor only, where rank_at keeps every N_m
+        self.rank_at(m)
+        return self._left[m]
 
     def saturation_dim(self, m: int) -> int:
         if m < 0:

@@ -29,7 +29,7 @@ PRIME_MAX = 1 << 21
 
 
 class PrimeField:
-    """Arithmetic context for F_p. Primality is checked once, by trial division."""
+    """The prime of F_p, checked once: below PRIME_MAX and prime by trial division."""
 
     __slots__ = ("p",)
 
@@ -46,27 +46,6 @@ class PrimeField:
                 raise GuardError(f"{p} is not prime (divisible by {d})")
             d += 1
         self.p = p
-
-    def reduce(self, n: int) -> int:
-        return n % self.p
-
-    def add(self, a: int, b: int) -> int:
-        return (a + b) % self.p
-
-    def sub(self, a: int, b: int) -> int:
-        return (a - b) % self.p
-
-    def mul(self, a: int, b: int) -> int:
-        return (a * b) % self.p
-
-    def neg(self, a: int) -> int:
-        return (-a) % self.p
-
-    def inv(self, a: int) -> int:
-        a %= self.p
-        if a == 0:
-            raise ZeroDivisionError("0 has no inverse in F_p")
-        return pow(a, self.p - 2, self.p)
 
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p
@@ -270,27 +249,30 @@ def rref(M, field: PrimeField):
 def kernel_basis(M, field: PrimeField) -> np.ndarray:
     """Canonical basis of the right kernel, one vector per row.
 
-    The basis is itself brought to reduced row echelon form, so the output
-    depends only on the kernel as a subspace, not on the path taken.
+    One elimination gives it: with R the reduced row echelon form of M,
+    row i has 1 in the i-th free (non-pivot) column, 0 in the other free
+    columns, and minus R's free-column entries at the pivot columns.  A
+    kernel vector is fixed by its free coordinates, and R and its pivots
+    depend only on the row space, which the kernel determines, so the
+    output depends only on the kernel as a subspace, not on M or on the
+    path taken.  Rank-nullity is checked on the same elimination: the rows
+    of R below its pivot rows must be zero, or the basis would have more
+    vectors than the kernel has dimensions.
     """
     A = _int_matrix(M)
     n = A.shape[1]
     R, pivots = _echelon(A, field.p, reduced=True)
+    if R[len(pivots) :].any():
+        raise InternalError(
+            f"elimination of a {A.shape[0]}x{n} matrix left a nonzero row below "
+            f"its {len(pivots)} pivots, so its kernel is not {n - len(pivots)}-"
+            "dimensional as rank-nullity needs"
+        )
     piv = np.array(pivots, dtype=np.intp)
     free = np.setdiff1d(np.arange(n), piv)
-    # One vector per free column j: 1 at j and -R[i, j] at the i-th pivot.
     basis = np.zeros((free.size, n), dtype=np.int64)
     basis[np.arange(free.size), free] = 1
     basis[:, piv] = (-R[: piv.size, free].T) % field.p
-    kernel_pivots = ()
-    if free.size:
-        basis, kernel_pivots = _echelon(basis, field.p, reduced=True)
-    # rank-nullity, checked on every kernel computation
-    if len(kernel_pivots) + len(pivots) != n:
-        raise InternalError(
-            f"kernel of a {A.shape[0]}x{n} matrix has {len(kernel_pivots)} "
-            f"independent vectors, but rank-nullity needs {n - len(pivots)}"
-        )
     return basis
 
 

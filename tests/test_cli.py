@@ -48,6 +48,29 @@ def test_exit_three_on_guard_error(capsys):
     assert rc == 3 and "not prime" in err
 
 
+def test_sweep_with_bad_prime_exits_three(capsys):
+    rc, out, err = run_cli(
+        capsys, ["sweep", "--family", "lines", "--d-range", "3..4", "--prime", "4"]
+    )
+    assert rc == 3 and out == ""
+    assert err.splitlines() == ["error: 4 is not prime (divisible by 2)"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze-curve", "--f", "x*y*z"],
+        ["sweep", "--family", "lines", "--d-range", "3..4"],
+    ],
+)
+def test_unwritable_out_exits_three(capsys, tmp_path, argv):
+    path = tmp_path / "missing" / "out"
+    rc, out, err = run_cli(capsys, argv + ["--out", str(path)])
+    assert rc == 3 and out == "" and not path.exists()
+    assert err.startswith(f"error: cannot write {path}: ")
+    assert len(err.splitlines()) == 1
+
+
 def test_refusals_exit_zero(capsys):
     rc, out, _ = run_cli(
         capsys,

@@ -38,14 +38,6 @@ def test_prime_field_rejects_bad_moduli():
         PrimeField(PRIME_MAX)
 
 
-def test_prime_field_inverse(field):
-    rng = np.random.default_rng(7)
-    for a in rng.integers(1, field.p, size=40):
-        assert field.mul(int(a), field.inv(int(a))) == 1
-    with pytest.raises(ZeroDivisionError):
-        field.inv(0)
-
-
 def test_rank_zero_matrix(field):
     assert rank(np.zeros((3, 3), dtype=np.int64), field) == 0
 
@@ -84,7 +76,7 @@ def test_kernel_of_injective_map_is_empty(field):
 
 def test_kernel_of_row_of_ones(field):
     K = kernel_basis(as_matrix([[1, 1]], field), field)
-    assert K.tolist() == [[1, field.p - 1]]
+    assert K.tolist() == [[field.p - 1, 1]]
 
 
 def test_kernel_vectors_annihilate(field):
@@ -145,6 +137,51 @@ def test_kernel_basis_checks_rank_nullity(field, monkeypatch):
     monkeypatch.setattr(linalg, "_echelon", drops_last_pivot)
     with pytest.raises(InternalError):
         kernel_basis(as_matrix([[1, 1, 0], [0, 1, 1]], field), field)
+
+
+def test_kernel_basis_is_one_elimination(field, monkeypatch):
+    calls = []
+    real = linalg._echelon
+
+    def counting(M, p, reduced):
+        calls.append(M.shape)
+        return real(M, p, reduced)
+
+    monkeypatch.setattr(linalg, "_echelon", counting)
+    rng = np.random.default_rng(31)
+    for shape in ((3, 7), (6, 4), (40, linalg._BLOCKED_MIN_COLS + 5)):
+        calls.clear()
+        kernel_basis(rng.integers(0, field.p, size=shape), field)
+        assert calls == [shape]
+
+
+def _invertible(m, p, rng):
+    while True:
+        G = rng.integers(0, p, size=(m, m))
+        if rank(G, PrimeField(p)) == m:
+            return G
+
+
+@pytest.mark.parametrize("p", [2, 3, 32003, 2097143])
+def test_kernel_basis_is_canonical(p):
+    # the basis depends only on the kernel: any invertible row mixing of M
+    # gives the same bytes, with an identity block on the free columns
+    field = PrimeField(p)
+    rng = np.random.default_rng(p + 1)
+    cross = linalg._BLOCKED_MIN_COLS
+    for m, n in ((5, 9), (12, 12), (30, cross - 1), (60, cross + 7)):
+        r = int(rng.integers(1, m + 1))
+        M = linalg.matmul(
+            rng.integers(0, p, size=(m, r)), rng.integers(0, p, size=(r, n)), p
+        )
+        K = kernel_basis(M, field)
+        G = _invertible(m, p, rng)
+        assert kernel_basis(linalg.matmul(G, M, p), field).tobytes() == K.tobytes()
+        _, pivots = rref(M, field)
+        free = np.setdiff1d(np.arange(n), pivots)
+        assert K.shape == (free.size, n)
+        assert np.array_equal(K[:, free], np.eye(free.size, dtype=np.int64))
+        assert not linalg.matmul(M, K.T, p).any()
 
 
 # ---------------------------------------------------------------------------
