@@ -55,7 +55,19 @@ def _parse_range(text: str) -> tuple[int, int]:
         raise argparse.ArgumentTypeError(
             f"range endpoints must be integers, got {text!r}"
         ) from None
+    if hi < lo:
+        raise argparse.ArgumentTypeError(f"range end is below its start in {text!r}")
     return lo, hi
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return value
 
 
 def _add_common(sub: argparse.ArgumentParser, with_json: bool = True) -> None:
@@ -98,7 +110,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument(
         "--d-range", required=True, type=_parse_range, help="degree range A..B"
     )
-    p_sweep.add_argument("--jobs", type=int, default=1, help="parallel workers")
+    p_sweep.add_argument("--jobs", type=_positive_int, default=1, help="parallel workers")
     _add_common(p_sweep, with_json=False)
     return parser
 

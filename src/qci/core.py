@@ -33,9 +33,10 @@ to N_{m+1} by the integration method (Mourrain, JPAA 1997): the unknowns
 are the coordinates of the three contractions x_i -| L in the basis N_m,
 bound by one compatibility equation per pair of variables and per
 degree-(m-1) monomial.  The system has 3*HF(m) unknowns, and its kernel
-has dimension HF(m+1).  The chain starts at the first degree m >= max(c, 1)
-where a shape-only cost estimate puts a step at under a quarter of the
-direct elimination (see ``_Analysis._switches_at``); sparse maps with a
+has dimension HF(m+1).  The chain starts at the first degree
+m >= max(c, a+b+2), above the syzygy window, where a shape-only cost
+estimate puts a step at under a quarter of the direct elimination (see
+``_Analysis._switches_at``); sparse maps with a
 large quotient, such as the pencil of lines, stay direct.  Where the chain
 reaches the top of the window, N is multiplied against the direct map
 there and must annihilate it exactly, or the run fails with InternalError.
@@ -46,12 +47,13 @@ eliminated at the chain's start); any other degree keeps the right kernel
 K_m over the syzygy window [a-1, a+b+1] (lift degree, window, twist
 above), whose row count is h^0(E(m-c)), and N_m above the anchor, where the
 saturation reads the span of N.  Every kernel costs one elimination, and
-``left_null`` only reads what ``rank_at`` kept.  The one second
-elimination of a degree's map is ``kernel_at``'s, for K_m on a chain
-degree inside the syzygy window; apart from it, when c <= 2 a degree both
-in the window and above the anchor keeps K_m and N_m, one elimination
-each.  The saturation stack of N's shifted copies is reduced in chunks
-once it exceeds 8 * dim S_m rows, so it is never held whole.
+``kernel_at`` and ``saturation_dim`` only read what ``rank_at`` kept; the
+chain starts above the syzygy window, so it never holds a degree whose
+K_m is read.  The one second elimination of a degree's map is for c <= 2,
+where a degree both in the window and above the anchor keeps K_m and N_m,
+one elimination each.  The saturation takes the common kernel of N's
+shifted copies one chunk of about 8 * dim S_m rows at a time, so the
+stack is never held whole.
 """
 
 from __future__ import annotations
@@ -76,8 +78,8 @@ _TAIL = 4
 # pairs of variables whose contractions of one functional must commute
 _PAIRS = ((0, 1), (0, 2), (1, 2))
 
-# a saturation stack of more nonzero rows than this many times dim S_m is
-# reduced chunk by chunk, so the whole stack is never held at once
+# the saturation stack is reduced in chunks of just over this many times
+# dim S_m nonzero rows, so the whole stack is never held at once
 _SAT_CHUNK = 8
 
 
@@ -300,14 +302,13 @@ def _integrate(C: np.ndarray, N: np.ndarray, m: int, p: int) -> np.ndarray:
     degree-m monomial keeps its position, which covers the first dim_S(m)
     positions; the rest have no x and are y or z times one of the last
     m+1 monomials of degree m (x-free, in order), z^(m+1) coming from z^m.
-    A product entry sums h < 2**21 terms below p**2 < 2**42, inside int64.
     """
     h = N.shape[0]
     return np.hstack(
         [
-            C[:, :h] @ N % p,
-            C[:, h : 2 * h] @ N[:, -(m + 1) :] % p,
-            C[:, 2 * h :] @ N[:, -1:] % p,
+            matmul(C[:, :h], N, p),
+            matmul(C[:, h : 2 * h], N[:, -(m + 1) :], p),
+            matmul(C[:, 2 * h :], N[:, -1:], p),
         ]
     )
 
@@ -368,25 +369,23 @@ class _Analysis:
     def rank_at(self, m: int) -> int:
         """Rank of the degree-m map, read off the kernel the degree keeps.
 
-        A chain degree keeps its N_m, for left_null.  Any other degree
-        keeps its right kernel K_m if it lies in the syzygy window
+        A chain degree keeps its N_m, stepped from N_{m-1}.  Any other
+        degree keeps its right kernel K_m if it lies in the syzygy window
         [a-1, a+b+1], for kernel_at, and its N_m if it lies above the
-        anchor, for left_null; when c <= 2 a degree can lie in both and
-        keeps both, each from its own elimination.  A degree in neither
-        range is one plain rank.
+        anchor or starts the chain, for the saturation and the chain; when
+        c <= 2 a degree can lie in the window and above the anchor and
+        keeps both, each from its own elimination, the only degree
+        eliminated twice.  A degree in neither range is one plain rank.
         """
         v = self._ranks.get(m)
         if v is not None:
             return v
         if m < 0:
             v = 0
-        elif m - 1 in self._chain or self._switches_at(m):
-            if m - 1 in self._chain:
-                prev, p = self._left[m - 1], self.field.p
-                C = kernel_basis(_contraction_system(prev, m - 1, p), self.field)
-                N = _integrate(C, prev, m - 1, p)
-            else:
-                N = kernel_basis(self.map_at(m).T, self.field)
+        elif m - 1 in self._chain:
+            prev, p = self._left[m - 1], self.field.p
+            C = kernel_basis(_contraction_system(prev, m - 1, p), self.field)
+            N = _integrate(C, prev, m - 1, p)
             self._left[m] = N
             self._chain.add(m)
             v = dim_S(m) - N.shape[0]
@@ -396,9 +395,12 @@ class _Analysis:
                 K = kernel_basis(M, self.field)
                 self._kernels[m] = K
                 v = K.shape[1] - K.shape[0]
-            if m > self.anchor:
+            starts = self._switches_at(m)
+            if starts or m > self.anchor:
                 N = kernel_basis(M.T, self.field)
                 self._left[m] = N
+                if starts:
+                    self._chain.add(m)
                 v = dim_S(m) - N.shape[0]
             if v is None:
                 v = rank(M, self.field)
@@ -408,7 +410,10 @@ class _Analysis:
     def _switches_at(self, m: int) -> bool:
         """Whether degree m starts the inverse-system chain.
 
-        Shapes alone decide.  A step into degree m eliminates a
+        Only a degree m >= max(c, a+b+2) can: below c the ideal is not
+        S_1 times its previous degree, and up to a+b+1 the syzygy stage
+        reads the right kernel K_m, which a chain degree does not keep.
+        Above that, shapes alone decide.  A step into degree m eliminates a
         3*dim_S(m-1) x 3h system, h = HF(m-1), taken here to cost
         18 h^2 dim_S(m-1); the direct map costs about
         (dim_S(m) - h) * dim_S(m) * cols.  The chain starts only where the
@@ -418,7 +423,7 @@ class _Analysis:
         Maps narrower than 64 columns, and a lone Hilbert value with no
         HF(m-1) at hand, stay direct.
         """
-        if m < max(self.c, 1) or m - 1 not in self._ranks:
+        if m < max(self.c, self.a + self.b + 2) or m - 1 not in self._ranks:
             return False
         cols = sum(dim_S(m - f.degree) for f in self.Q.polys)
         h = dim_S(m - 1) - self._ranks[m - 1]
@@ -489,14 +494,9 @@ class _Analysis:
     # -- syzygies ---------------------------------------------------------
 
     def kernel_at(self, m: int) -> np.ndarray:
-        # rank_at keeps K_m over the syzygy window, except on a chain
-        # degree, whose elimination kept N_m; that map is eliminated here
+        # rank_at keeps K_m over the syzygy window, which no chain reaches
         self.rank_at(m)
-        K = self._kernels.get(m)
-        if K is None:
-            K = kernel_basis(self.map_at(m), self.field)
-            self._kernels[m] = K
-        return K
+        return self._kernels[m]
 
     def h0E(self, k: int) -> int:
         return self.kernel_at(k + self.c).shape[0]
@@ -614,11 +614,6 @@ class _Analysis:
 
     # -- saturation --------------------------------------------------------
 
-    def left_null(self, m: int) -> np.ndarray:
-        # read above the anchor only, where rank_at keeps every N_m
-        self.rank_at(m)
-        return self._left[m]
-
     def saturation_dim(self, m: int) -> int:
         if m < 0:
             return 0
@@ -626,29 +621,21 @@ class _Analysis:
         if v is not None:
             return v
         e = max(1, self.anchor + 1 - m)
-        N = self.left_null(m + e)
+        # above the anchor rank_at keeps every N_m
+        self.rank_at(m + e)
+        N, p = self._left[m + e], self.field.p
         # The saturation in degree m is the common kernel of the stack of
-        # N's column-shifted copies.  A stack of at most _SAT_CHUNK * n
-        # nonzero rows comes as one chunk and is ranked at once; a larger
-        # one is never held whole: a kernel K of the rows seen so far is
-        # restricted one chunk X at a time, K <- ker(X K^T) K.
-        n = dim_S(m)
-        limit = _SAT_CHUNK * n
-        chunks = _stack_chunks(N, m, e, limit)
-        X = next(chunks)
-        if N.shape[0] == 0:
-            v = n
-        elif X.shape[0] <= limit:
-            v = n - rank(X, self.field)
-        else:
-            p = self.field.p
-            K = kernel_basis(X, self.field)
-            for X in chunks:
-                if K.shape[0] == 0:
-                    break
-                C = kernel_basis(matmul(X, K.T, p), self.field)
-                K = matmul(C, K, p)
-            v = K.shape[0]
+        # N's column-shifted copies, which is never held whole: a kernel K
+        # of the first chunk is restricted one further chunk X at a time,
+        # K <- ker(X K^T) K.  The stack of an empty N is one empty chunk,
+        # whose kernel is all of S_m.
+        chunks = _stack_chunks(N, m, e, _SAT_CHUNK * dim_S(m))
+        K = kernel_basis(next(chunks), self.field)
+        for X in chunks:
+            if K.shape[0] == 0:
+                break
+            K = matmul(kernel_basis(matmul(X, K.T, p), self.field), K, p)
+        v = K.shape[0]
         self._sat[m] = v
         return v
 

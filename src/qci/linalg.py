@@ -3,7 +3,9 @@
 Matrices are numpy ``int64`` arrays holding residues in ``[0, p)``.  Row
 reduction uses one fixed pivot rule (first nonzero entry, scanning columns
 left to right and rows top to bottom, no pivoting heuristics), so every
-result is bit-identical across runs and across hosts.
+result is bit-identical across runs and across hosts.  There is one kind
+of elimination, to the reduced row echelon form: a rank is its pivot
+count and a kernel basis is read off it.
 
 The prime is capped at ``p < 2**21``, so a product of two residues is
 below ``2**42``.  The per-pivot loop reduces after every update.  Wide
@@ -80,21 +82,19 @@ _NB = 64
 _BLOCKED_MIN_COLS = 2 * _NB
 
 
-def _echelon(M: np.ndarray, p: int, reduced: bool):
-    """Row-reduce a copy of ``M`` with the fixed pivot rule.
+def _echelon(M: np.ndarray, p: int):
+    """Reduced row echelon form of a copy of ``M`` by the fixed pivot rule.
 
-    Returns (R, pivots).  With ``reduced`` the result is the reduced row
-    echelon form (pivots scaled to 1, eliminated above and below);
-    otherwise pivots are scaled to 1 and only entries below each pivot are
-    cleared, which is enough for rank and is roughly twice as fast.  Both
-    paths perform the same row operations, so they return identical bytes.
+    Returns (R, pivots): pivots scaled to 1 and eliminated above and below.
+    Wide matrices take the blocked elimination, narrow ones the per-pivot
+    loop; both perform the same row operations and return identical bytes.
     """
     if M.shape[1] < _BLOCKED_MIN_COLS:
-        return _echelon_loop(M, p, reduced)
-    return _echelon_blocked(M, p, reduced)
+        return _echelon_loop(M, p)
+    return _echelon_blocked(M, p)
 
 
-def _echelon_loop(M: np.ndarray, p: int, reduced: bool):
+def _echelon_loop(M: np.ndarray, p: int):
     """Per-pivot elimination over the whole row; the reference for
     :func:`_echelon_blocked`."""
     R = M % p
@@ -115,12 +115,8 @@ def _echelon_loop(M: np.ndarray, p: int, reduced: bool):
         tail = R[:, col:]
         if inv != 1:
             tail[row] = (tail[row] * inv) % p
-        if reduced:
-            colvals = tail[:, 0].copy()
-            colvals[row] = 0
-        else:
-            colvals = np.zeros(m, dtype=np.int64)
-            colvals[row + 1 :] = tail[row + 1 :, 0]
+        colvals = tail[:, 0].copy()
+        colvals[row] = 0
         mask = colvals != 0
         if mask.any():
             # factor * pivot_row < p**2 fits int64.
@@ -130,7 +126,7 @@ def _echelon_loop(M: np.ndarray, p: int, reduced: bool):
     return R, tuple(pivots)
 
 
-def _echelon_blocked(M: np.ndarray, p: int, reduced: bool, nb: int = _NB):
+def _echelon_blocked(M: np.ndarray, p: int, nb: int = _NB):
     """Elimination one panel of ``nb`` columns at a time.
 
     The per-pivot loop runs on the panel columns only.  Beside them it
@@ -154,61 +150,52 @@ def _echelon_blocked(M: np.ndarray, p: int, reduced: bool, nb: int = _NB):
             break
         c1 = min(c0 + nb, n)
         w = c1 - c0
-        # Rows above the panel's first pivot change only when reducing.
-        top = 0 if reduced else row
         r0 = row
-        W = np.zeros((m - top, w + nb), dtype=np.int64)
-        W[:, :w] = R[top:, c0:c1]
+        W = np.zeros((m, w + nb), dtype=np.int64)
+        W[:, :w] = R[:, c0:c1]
         # A column that is zero from row r0 down stays so through the
         # panel (its pivot rows are zero there), so it holds no pivot.
-        for jc in np.flatnonzero(W[r0 - top :, :w].any(axis=0)).tolist():
+        for jc in np.flatnonzero(W[r0:, :w].any(axis=0)).tolist():
             if row == m:
                 break
-            lr = row - top
             col = W[:, jc] % p
-            nz = col[lr:].nonzero()[0]
+            nz = col[row:].nonzero()[0]
             if nz.size == 0:
                 continue
-            piv = lr + int(nz[0])
-            if piv != lr:
-                W[[lr, piv]] = W[[piv, lr]]
-                col[[lr, piv]] = col[[piv, lr]]
-                R[[row, top + piv], c1:] = R[[top + piv, row], c1:]
+            piv = row + int(nz[0])
+            if piv != row:
+                W[[row, piv]] = W[[piv, row]]
+                col[[row, piv]] = col[[piv, row]]
+                R[[row, piv], c1:] = R[[piv, row], c1:]
             # The pivot row is the k-th pivot row itself plus what earlier
             # pivots of this panel already subtracted from it.
             k = row - r0
-            W[lr, w + k] = 1
-            inv = pow(int(col[lr]), p - 2, p)
+            W[row, w + k] = 1
+            inv = pow(int(col[row]), p - 2, p)
             tail = W[:, jc : w + k + 1]
-            tail[lr] = (tail[lr] % p * inv) % p
-            if reduced:
-                col[lr] = 0
-                lo = 0
-            else:
-                lo = lr + 1
-            colvals = col[lo:]
-            mask = colvals != 0
+            tail[row] = (tail[row] % p * inv) % p
+            col[row] = 0
+            mask = col != 0
             hits = np.count_nonzero(mask)
-            if 2 * hits > colvals.size:
-                tail[lo:] -= np.outer(colvals, tail[lr])
+            if 2 * hits > m:
+                tail -= np.outer(col, tail[row])
             elif hits:
-                rows = lo + np.flatnonzero(mask)
-                tail[rows] -= np.outer(colvals[mask], tail[lr])
+                tail[mask] -= np.outer(col[mask], tail[row])
             pivots.append(c0 + jc)
             row += 1
         W %= p
-        R[top:, c0:c1] = W[:, :w]
+        R[:, c0:c1] = W[:, :w]
         k = row - r0
         if k == 0 or c1 == n:
             continue
         E = W[:, w : w + k]
-        rows = top + np.flatnonzero(E.any(axis=1))
+        rows = np.flatnonzero(E.any(axis=1))
         cols = c1 + np.flatnonzero(R[r0:row, c1:].any(axis=0))
         U = R[r0:row, cols].astype(np.float64)
         # Pivot rows are wholly described by E, other rows keep themselves.
         R[r0:row, c1:] = 0
         block = np.ix_(rows, cols)
-        T = (E[rows - top].astype(np.float64) @ U).astype(np.int64)
+        T = (E[rows].astype(np.float64) @ U).astype(np.int64)
         T += R[block]
         # int64 remainder: float64 fmod is many times slower on values
         # this far above p.
@@ -237,13 +224,13 @@ def matmul(A, B, p: int) -> np.ndarray:
 
 
 def rank(M, field: PrimeField) -> int:
-    _, pivots = _echelon(_int_matrix(M), field.p, reduced=False)
-    return len(pivots)
+    """Rank of ``M``: the pivot count of its reduced row echelon form."""
+    return len(_echelon(_int_matrix(M), field.p)[1])
 
 
 def rref(M, field: PrimeField):
     """Reduced row echelon form. Returns (R, pivot_columns)."""
-    return _echelon(_int_matrix(M), field.p, reduced=True)
+    return _echelon(_int_matrix(M), field.p)
 
 
 def kernel_basis(M, field: PrimeField) -> np.ndarray:
@@ -261,7 +248,7 @@ def kernel_basis(M, field: PrimeField) -> np.ndarray:
     """
     A = _int_matrix(M)
     n = A.shape[1]
-    R, pivots = _echelon(A, field.p, reduced=True)
+    R, pivots = _echelon(A, field.p)
     if R[len(pivots) :].any():
         raise InternalError(
             f"elimination of a {A.shape[0]}x{n} matrix left a nonzero row below "

@@ -85,6 +85,21 @@ def test_bad_range_syntax_exits_two(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "bad",
+    [["--d-range", "8..3"], ["--jobs", "0"], ["--jobs", "-2"], ["--jobs", "two"]],
+    ids=["reversed-range", "jobs-zero", "jobs-negative", "jobs-text"],
+)
+def test_bad_sweep_arguments_exit_two(capsys, bad):
+    # a reversed range or a nonpositive worker count is a usage error, not
+    # a header-only CSV or a silently serial run
+    argv = ["sweep", "--family", "lines", "--d-range", "3..4"] + bad
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "error:" in capsys.readouterr().err
+
+
 def test_unknown_family_rejected(capsys):
     with pytest.raises(SystemExit):
         main(["sweep", "--family", "cubics", "--d-range", "3..5"])
@@ -264,11 +279,11 @@ def test_sweep_parallel_matches_serial(capsys):
     assert serial == parallel
 
 
-def test_empty_sweep_range(capsys):
-    rc, out, _ = run_cli(capsys, ["sweep", "--family", "lines", "--d-range", "6..3"])
+def test_single_degree_sweep_range(capsys):
+    rc, out, _ = run_cli(capsys, ["sweep", "--family", "lines", "--d-range", "4..4"])
     assert rc == 0
     rows = read_csv(out)
-    assert rows == [list(CSV_COLUMNS)]
+    assert rows[0] == list(CSV_COLUMNS) and [row[1] for row in rows[1:]] == ["4"]
 
 
 def test_sweep_out_file(capsys, tmp_path):

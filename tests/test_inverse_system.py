@@ -7,7 +7,9 @@ depend on where the engine's cost rule starts the chain.
 
 The engine eliminates each degree's map once: ``_Analysis.rank_at`` keeps
 the kernel a later stage reads (K_m in the syzygy window, N_m above the
-anchor or on the chain), so ``kernel_at`` and ``left_null`` only read it.
+anchor or on the chain), so ``kernel_at`` and ``saturation_dim`` only read
+it.  The chain starts above the syzygy window, so it never holds a degree
+whose K_m the syzygy stage needs.
 A stepped N is a basis of I_m^perp but not the canonical one, so it is
 compared with a direct kernel through the RREF of both.
 The saturation stack is reduced in chunks when it is large; forcing tiny
@@ -15,6 +17,7 @@ chunks must not move any value.
 """
 
 import random
+import sys
 
 import numpy as np
 import pytest
@@ -164,7 +167,8 @@ def test_left_null_steps_above_the_window(field):
     # eliminated afresh
     Q, eng = _chained_engine(field)
     top = eng.dimension()[2].k_max + 1
-    N = eng.left_null(top)
+    eng.rank_at(top)
+    N = eng._left[top]
     assert top in eng._chain and top - 1 in eng._chain
     K = kernel_basis(eng.map_at(top).T, field)
     assert rref(N, field)[0].tobytes() == rref(K, field)[0].tobytes()
@@ -268,8 +272,8 @@ def _eliminations_per_degree(eng, seen):
         ("x,y,x+y", {2, 3}),
         # c = 2: the first top degree a+b+1 is the window's last
         ("nodal cubic", {5}),
-        # the chain starts at a+b+1 = 13, the window's last degree
-        ("node7", {13}),
+        # the chain starts at a+b+2 = 14, just above the syzygy window
+        ("node7", set()),
     ],
 )
 def test_each_map_is_eliminated_once(which, both, field, monkeypatch):
@@ -282,7 +286,8 @@ def test_each_map_is_eliminated_once(which, both, field, monkeypatch):
     report, eng, seen = _analyze_recording(Q, monkeypatch)
     assert report.dimension_class == "dim0"
     counts = _eliminations_per_degree(eng, seen)
-    # a degree needing both kernels is the one fallback: K_m and N_m
+    # only a c <= 2 degree in the window and above the anchor needs both
+    # kernels, K_m and N_m
     twice = {m for m, n in counts.items() if n > 1}
     assert twice == both
     assert all(n <= 2 for n in counts.values())
@@ -293,6 +298,58 @@ def test_each_map_is_eliminated_once(which, both, field, monkeypatch):
         assert any(m - 1 in eng._chain for m in eng._chain)
     if which == "lines6":
         assert not eng._chain
+
+
+def _random_triple(field, degrees):
+    rng = random.Random(sum(degrees))
+    return QciInput.of(*(random_homog(d, field, rng) for d in degrees))
+
+
+@pytest.mark.parametrize(
+    "which",
+    [f"node{d}" for d in range(5, 10)] + [(4, 4, 5), (5, 5, 5), (2, 2, 7), (3, 4, 6)],
+    ids=str,
+)
+def test_chain_starts_above_the_syzygy_window(which, field):
+    # the syzygy stage reads K_m over [a-1, a+b+1]; a chain degree keeps
+    # only N_m, so the chain must start above that window and at c or later
+    if isinstance(which, str):
+        Q = _case_input(field, which)
+    else:
+        Q = _random_triple(field, which)
+    eng = core._Analysis(Q)
+    eng.dimension()
+    a, b, c = Q.degrees
+    assert eng._chain
+    assert min(eng._chain) >= max(c, a + b + 2)
+
+
+def test_eliminations_happen_only_where_kernels_are_kept(field, monkeypatch):
+    # kernel_at and the saturation only read what rank_at kept, and the
+    # saturation reduces its stack by kernels alone
+    calls = set()
+
+    def recording(fn):
+        def wrapper(M, field):
+            calls.add((fn.__name__, sys._getframe(1).f_code.co_name))
+            return fn(M, field)
+
+        return wrapper
+
+    monkeypatch.setattr(core, "rank", recording(core.rank))
+    monkeypatch.setattr(core, "kernel_basis", recording(core.kernel_basis))
+    nodal = QciInput.of(*parse_poly("y^2*z - x^3 - x^2*z", field).partials())
+    inputs = [_case_input(field, f"node{d}") for d in range(5, 10)]
+    inputs += [_case_input(field, "lines6"), nodal]
+    inputs.append(QciInput.of(*(parse_poly(s, field) for s in ("x", "y", "x+y"))))
+    for Q in inputs:
+        assert analyze_qci(Q).dimension_class == "dim0"
+    for m in range(4):
+        core.saturation_dim(inputs[2], m)
+        core.h1_E(nodal, m - 2)
+    callers = {caller for _, caller in calls}
+    assert callers == {"rank_at", "_generator_degrees", "saturation_dim"}
+    assert ("rank", "saturation_dim") not in calls
 
 
 def _full_stack_saturation(Q, m):

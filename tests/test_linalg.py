@@ -130,8 +130,8 @@ def test_as_matrix_rejects_non_2d(field):
 def test_kernel_basis_checks_rank_nullity(field, monkeypatch):
     real = linalg._echelon
 
-    def drops_last_pivot(M, p, reduced):
-        R, pivots = real(M, p, reduced)
+    def drops_last_pivot(M, p):
+        R, pivots = real(M, p)
         return R, pivots[:-1]
 
     monkeypatch.setattr(linalg, "_echelon", drops_last_pivot)
@@ -143,9 +143,9 @@ def test_kernel_basis_is_one_elimination(field, monkeypatch):
     calls = []
     real = linalg._echelon
 
-    def counting(M, p, reduced):
+    def counting(M, p):
         calls.append(M.shape)
-        return real(M, p, reduced)
+        return real(M, p)
 
     monkeypatch.setattr(linalg, "_echelon", counting)
     rng = np.random.default_rng(31)
@@ -214,13 +214,12 @@ def test_blocked_echelon_matches_loop(p):
     rng = np.random.default_rng(p)
     for M in _test_matrices(p, rng):
         for A in (M, M.T):
-            for reduced in (False, True):
-                R, pivots = linalg._echelon_loop(A, p, reduced)
-                for nb in (5, linalg._NB):
-                    blocked = linalg._echelon_blocked(A, p, reduced, nb)
-                    assert blocked[1] == pivots
-                    assert blocked[0].dtype == R.dtype
-                    assert blocked[0].tobytes() == R.tobytes()
+            R, pivots = linalg._echelon_loop(A, p)
+            for nb in (5, linalg._NB):
+                blocked = linalg._echelon_blocked(A, p, nb)
+                assert blocked[1] == pivots
+                assert blocked[0].dtype == R.dtype
+                assert blocked[0].tobytes() == R.tobytes()
 
 
 @pytest.mark.parametrize("p", [2, 3, 32003, 2097143])
