@@ -30,10 +30,14 @@ class CurveInput:
         if f.degree < 2:
             raise GuardError("curve degree must be at least 2")
         p = f.field.p
-        if p <= f.degree:
-            raise GuardError(f"prime {p} must exceed the curve degree {f.degree}")
-        if f.degree % p == 0:
-            raise GuardError(f"prime {p} must not divide the curve degree")
+        # the three partials have degree d-1 each, and the analysis of
+        # their triple needs p above the sum of the degrees
+        bound = 3 * (f.degree - 1)
+        if p <= bound:
+            raise GuardError(
+                f"prime {p} too small for a curve of degree d = {f.degree}; "
+                f"need p > 3(d-1) = {bound}"
+            )
         self.f = f
 
     @property

@@ -8,17 +8,17 @@ of elimination, to the reduced row echelon form: a rank is its pivot
 count and a kernel basis is read off it.
 
 The prime is capped at ``p < 2**21``, so a product of two residues is
-below ``2**42``.  The per-pivot loop reduces after every update.  Wide
-matrices are reduced in panels of ``_NB`` columns: inside a panel an entry
-takes at most ``_NB`` updates before it is reduced, staying below
-``2**48`` in int64, and the columns right of the panel receive the panel's
-row operations as one float64 matrix product whose every term is a
-product of residues.  A sum of at most ``_NB`` such terms stays below
-``2**53``, where float64 represents every integer exactly and rounds
-nothing, so both paths perform the same exact arithmetic and return the
-same bytes.  :func:`matmul` applies the same bound to a plain product: it
-cuts the inner dimension into runs of ``2**53 // (p-1)**2`` terms, one
-float64 BLAS product each, and reduces in int64.
+below ``2**42``.  One kernel, :func:`_echelon`, eliminates every matrix,
+one panel of ``_NB`` columns at a time.  Inside a panel an entry takes at
+most ``_NB`` updates before it is reduced, staying below ``2**48`` in
+int64.  The rows above the panel and the columns right of it receive the
+panel's row operations as float64 matrix products of residues whose inner
+dimension is at most ``_NB``, so every sum stays below ``2**53``, where
+float64 represents every integer exactly and rounds nothing: the
+arithmetic is exact and the bytes do not depend on the panel width.
+:func:`matmul` applies the same bound to a plain product: it cuts the
+inner dimension into runs of ``2**53 // (p-1)**2`` terms, one float64
+BLAS product each, and reduces in int64.
 """
 
 from __future__ import annotations
@@ -72,74 +72,42 @@ def as_matrix(entries, field: PrimeField) -> np.ndarray:
     return _int_matrix(entries) % field.p
 
 
-# Panel width of the blocked elimination.  A trailing update sums at most
-# _NB products of residues, each below (p-1)**2 < 2**42, so with
-# _NB <= 2**10 every float64 partial sum is an integer below 2**53 and the
-# BLAS product is exact.
+# Panel width of the elimination.  An entry of a panel takes at most _NB
+# updates before it is reduced, each a product of residues below
+# (p-1)**2 < 2**42, and a product after the panel sums at most _NB such
+# products, so with _NB <= 2**10 every value stays below 2**53: exact in
+# float64 and far inside int64.
 _NB = 64
-# Narrower matrices have too few columns right of a panel for a BLAS
-# product to repay the bookkeeping; they take the per-pivot loop.
-_BLOCKED_MIN_COLS = 2 * _NB
 
 
-def _echelon(M: np.ndarray, p: int):
+def _echelon(M: np.ndarray, p: int, nb: int = _NB):
     """Reduced row echelon form of a copy of ``M`` by the fixed pivot rule.
 
     Returns (R, pivots): pivots scaled to 1 and eliminated above and below.
-    Wide matrices take the blocked elimination, narrow ones the per-pivot
-    loop; both perform the same row operations and return identical bytes.
-    """
-    if M.shape[1] < _BLOCKED_MIN_COLS:
-        return _echelon_loop(M, p)
-    return _echelon_blocked(M, p)
+    One kernel serves every width: the columns are taken one panel of
+    ``nb`` at a time, and a matrix of at most ``nb`` columns is one panel.
 
-
-def _echelon_loop(M: np.ndarray, p: int):
-    """Per-pivot elimination over the whole row; the reference for
-    :func:`_echelon_blocked`."""
-    R = M % p
-    m, n = R.shape
-    pivots: list[int] = []
-    row = 0
-    for col in range(n):
-        if row == m:
-            break
-        nz = np.nonzero(R[row:, col])[0]
-        if nz.size == 0:
-            continue
-        piv = row + int(nz[0])
-        if piv != row:
-            R[[row, piv]] = R[[piv, row]]
-        inv = pow(int(R[row, col]), p - 2, p)
-        # Columns left of the pivot are already clear; restrict updates.
-        tail = R[:, col:]
-        if inv != 1:
-            tail[row] = (tail[row] * inv) % p
-        colvals = tail[:, 0].copy()
-        colvals[row] = 0
-        mask = colvals != 0
-        if mask.any():
-            # factor * pivot_row < p**2 fits int64.
-            tail[mask] = (tail[mask] - np.outer(colvals[mask], tail[row])) % p
-        pivots.append(col)
-        row += 1
-    return R, tuple(pivots)
-
-
-def _echelon_blocked(M: np.ndarray, p: int, nb: int = _NB):
-    """Elimination one panel of ``nb`` columns at a time.
-
-    The per-pivot loop runs on the panel columns only.  Beside them it
-    carries a block E that writes every row as a combination of the
-    panel's pivot rows as they stood before the panel; the columns right
-    of the panel then receive the whole panel's row operations as one
-    float64 product, restricted to the rows E touches and the columns where
-    a pivot row is nonzero, so sparse maps stay cheap.
+    The panel is held transposed, one C-contiguous block whose columns are
+    the rows from the panel's first pivot row ``r0`` down, so the rank-one
+    update of each pivot writes contiguous rows.  The rows above ``r0``,
+    pivot rows of earlier panels, take no per-pivot work: with ``X`` their
+    entries in the panel's new pivot columns, their panel columns lose
+    ``X`` times the reduced pivot rows once the panel is done.  When
+    columns lie right of the panel, the panel also carries a block E that
+    writes every row from ``r0`` down as a combination of the panel's
+    pivot rows as they stood before it.  The columns right of the panel
+    then receive the whole panel's row operations as one float64 product
+    of E, and of ``-X`` times E's pivot rows for the rows above, with the
+    pivot rows' trailing parts, restricted to the rows it changes and the
+    columns where a pivot row is nonzero, so sparse maps stay cheap.  Row
+    swaps are two-row swaps of the trailing columns, made per pivot.
 
     Inside a panel, entries are reduced mod p only where a value is read:
     the pivot column and the pivot row.  Every other entry takes at most
     ``nb`` subtractions of a product below p**2 < 2**42 before the panel
-    ends and reduces it, so it stays far inside int64.
+    ends and reduces it, so it stays below 2**48 in int64.  Every float64
+    product has an inner dimension of at most ``nb`` over residues, so its
+    sums stay below 2**53, where float64 rounds nothing.
     """
     R = M % p
     m, n = R.shape
@@ -151,51 +119,77 @@ def _echelon_blocked(M: np.ndarray, p: int, nb: int = _NB):
         c1 = min(c0 + nb, n)
         w = c1 - c0
         r0 = row
-        W = np.zeros((m, w + nb), dtype=np.int64)
-        W[:, :w] = R[:, c0:c1]
+        # E is needed only where columns lie right of the panel.
+        e = min(w, m - r0) if c1 < n else 0
+        P = np.zeros((w + e, m - r0), dtype=np.int64)
+        P[:w] = R[r0:, c0:c1].T
         # A column that is zero from row r0 down stays so through the
         # panel (its pivot rows are zero there), so it holds no pivot.
-        for jc in np.flatnonzero(W[r0:, :w].any(axis=0)).tolist():
+        for jc in np.flatnonzero(P[:w].any(axis=1)).tolist():
             if row == m:
                 break
-            col = W[:, jc] % p
-            nz = col[row:].nonzero()[0]
+            k = row - r0
+            col = P[jc] % p
+            nz = col[k:].nonzero()[0]
             if nz.size == 0:
                 continue
-            piv = row + int(nz[0])
-            if piv != row:
-                W[[row, piv]] = W[[piv, row]]
-                col[[row, piv]] = col[[piv, row]]
-                R[[row, piv], c1:] = R[[piv, row], c1:]
+            piv = k + int(nz[0])
+            if piv != k:
+                P[:, [k, piv]] = P[:, [piv, k]]
+                col[[k, piv]] = col[[piv, k]]
+                R[[row, r0 + piv], c1:] = R[[r0 + piv, row], c1:]
             # The pivot row is the k-th pivot row itself plus what earlier
             # pivots of this panel already subtracted from it.
-            k = row - r0
-            W[row, w + k] = 1
-            inv = pow(int(col[row]), p - 2, p)
-            tail = W[:, jc : w + k + 1]
-            tail[row] = (tail[row] % p * inv) % p
-            col[row] = 0
-            mask = col != 0
-            hits = np.count_nonzero(mask)
-            if 2 * hits > m:
-                tail -= np.outer(col, tail[row])
-            elif hits:
-                tail[mask] -= np.outer(col[mask], tail[row])
+            if e:
+                P[w + k, k] = 1
+            inv = pow(int(col[k]), p - 2, p)
+            tail = P[jc : w + k + 1] if e else P[jc:w]
+            prow = tail[:, k] % p * inv % p
+            tail[:, k] = prow
+            col[k] = 0
+            hits = col.nonzero()[0]
+            if 2 * hits.size > col.size:
+                tail -= np.outer(prow, col)
+            elif hits.size:
+                tail[:, hits] -= np.outer(prow, col[hits])
             pivots.append(c0 + jc)
             row += 1
-        W %= p
-        R[:, c0:c1] = W[:, :w]
         k = row - r0
-        if k == 0 or c1 == n:
+        # E rows past the panel's pivot count were never written.
+        P = P[: w + k]
+        P %= p
+        R[r0:, c0:c1] = P[:w].T
+        if k == 0:
             continue
-        E = W[:, w : w + k]
-        rows = np.flatnonzero(E.any(axis=1))
+        # The rows above r0 lose X times the new pivot rows, X being their
+        # entries in the new pivot columns: here in the panel columns, and
+        # folded into the trailing product below.
+        X = None
+        if r0:
+            new = pivots[-k:]
+            above = np.flatnonzero(R[:r0, new].any(axis=1))
+            if above.size:
+                X = R[np.ix_(above, new)].astype(np.float64)
+                T = (X @ R[r0:row, c0:c1].astype(np.float64)).astype(np.int64)
+                R[above, c0:c1] = (R[above, c0:c1] - T) % p
+        if not e:
+            continue
+        Et = P[w : w + k]
+        below = np.flatnonzero(Et.any(axis=0))
+        rows = r0 + below
+        A = Et[:, below].T.astype(np.float64)
+        if X is not None:
+            # The new pivot rows are E's pivot rows times the old ones, so
+            # the rows above take -X times those as their rows of E.
+            XE = (X @ -Et[:, :k].T.astype(np.float64)).astype(np.int64) % p
+            rows = np.concatenate([above, rows])
+            A = np.vstack([XE, A])
         cols = c1 + np.flatnonzero(R[r0:row, c1:].any(axis=0))
         U = R[r0:row, cols].astype(np.float64)
         # Pivot rows are wholly described by E, other rows keep themselves.
         R[r0:row, c1:] = 0
         block = np.ix_(rows, cols)
-        T = (E[rows].astype(np.float64) @ U).astype(np.int64)
+        T = (A @ U).astype(np.int64)
         T += R[block]
         # int64 remainder: float64 fmod is many times slower on values
         # this far above p.

@@ -2,11 +2,14 @@
 
 The monomial oracle below recomputes quotient dimensions by pure
 counting, with no linear algebra, so the matrix pipeline is checked
-against something it cannot share a bug with.
+against something it cannot share a bug with.  The reference RREF is the
+plain per-pivot loop, reducing after every update, against which the
+engine's panel kernel is checked byte for byte.
 """
 
 import re
 
+import numpy as np
 import pytest
 
 from qci import PrimeField
@@ -53,6 +56,52 @@ def monomial_quotient_dim(exponent_gens, k):
 @pytest.fixture(scope="session")
 def monomial_oracle():
     return monomial_quotient_dim
+
+
+# ---------------------------------------------------------------------------
+# oracle: reduced row echelon form, one pivot at a time
+
+
+def reference_rref(M, p):
+    """Per-pivot elimination over the whole row.
+
+    Returns (R, pivots) with the same fixed pivot rule as the engine: the
+    first nonzero entry, scanning columns left to right and rows top to
+    bottom.  Every update is reduced at once, so the entries never leave
+    ``[0, p**2)``.
+    """
+    R = M % p
+    m, n = R.shape
+    pivots: list[int] = []
+    row = 0
+    for col in range(n):
+        if row == m:
+            break
+        nz = np.nonzero(R[row:, col])[0]
+        if nz.size == 0:
+            continue
+        piv = row + int(nz[0])
+        if piv != row:
+            R[[row, piv]] = R[[piv, row]]
+        inv = pow(int(R[row, col]), p - 2, p)
+        # Columns left of the pivot are already clear; restrict updates.
+        tail = R[:, col:]
+        if inv != 1:
+            tail[row] = (tail[row] * inv) % p
+        colvals = tail[:, 0].copy()
+        colvals[row] = 0
+        mask = colvals != 0
+        if mask.any():
+            # factor * pivot_row < p**2 fits int64.
+            tail[mask] = (tail[mask] - np.outer(colvals[mask], tail[row])) % p
+        pivots.append(col)
+        row += 1
+    return R, tuple(pivots)
+
+
+@pytest.fixture(scope="session")
+def rref_reference():
+    return reference_rref
 
 
 # ---------------------------------------------------------------------------

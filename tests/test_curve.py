@@ -52,6 +52,37 @@ def test_curve_input_rejects_small_prime():
         CurveInput(parse_poly("x^5 + y^5 + z^5", F5))
 
 
+@pytest.mark.parametrize("d, p", [(2, 3), (3, 5), (4, 5), (4, 7), (5, 7), (5, 11), (7, 17)])
+def test_curve_input_refuses_primes_up_to_the_partials_bound(d, p):
+    # p > d, yet the partials of degree d-1 sum to 3(d-1) >= p
+    with pytest.raises(GuardError) as info:
+        CurveInput(parse_poly(f"x^{d} + y^{d} + z^{d}", PrimeField(p)))
+    message = str(info.value)
+    assert f"degree d = {d}" in message and f"3(d-1) = {3 * (d - 1)}" in message
+    assert "a+b+c" not in message
+
+
+@pytest.mark.parametrize("d, p", [(2, 5), (3, 7), (4, 11), (5, 13), (7, 19)])
+def test_curve_input_accepts_primes_above_the_partials_bound(d, p):
+    rep = analyze_curve(CurveInput(parse_poly(f"x^{d} + y^{d} + z^{d}", PrimeField(p))))
+    assert rep.curve_class == "smooth"
+
+
+def test_small_prime_refusals_name_the_curve_degree(capsys):
+    from qci.cli import main
+
+    rc = main(["analyze-curve", "--f", "x^4+y^4+z^4", "--prime", "7"])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert "degree d = 4" in err and "a+b+c" not in err
+    rc = main(["sweep", "--family", "lines", "--d-range", "3..5", "--prime", "7"])
+    rows = capsys.readouterr().out.strip().splitlines()[1:]
+    assert rc == 0 and len(rows) == 3
+    assert "error" not in rows[0]
+    for d, row in zip((4, 5), rows[1:]):
+        assert f"degree d = {d}" in row and "a+b+c" not in row
+
+
 # ---------------------------------------------------------------------------
 # frozen examples
 

@@ -1,22 +1,28 @@
 """Exact linear algebra over small prime fields."""
 
+import random
+
 import numpy as np
 import pytest
 
 from qci import (
     GuardError,
+    HomogPoly,
     InternalError,
     PRIME_MAX,
     PrimeField,
     as_matrix,
     kernel_basis,
     left_kernel_basis,
+    monomial_basis,
     rank,
     rref,
 )
-from qci import linalg
+from qci import core, linalg
 from qci.core import QciInput, graded_map_matrix
 from qci.curve import family
+
+NB = linalg._NB
 
 
 def test_prime_field_accepts_primes():
@@ -149,7 +155,7 @@ def test_kernel_basis_is_one_elimination(field, monkeypatch):
 
     monkeypatch.setattr(linalg, "_echelon", counting)
     rng = np.random.default_rng(31)
-    for shape in ((3, 7), (6, 4), (40, linalg._BLOCKED_MIN_COLS + 5)):
+    for shape in ((3, 7), (6, 4), (40, NB + 1), (40, 2 * NB + 1)):
         calls.clear()
         kernel_basis(rng.integers(0, field.p, size=shape), field)
         assert calls == [shape]
@@ -168,8 +174,7 @@ def test_kernel_basis_is_canonical(p):
     # gives the same bytes, with an identity block on the free columns
     field = PrimeField(p)
     rng = np.random.default_rng(p + 1)
-    cross = linalg._BLOCKED_MIN_COLS
-    for m, n in ((5, 9), (12, 12), (30, cross - 1), (60, cross + 7)):
+    for m, n in ((5, 9), (12, 12), (30, NB - 1), (30, NB + 1), (60, 2 * NB + 1)):
         r = int(rng.integers(1, m + 1))
         M = linalg.matmul(
             rng.integers(0, p, size=(m, r)), rng.integers(0, p, size=(r, n)), p
@@ -185,16 +190,30 @@ def test_kernel_basis_is_canonical(p):
 
 
 # ---------------------------------------------------------------------------
-# blocked elimination against the per-pivot loop
+# the panel kernel against the per-pivot reference
+
+
+def _node_chain_system(p):
+    """The contraction system of a degree-9 node curve's inverse-system
+    chain at its start: tall and at most one panel wide."""
+    field = PrimeField(p)
+    rng = random.Random(9)
+    skip = {(0, 0, 9), (1, 0, 8), (0, 1, 8)}
+    coeffs = {m: rng.randrange(1, p) for m in monomial_basis(9) if m not in skip}
+    eng = core._Analysis(QciInput.of(*HomogPoly(9, coeffs, field).partials()))
+    eng.dimension()
+    m = min(eng._chain)
+    A = core._contraction_system(eng._left[m], m, p)
+    assert A.shape[0] > A.shape[1] and 0 < A.shape[1] <= NB
+    return A
 
 
 def _test_matrices(p, rng):
-    """Dense, rank-deficient and sparse matrices with zero column blocks,
-    on both sides of the blocked path's width threshold and of the panel
-    edges."""
-    cross = linalg._BLOCKED_MIN_COLS
-    shapes = [(1, 7), (9, 1), (30, 63), (20, 64), (40, 65), (50, 129)]
-    shapes += [(60, cross - 1), (60, cross), (100, cross + 1), (cross + 9, 40)]
+    """Dense, rank-deficient and sparse matrices with zero column blocks on
+    both sides of the panel edges, degenerate shapes, and matrices whose
+    rows above a panel are zero or nonzero in its pivot columns."""
+    shapes = [(1, 7), (9, 1), (30, NB - 1), (20, NB), (40, NB + 1), (50, 2 * NB + 1)]
+    shapes += [(60, 2 * NB - 1), (60, 2 * NB), (100, 2 * NB + 1), (2 * NB + 9, 40)]
     for m, n in shapes:
         yield rng.integers(0, p, size=(m, n))
         r = int(rng.integers(1, min(m, n) + 1))
@@ -203,23 +222,60 @@ def _test_matrices(p, rng):
         sparse = rng.integers(0, p, size=(m, n)) * (rng.random((m, n)) < 0.05)
         sparse[:, n // 3 : n // 3 + 20] = 0
         yield sparse
+    for m, n in ((0, 5), (0, 0), (5, 0), (1, 2 * NB + 3), (2 * NB + 3, 1)):
+        yield rng.integers(0, p, size=(m, n))
+    yield np.zeros((NB + 7, 2 * NB + 5), dtype=np.int64)
+    # the second panel's pivots sit below the first panel's pivot rows,
+    # which are zero there, nonzero there, or zero in some rows only
+    first = rng.integers(0, p, size=(NB, NB))
+    second = rng.integers(0, p, size=(NB, NB + 9))
+    for above in (0, 1, 2):
+        right = rng.integers(0, p, size=(NB, NB + 9)) * (above > 0)
+        if above == 2:
+            right[::2] = 0
+        yield np.block([[first, right], [np.zeros((NB, NB), dtype=np.int64), second]])
     if p > 8:
         # a lines-through-a-point map: one zero block, few entries per column
         C = family("lines_through_point", PrimeField(p), d=8)
         yield graded_map_matrix(QciInput.of(*C.f.partials()), 18)
+    if p > 24:
+        yield _node_chain_system(p)
+
+
+def _assert_matches_reference(A, p, reference, widths):
+    R, pivots = reference(A, p)
+    for nb in widths:
+        out, got = linalg._echelon(A, p, nb)
+        assert got == pivots, (A.shape, nb)
+        assert out.dtype == R.dtype and out.shape == R.shape
+        assert out.tobytes() == R.tobytes(), (A.shape, nb)
+    return pivots
 
 
 @pytest.mark.parametrize("p", [2, 3, 32003, 2097143])
-def test_blocked_echelon_matches_loop(p):
+def test_echelon_matches_reference(p, rref_reference):
     rng = np.random.default_rng(p)
     for M in _test_matrices(p, rng):
         for A in (M, M.T):
-            R, pivots = linalg._echelon_loop(A, p)
-            for nb in (5, linalg._NB):
-                blocked = linalg._echelon_blocked(A, p, nb)
-                assert blocked[1] == pivots
-                assert blocked[0].dtype == R.dtype
-                assert blocked[0].tobytes() == R.tobytes()
+            _assert_matches_reference(A, p, rref_reference, (1, 5, NB))
+
+
+def test_echelon_is_exact_at_the_largest_prime(rref_reference):
+    # entries in the top half of [0, p): the lazy panel sums come closest
+    # to 2**48 and the E, trailing and above-panel products closest to
+    # 2**53.  Each matrix has a full first panel of NB pivots, whose rows
+    # are dense, so nonzero, above the pivots of the second.
+    p = 2097143
+    rng = np.random.default_rng(7)
+    full = rng.integers(p // 2, p, size=(2 * NB + 40, 3 * NB + 5))
+    rows = full.copy()
+    rows[NB + 20 :] = rows[: NB + 20]
+    cols = full.copy()
+    cols[:, 2 * NB :] = cols[:, : NB + 5]
+    for A, deficient in ((full, False), (rows, True), (cols, True)):
+        pivots = _assert_matches_reference(A, p, rref_reference, (NB,))
+        assert pivots[NB - 1] == NB - 1 and len(pivots) > NB
+        assert (len(pivots) < min(A.shape)) == deficient
 
 
 @pytest.mark.parametrize("p", [2, 3, 32003, 2097143])
