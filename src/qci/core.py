@@ -41,17 +41,15 @@ large quotient, such as the pencil of lines, stay direct.  Where the chain
 reaches the top of the window, N is multiplied against the direct map
 there and must annihilate it exactly, or the run fails with InternalError.
 
-Each degree's map is eliminated in ``_Analysis.rank_at``, which keeps the
-kernel a later stage reads: a chain degree keeps N_m (stepped, or
-eliminated at the chain's start); any other degree keeps the right kernel
-K_m over the syzygy window [a-1, a+b+1] (lift degree, window, twist
-above), whose row count is h^0(E(m-c)), and N_m above the anchor, where the
-saturation reads the span of N.  Every kernel costs one elimination, and
-``kernel_at`` and ``saturation_dim`` only read what ``rank_at`` kept; the
-chain starts above the syzygy window, so it never holds a degree whose
-K_m is read.  The one second elimination of a degree's map is for c <= 2,
-where a degree both in the window and above the anchor keeps K_m and N_m,
-one elimination each.  The saturation takes the common kernel of N's
+Each degree's map is eliminated once, in ``_Analysis.rank_at``, which
+keeps the one kernel a later stage reads: N_m on the chain (stepped, or
+eliminated at its start), the right kernel K_m over the syzygy window
+[a-1, a+b+1] (lift degree, window, twist above), whose row count is
+h^0(E(m-c)), and N_m from n0 = max(anchor+1, a+b+2) on, above that
+window, for the saturation.  I is saturated from k* on, so the saturation
+in degree m reads N_{max(m+1, n0)}, and the resolution check reads
+degrees whose N the Hilbert window holds: ``analyze_qci`` eliminates
+nothing above k_max.  The saturation takes the common kernel of N's
 shifted copies one chunk of about 8 * dim S_m rows at a time, so the
 stack is never held whole.
 """
@@ -347,6 +345,8 @@ class _Analysis:
         self.k_star = a + b + c - 2
         # stabilization anchor: the Hilbert window is 0 .. anchor + _TAIL - 1
         self.anchor = max(self.k_star, 0)
+        # N_m is kept from n0, the first degree above anchor and syzygy window
+        self.n0 = max(self.anchor + 1, a + b + 2)
         self._ranks: dict[int, int] = {}
         # right kernels K_m and left null spaces N_m kept by rank_at
         self._kernels: dict[int, np.ndarray] = {}
@@ -369,13 +369,11 @@ class _Analysis:
     def rank_at(self, m: int) -> int:
         """Rank of the degree-m map, read off the kernel the degree keeps.
 
-        A chain degree keeps its N_m, stepped from N_{m-1}.  Any other
-        degree keeps its right kernel K_m if it lies in the syzygy window
-        [a-1, a+b+1], for kernel_at, and its N_m if it lies above the
-        anchor or starts the chain, for the saturation and the chain; when
-        c <= 2 a degree can lie in the window and above the anchor and
-        keeps both, each from its own elimination, the only degree
-        eliminated twice.  A degree in neither range is one plain rank.
+        Each degree is eliminated at most once and keeps at most one
+        kernel: a chain degree its N_m, stepped from N_{m-1}; a degree of
+        the syzygy window [a-1, a+b+1] its K_m, for kernel_at; a degree
+        from n0 on, or one that starts the chain, its N_m, for the
+        saturation and the chain.  Any other degree is one plain rank.
         """
         v = self._ranks.get(m)
         if v is not None:
@@ -389,21 +387,18 @@ class _Analysis:
             self._left[m] = N
             self._chain.add(m)
             v = dim_S(m) - N.shape[0]
+        elif self.a - 1 <= m <= self.a + self.b + 1:
+            K = kernel_basis(self.map_at(m), self.field)
+            self._kernels[m] = K
+            v = K.shape[1] - K.shape[0]
+        elif (starts := self._switches_at(m)) or m >= self.n0:
+            N = kernel_basis(self.map_at(m).T, self.field)
+            self._left[m] = N
+            if starts:
+                self._chain.add(m)
+            v = dim_S(m) - N.shape[0]
         else:
-            M = self.map_at(m)
-            if self.a - 1 <= m <= self.a + self.b + 1:
-                K = kernel_basis(M, self.field)
-                self._kernels[m] = K
-                v = K.shape[1] - K.shape[0]
-            starts = self._switches_at(m)
-            if starts or m > self.anchor:
-                N = kernel_basis(M.T, self.field)
-                self._left[m] = N
-                if starts:
-                    self._chain.add(m)
-                v = dim_S(m) - N.shape[0]
-            if v is None:
-                v = rank(M, self.field)
+            v = rank(self.map_at(m), self.field)
         self._ranks[m] = v
         return v
 
@@ -419,9 +414,8 @@ class _Analysis:
         (dim_S(m) - h) * dim_S(m) * cols.  The chain starts only where the
         step is estimated at under a quarter of that: direct maps are often
         sparse, which the estimate does not see, and with a smaller margin
-        the pencil-of-lines maps (plateau (d-1)^2) ran slower stepped.
-        Maps narrower than 64 columns, and a lone Hilbert value with no
-        HF(m-1) at hand, stay direct.
+        the pencil-of-lines maps (plateau (d-1)^2) ran slower stepped.  A
+        lone Hilbert value, with no HF(m-1) at hand, stays direct.
         """
         if m < max(self.c, self.a + self.b + 2) or m - 1 not in self._ranks:
             return False
@@ -429,7 +423,7 @@ class _Analysis:
         h = dim_S(m - 1) - self._ranks[m - 1]
         step_cost = 18 * h * h * dim_S(m - 1)
         direct_cost = (dim_S(m) - h) * dim_S(m) * cols
-        return cols >= 64 and 4 * step_cost < direct_cost
+        return 4 * step_cost < direct_cost
 
     def _check_annihilation(self, m: int) -> None:
         # a stepped N_m must annihilate the direct map, checked by exact
@@ -620,8 +614,8 @@ class _Analysis:
         v = self._sat.get(m)
         if v is not None:
             return v
-        e = max(1, self.anchor + 1 - m)
-        # above the anchor rank_at keeps every N_m
+        # I is saturated from k* on, and rank_at keeps every N_m from n0 on
+        e = max(1, self.n0 - m)
         self.rank_at(m + e)
         N, p = self._left[m + e], self.field.p
         # The saturation in degree m is the common kernel of the stack of
@@ -746,11 +740,13 @@ class _Analysis:
         """Numeric check of a claimed resolution 0 -> +O(-u) -> +O(-v) -> I -> 0.
 
         Compares the alternating sum of graded dimensions against the
-        saturation in four consecutive degrees above the stabilization
-        anchor, and the alternating Euler characteristic against t.
+        saturation, and the alternating Euler characteristic against t, in
+        the degrees anchor-1 .. anchor+2.  Any degree would do, since
+        H^1(O(k)) = 0 for every k; these read N only up to k_max, and
+        anchor-1 >= 0 as a >= 1 for a finite nonempty scheme.
         """
         t = self.require_dim0()
-        base = self.anchor
+        base = self.anchor - 1
         for m in range(base, base + _TAIL):
             predicted = sum(dim_S(m - vj) for vj in v) - sum(
                 dim_S(m - ui) for ui in u

@@ -305,8 +305,7 @@ def family(
     if name == "lines_through_point":
         if d is None or d < 2:
             raise GuardError("lines_through_point needs d >= 2")
-        if field.p <= d:
-            raise GuardError(f"need p > {d} for distinct line slopes")
+        # CurveInput refuses p <= 3(d-1), which keeps the d slopes distinct
         f = x - 1 * y
         for i in range(2, d + 1):
             f = f * (x - i * y)
@@ -314,11 +313,7 @@ def family(
     if name == "smooth_plus_line":
         if d is None or d < 3:
             raise GuardError("smooth_plus_line needs d >= 3")
-        if field.p % (d - 1) == 0:
-            raise GuardError(
-                f"prime {field.p} divides {d - 1}; the degree d-1 component "
-                "would be singular"
-            )
+        # CurveInput refuses p <= 3(d-1), so p is prime to d-1 and g smooth
         g = parse_poly(f"x^{d - 1} + y^{d - 1} + z^{d - 1}", field)
         return CurveInput(x * g)
     if name == "ci_qci":

@@ -287,7 +287,7 @@ REPORT_SCHEMA = {
         "command": {"enum": ["analyze-qci", "analyze-curve", "hilbert"]},
         "prime": {"type": "integer", "minimum": 2},
         "input": {"type": "object"},
-        "results": {"type": "object"},
+        "results": {"$ref": "#/definitions/results"},
         "diagnostics": {
             "type": "object",
             "properties": {
@@ -307,7 +307,14 @@ REPORT_SCHEMA = {
         "diagnostics",
     ],
     "definitions": {
-        "bounds_i": _BOUNDS_I_SCHEMA,
-        "hilbert": _HILBERT_SCHEMA,
+        # a curve's results hold the triple's under "qci"
+        "results": {
+            "type": "object",
+            "properties": {
+                "bounds_i": _BOUNDS_I_SCHEMA,
+                "hilbert": _HILBERT_SCHEMA,
+                "qci": {"$ref": "#/definitions/results"},
+            },
+        },
     },
 }

@@ -212,6 +212,28 @@ def test_hilbert_json_document(capsys):
     jsonschema.validate(doc, REPORT_SCHEMA)
 
 
+_DEFECTS = {
+    "extensions": lambda res: res["hilbert"].update(extensions=7),
+    "values": lambda res: res["hilbert"].pop("values"),
+    "bounds_i": lambda res: res.update(bounds_i="junk"),
+}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["analyze-qci", "--fa", "x", "--fb", "y^2", "--fc", "y*z"],
+     ["analyze-curve", "--f", "x*y*z"]],
+    ids=["qci", "curve"],
+)
+@pytest.mark.parametrize("defect", sorted(_DEFECTS))
+def test_schema_checks_the_results(argv, defect, capsys):
+    # a curve's results hold the triple's under "qci"
+    doc = run_json(capsys, argv)
+    _DEFECTS[defect](doc["results"].get("qci", doc["results"]))
+    with pytest.raises(jsonschema.ValidationError):
+        jsonschema.validate(doc, REPORT_SCHEMA)
+
+
 def test_alternate_prime_flag(capsys):
     doc = run_json(capsys, ["analyze-curve", "--f", "x*y*z", "--prime", "31013"])
     assert doc["prime"] == 31013

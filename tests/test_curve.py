@@ -83,6 +83,21 @@ def test_small_prime_refusals_name_the_curve_degree(capsys):
         assert f"degree d = {d}" in row and "a+b+c" not in row
 
 
+@pytest.mark.parametrize(
+    "family_name, lo, hi, p", [("lines", 2, 4, 3), ("smooth-plus-line", 3, 7, 5)]
+)
+def test_small_prime_sweep_rows_name_the_curve_degree(family_name, lo, hi, p, capsys):
+    # one guard for every family row: the curve's p > 3(d-1)
+    from qci.cli import main
+
+    rc = main(["sweep", "--family", family_name, "--d-range", f"{lo}..{hi}",
+               "--prime", str(p)])
+    rows = capsys.readouterr().out.strip().splitlines()[1:]
+    assert rc == 0 and len(rows) == hi - lo + 1
+    for d, row in zip(range(lo, hi + 1), rows):
+        assert f"degree d = {d}; need p > 3(d-1) = {3 * (d - 1)}" in row, row
+
+
 # ---------------------------------------------------------------------------
 # frozen examples
 

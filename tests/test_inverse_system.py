@@ -6,10 +6,11 @@ conftest.py.  The step helpers are called directly, so these checks do not
 depend on where the engine's cost rule starts the chain.
 
 The engine eliminates each degree's map once: ``_Analysis.rank_at`` keeps
-the kernel a later stage reads (K_m in the syzygy window, N_m above the
-anchor or on the chain), so ``kernel_at`` and ``saturation_dim`` only read
-it.  The chain starts above the syzygy window, so it never holds a degree
-whose K_m the syzygy stage needs.
+the one kernel a later stage reads (K_m in the syzygy window, N_m from
+n0 = max(anchor+1, a+b+2) on or on the chain), so ``kernel_at`` and
+``saturation_dim`` only read it, and ``analyze_qci`` ranks nothing above
+k_max.  The chain starts above the syzygy window, so it never holds a
+degree whose K_m the syzygy stage needs.
 A stepped N is a basis of I_m^perp but not the canonical one, so it is
 compared with a direct kernel through the RREF of both.
 The saturation stack is reduced in chunks when it is large; forcing tiny
@@ -163,8 +164,8 @@ def test_chain_spans_the_direct_left_null_space(field):
 
 
 def test_left_null_steps_above_the_window(field):
-    # after the chain, the saturation's degree above k_max is stepped, not
-    # eliminated afresh
+    # after the chain, a degree above k_max (only a lone saturation call
+    # reads one) is stepped, not eliminated afresh
     Q, eng = _chained_engine(field)
     top = eng.dimension()[2].k_max + 1
     eng.rank_at(top)
@@ -261,6 +262,16 @@ def _eliminations_per_degree(eng, seen):
     return counts
 
 
+def _named_input(field, which):
+    if which == "nodal cubic":
+        return QciInput.of(*parse_poly("y^2*z - x^3 - x^2*z", field).partials())
+    if which == "ci_qci(2, 4)":
+        return family("ci_qci", field, a=2, c=4)
+    if "," in which:
+        return QciInput.of(*(parse_poly(s, field) for s in which.split(",")))
+    return _case_input(field, which)
+
+
 @pytest.mark.parametrize(
     "which, both",
     [
@@ -268,29 +279,24 @@ def _eliminations_per_degree(eng, seen):
         ("node9", set()),
         # the pencil of lines stays direct; the top degrees keep N_m
         ("lines6", set()),
-        # c = 1: the top degrees 2, 3 lie in the window [0, 3]
-        ("x,y,x+y", {2, 3}),
-        # c = 2: the first top degree a+b+1 is the window's last
-        ("nodal cubic", {5}),
+        # c = 1: the top degrees 2, 3 lie in the window [0, 3], and N is
+        # kept only from n0 = 4
+        ("x,y,x+y", set()),
+        # c = 2: the first top degree a+b+1 is the window's last, and N is
+        # kept only from n0 = a+b+2
+        ("nodal cubic", set()),
         # the chain starts at a+b+2 = 14, just above the syzygy window
         ("node7", set()),
     ],
 )
 def test_each_map_is_eliminated_once(which, both, field, monkeypatch):
-    if which == "nodal cubic":
-        Q = QciInput.of(*parse_poly("y^2*z - x^3 - x^2*z", field).partials())
-    elif "," in which:
-        Q = QciInput.of(*(parse_poly(s, field) for s in which.split(",")))
-    else:
-        Q = _case_input(field, which)
-    report, eng, seen = _analyze_recording(Q, monkeypatch)
+    report, eng, seen = _analyze_recording(_named_input(field, which), monkeypatch)
     assert report.dimension_class == "dim0"
     counts = _eliminations_per_degree(eng, seen)
-    # only a c <= 2 degree in the window and above the anchor needs both
-    # kernels, K_m and N_m
+    # no degree keeps two kernels, K_m and N_m, not even for c <= 2
     twice = {m for m, n in counts.items() if n > 1}
     assert twice == both
-    assert all(n <= 2 for n in counts.values())
+    assert all(n <= 1 for n in counts.values())
     # every degree the engine ranked without a step was eliminated
     stepped = {m for m in eng._chain if m - 1 in eng._chain}
     assert all(counts[m] for m in eng._ranks if m not in stepped)
@@ -298,6 +304,17 @@ def test_each_map_is_eliminated_once(which, both, field, monkeypatch):
         assert any(m - 1 in eng._chain for m in eng._chain)
     if which == "lines6":
         assert not eng._chain
+
+
+@pytest.mark.parametrize(
+    "which", ["lines6", "x,y,x+y", "nodal cubic", "ci_qci(2, 4)", "node7"]
+)
+def test_nothing_is_ranked_above_the_window(which, field, monkeypatch):
+    # the saturation and the resolution check read only kernels that the
+    # Hilbert window already holds
+    report, eng, _ = _analyze_recording(_named_input(field, which), monkeypatch)
+    assert report.dimension_class == "dim0"
+    assert max(eng._ranks) <= report.hilbert.k_max
 
 
 def _random_triple(field, degrees):
@@ -355,15 +372,19 @@ def test_eliminations_happen_only_where_kernels_are_kept(field, monkeypatch):
 def _full_stack_saturation(Q, m):
     # dim S_m minus the rank of every column-shifted copy of N, held whole
     eng = core._Analysis(Q)
+    # N_{anchor+1} when m <= anchor: for c <= 2 a lower degree than the
+    # engine's n0 = a+b+2, so the oracle does not read the engine's kernel
     e = max(1, eng.anchor + 1 - m)
     N = kernel_basis(eng.map_at(m + e).T, Q.field)
     stack = np.vstack([N[:, cols] for cols in product_positions(m, e)])
     return dim_S(m) - rank(stack, Q.field)
 
 
-@pytest.mark.parametrize("which", ["lines6", "lines7", "lines8", "node6"])
+@pytest.mark.parametrize(
+    "which", ["lines6", "lines7", "lines8", "node6", "x,y,x+y", "nodal cubic"]
+)
 def test_chunked_saturation_matches_the_full_stack(which, field, monkeypatch):
-    Q = _case_input(field, which)
+    Q = _named_input(field, which)
     expected = analyze_qci(Q).to_dict()
     products = []
 
