@@ -46,7 +46,16 @@ print("   perturbed", wrong, "->", verify_resolution(Q, wrong))
 print()
 
 # the three coordinate points, cut out by the partials of xyz
-show("coordinate triangle", "y*z", "x*z", "x*y")
+Q, cls = show("coordinate triangle", "y*z", "x*z", "x*y")
+
+# a false resolution with the right Euler characteristic, which agrees
+# with the saturation from k*-1 on; the check reads every degree from 0,
+# and in degree 1 it predicts a linear form through the three points
+print("negative control on the coordinate triangle:")
+print("   predicted", cls.resolution, "->", verify_resolution(Q, cls.resolution))
+false = ((4,), (1, 3))
+print("   false    ", false, "->", verify_resolution(Q, false))
+print()
 
 # a triple whose third form lies in the ideal of the first two
 show("complete intersection", "x^2 + y*z", "x^3 + x*y*z", "x^3 + y^3 + z^3")

@@ -6,12 +6,13 @@ the evaluation map
 
     S_{m-a} + S_{m-b} + S_{m-c}  ->  S_m,   (A, B, C) |-> A*Fa + B*Fb + C*Fc
 
-whose rank gives the Hilbert function of the quotient, whose kernel at
-m = k + c gives the space of degree-k syzygies, and whose left null space
-drives the saturation computation.  The scheme degree t is read off as the
-plateau of the quotient Hilbert function; the minimal syzygy degree r is
-the first twist in the window [a-c, a+b-c] carrying a syzygy (the upper
-end always does, by the Koszul relation between the first two forms).
+whose rank gives the Hilbert function of the quotient and whose kernel at
+m = k + c gives the space of degree-k syzygies; the saturation follows
+from these by Riemann-Roch and Serre duality.  The scheme degree t is read
+off as the plateau of the quotient Hilbert function; the minimal syzygy
+degree r is the first twist in the window [a-c, a+b-c] carrying a syzygy
+(the upper end always does, by the Koszul relation between the first two
+forms).
 
 The Hilbert window is fixed at k = 0 .. max(k*, 0) + 3, k* = a+b+c-2.
 From k* on, Serre duality on the rank-2 syzygy bundle E, with
@@ -41,17 +42,27 @@ large quotient, such as the pencil of lines, stay direct.  Where the chain
 reaches the top of the window, N is multiplied against the direct map
 there and must annihilate it exactly, or the run fails with InternalError.
 
+The saturation of I needs no elimination of its own.  Sheafified, the
+syzygies give 0 -> E -> O(-a) + O(-b) + O(-c) -> I_T -> 0 with E of rank 2
+and det E = O(-a-b-c), so E^dual = E(a+b+c) and Serre duality reads
+h^2(E(m)) = h^0(E(m')), m' = a+b+c-3-m.  As H^1(O(k)) = 0 for every k,
+global sections give sat(m) = h^0(I_T(m)) = sum_i dim S_{m-a_i}
+- h^0(E(m)) + h^1(E(m)), and Riemann-Roch,
+chi(E(m)) = sum_i chi(m-a_i) - chi(m) + t, turns h^1 - h^0 into
+h^0(E(m')) - chi(E(m)):
+
+    sat(m) = chi(m) - t + sum_i [dim S_{m-a_i} - chi(m-a_i)] + h^0(E(m')),
+
+with chi(k) = (k+1)(k+2)/2 and h^0(E(m')) the kernel dimension of the
+degree-m' map.  For m >= 0, m' < k*, so that rank is one the Hilbert
+window already holds.
+
 Each degree's map is eliminated once, in ``_Analysis.rank_at``, which
 keeps the one kernel a later stage reads: N_m on the chain (stepped, or
-eliminated at its start), the right kernel K_m over the syzygy window
+eliminated at its start), and the right kernel K_m over the syzygy window
 [a-1, a+b+1] (lift degree, window, twist above), whose row count is
-h^0(E(m-c)), and N_m from n0 = max(anchor+1, a+b+2) on, above that
-window, for the saturation.  I is saturated from k* on, so the saturation
-in degree m reads N_{max(m+1, n0)}, and the resolution check reads
-degrees whose N the Hilbert window holds: ``analyze_qci`` eliminates
-nothing above k_max.  The saturation takes the common kernel of N's
-shifted copies one chunk of about 8 * dim S_m rows at a time, so the
-stack is never held whole.
+h^0(E(m-c)).  The saturation and the resolution check only read ranks of
+the window, so ``analyze_qci`` eliminates nothing above k_max.
 """
 
 from __future__ import annotations
@@ -66,7 +77,6 @@ from .poly import (
     HomogPoly,
     dim_S,
     mult_matrix,
-    product_positions,
     shift_index,
 )
 
@@ -75,10 +85,6 @@ _TAIL = 4
 
 # pairs of variables whose contractions of one functional must commute
 _PAIRS = ((0, 1), (0, 2), (1, 2))
-
-# the saturation stack is reduced in chunks of just over this many times
-# dim S_m nonzero rows, so the whole stack is never held at once
-_SAT_CHUNK = 8
 
 
 def _chi(k: int) -> int:
@@ -311,25 +317,6 @@ def _integrate(C: np.ndarray, N: np.ndarray, m: int, p: int) -> np.ndarray:
     )
 
 
-def _stack_chunks(N: np.ndarray, m: int, e: int, limit: int):
-    """The column-shifted copies N[:, positions of nu * mu] over the
-    degree-e monomials nu, zero rows dropped, stacked in chunks of just
-    over ``limit`` rows; the last chunk, or a lone one, may be smaller."""
-    blocks: list[np.ndarray] = []
-    held = 0
-    for cols in product_positions(m, e):
-        B = N[:, cols]
-        # zero rows, most of the stack at large e, add no rank
-        blocks.append(B[B.any(axis=1)])
-        held += blocks[-1].shape[0]
-        if held > limit:
-            X = np.vstack(blocks)
-            blocks, held = [], 0
-            yield X
-    if blocks:
-        yield np.vstack(blocks)
-
-
 class _Analysis:
     """Per-input computation engine with degreewise caches.
 
@@ -345,16 +332,13 @@ class _Analysis:
         self.k_star = a + b + c - 2
         # stabilization anchor: the Hilbert window is 0 .. anchor + _TAIL - 1
         self.anchor = max(self.k_star, 0)
-        # N_m is kept from n0, the first degree above anchor and syzygy window
-        self.n0 = max(self.anchor + 1, a + b + 2)
         self._ranks: dict[int, int] = {}
-        # right kernels K_m and left null spaces N_m kept by rank_at
+        # right kernels K_m and the chain's left null spaces N_m, kept by rank_at
         self._kernels: dict[int, np.ndarray] = {}
         self._left: dict[int, np.ndarray] = {}
-        # degrees whose N_m belongs to the inverse-system chain; only these
-        # are stepped to N_{m+1}
+        # degrees whose N_m belongs to the inverse-system chain, stepped to
+        # N_{m+1}
         self._chain: set[int] = set()
-        self._sat: dict[int, int] = {}
         self._dim_info = None
         self._syzygy = None
 
@@ -372,15 +356,14 @@ class _Analysis:
         Each degree is eliminated at most once and keeps at most one
         kernel: a chain degree its N_m, stepped from N_{m-1}; a degree of
         the syzygy window [a-1, a+b+1] its K_m, for kernel_at; a degree
-        from n0 on, or one that starts the chain, its N_m, for the
-        saturation and the chain.  Any other degree is one plain rank.
+        that starts the chain its N_m.  Any other degree is one plain rank.
         """
+        if m < 0:
+            return 0
         v = self._ranks.get(m)
         if v is not None:
             return v
-        if m < 0:
-            v = 0
-        elif m - 1 in self._chain:
+        if m - 1 in self._chain:
             prev, p = self._left[m - 1], self.field.p
             C = kernel_basis(_contraction_system(prev, m - 1, p), self.field)
             N = _integrate(C, prev, m - 1, p)
@@ -391,16 +374,19 @@ class _Analysis:
             K = kernel_basis(self.map_at(m), self.field)
             self._kernels[m] = K
             v = K.shape[1] - K.shape[0]
-        elif (starts := self._switches_at(m)) or m >= self.n0:
+        elif self._switches_at(m):
             N = kernel_basis(self.map_at(m).T, self.field)
             self._left[m] = N
-            if starts:
-                self._chain.add(m)
+            self._chain.add(m)
             v = dim_S(m) - N.shape[0]
         else:
             v = rank(self.map_at(m), self.field)
         self._ranks[m] = v
         return v
+
+    def _cols(self, m: int) -> int:
+        # columns of the degree-m map
+        return sum(dim_S(m - f.degree) for f in self.Q.polys)
 
     def _switches_at(self, m: int) -> bool:
         """Whether degree m starts the inverse-system chain.
@@ -419,7 +405,7 @@ class _Analysis:
         """
         if m < max(self.c, self.a + self.b + 2) or m - 1 not in self._ranks:
             return False
-        cols = sum(dim_S(m - f.degree) for f in self.Q.polys)
+        cols = self._cols(m)
         h = dim_S(m - 1) - self._ranks[m - 1]
         step_cost = 18 * h * h * dim_S(m - 1)
         direct_cost = (dim_S(m) - h) * dim_S(m) * cols
@@ -546,8 +532,7 @@ class _Analysis:
             if prev.shape[0] == 0:
                 new = h0
             else:
-                cols = sum(dim_S(m - f.degree) for f in self.Q.polys)
-                lifted = np.zeros((3 * prev.shape[0], cols), dtype=np.int64)
+                lifted = np.zeros((3 * prev.shape[0], self._cols(m)), dtype=np.int64)
                 for axis in range(3):
                     idx = self._lift_index(m - 1, axis)
                     block = lifted[axis * prev.shape[0] : (axis + 1) * prev.shape[0]]
@@ -609,29 +594,20 @@ class _Analysis:
     # -- saturation --------------------------------------------------------
 
     def saturation_dim(self, m: int) -> int:
+        """Dimension of the saturation of I in degree m.
+
+        Read off t and the kernel dimension h^0(E(m')) of the degree
+        m' = a+b+c-3-m map by the identity in the module docstring; m' lies
+        below k*, so the rank is the Hilbert window's and nothing is
+        eliminated at any m.
+        """
         if m < 0:
             return 0
-        v = self._sat.get(m)
-        if v is not None:
-            return v
-        # I is saturated from k* on, and rank_at keeps every N_m from n0 on
-        e = max(1, self.n0 - m)
-        self.rank_at(m + e)
-        N, p = self._left[m + e], self.field.p
-        # The saturation in degree m is the common kernel of the stack of
-        # N's column-shifted copies, which is never held whole: a kernel K
-        # of the first chunk is restricted one further chunk X at a time,
-        # K <- ker(X K^T) K.  The stack of an empty N is one empty chunk,
-        # whose kernel is all of S_m.
-        chunks = _stack_chunks(N, m, e, _SAT_CHUNK * dim_S(m))
-        K = kernel_basis(next(chunks), self.field)
-        for X in chunks:
-            if K.shape[0] == 0:
-                break
-            K = matmul(kernel_basis(matmul(X, K.T, p), self.field), K, p)
-        v = K.shape[0]
-        self._sat[m] = v
-        return v
+        t = self.require_dim0()
+        dual = self.a + self.b + self.c - 3 - m
+        h0 = self._cols(dual) - self.rank_at(dual)
+        shifts = sum(dim_S(m - f.degree) - _chi(m - f.degree) for f in self.Q.polys)
+        return _chi(m) - t + shifts + h0
 
     def h1E(self, k: int) -> int:
         m = self.c + k
@@ -741,13 +717,13 @@ class _Analysis:
 
         Compares the alternating sum of graded dimensions against the
         saturation, and the alternating Euler characteristic against t, in
-        the degrees anchor-1 .. anchor+2.  Any degree would do, since
-        H^1(O(k)) = 0 for every k; these read N only up to k_max, and
-        anchor-1 >= 0 as a >= 1 for a finite nonempty scheme.
+        every degree 0 .. k_max of the Hilbert window.  A true resolution
+        holds in any degree, since H^1(O(k)) = 0 for every k; a false one
+        shows only in the low degrees, as from k*-1 on the saturation is
+        dim S_m - t and the check there is arithmetic on t.
         """
         t = self.require_dim0()
-        base = self.anchor - 1
-        for m in range(base, base + _TAIL):
+        for m in range(self.anchor + _TAIL):
             predicted = sum(dim_S(m - vj) for vj in v) - sum(
                 dim_S(m - ui) for ui in u
             )

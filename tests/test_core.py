@@ -344,6 +344,10 @@ def test_verify_resolution_negative_controls(field, point_ideal):
 def test_verify_resolution_for_split_case(field, triangle):
     assert verify_resolution(triangle, ((3, 3), (2, 2, 2)))
     assert not verify_resolution(triangle, ((3, 4), (2, 2, 2)))
+    # right Euler characteristic, and the right saturation from k*-1 on:
+    # only the low degrees (here m = 1, where it predicts a linear form)
+    # tell it apart
+    assert not verify_resolution(triangle, ((4,), (1, 3)))
 
 
 # ---------------------------------------------------------------------------

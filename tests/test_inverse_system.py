@@ -6,15 +6,16 @@ conftest.py.  The step helpers are called directly, so these checks do not
 depend on where the engine's cost rule starts the chain.
 
 The engine eliminates each degree's map once: ``_Analysis.rank_at`` keeps
-the one kernel a later stage reads (K_m in the syzygy window, N_m from
-n0 = max(anchor+1, a+b+2) on or on the chain), so ``kernel_at`` and
-``saturation_dim`` only read it, and ``analyze_qci`` ranks nothing above
+the one kernel a later stage reads (K_m in the syzygy window, N_m on the
+chain), so ``kernel_at`` only reads it, ``saturation_dim`` reads only
+ranks of the Hilbert window, and ``analyze_qci`` ranks nothing above
 k_max.  The chain starts above the syzygy window, so it never holds a
 degree whose K_m the syzygy stage needs.
 A stepped N is a basis of I_m^perp but not the canonical one, so it is
 compared with a direct kernel through the RREF of both.
-The saturation stack is reduced in chunks when it is large; forcing tiny
-chunks must not move any value.
+The saturation, read off the window by Riemann-Roch and Serre duality, is
+compared in every degree with the common kernel of the shifted copies of
+a directly eliminated left null space.
 """
 
 import random
@@ -38,7 +39,7 @@ from qci import (
     rank,
     rref,
 )
-from qci import core, linalg
+from qci import core
 from qci.poly import product_positions
 
 LARGE_PRIMES = (32003, 2097143)
@@ -164,8 +165,8 @@ def test_chain_spans_the_direct_left_null_space(field):
 
 
 def test_left_null_steps_above_the_window(field):
-    # after the chain, a degree above k_max (only a lone saturation call
-    # reads one) is stepped, not eliminated afresh
+    # after the chain, a degree above k_max (only a lone h1_E call ranks
+    # one) is stepped, not eliminated afresh
     Q, eng = _chained_engine(field)
     top = eng.dimension()[2].k_max + 1
     eng.rank_at(top)
@@ -277,13 +278,12 @@ def _named_input(field, which):
     [
         # the chain starts above the syzygy window: no degree needs both
         ("node9", set()),
-        # the pencil of lines stays direct; the top degrees keep N_m
+        # the pencil of lines stays direct: no degree keeps N_m
         ("lines6", set()),
-        # c = 1: the top degrees 2, 3 lie in the window [0, 3], and N is
-        # kept only from n0 = 4
+        # c = 1: the top degrees 2, 3 lie in the syzygy window [0, 3], which
+        # keeps K_m there, and no degree keeps N_m
         ("x,y,x+y", set()),
-        # c = 2: the first top degree a+b+1 is the window's last, and N is
-        # kept only from n0 = a+b+2
+        # c = 2: the first top degree a+b+1 is the syzygy window's last
         ("nodal cubic", set()),
         # the chain starts at a+b+2 = 14, just above the syzygy window
         ("node7", set()),
@@ -342,8 +342,8 @@ def test_chain_starts_above_the_syzygy_window(which, field):
 
 
 def test_eliminations_happen_only_where_kernels_are_kept(field, monkeypatch):
-    # kernel_at and the saturation only read what rank_at kept, and the
-    # saturation reduces its stack by kernels alone
+    # kernel_at only reads what rank_at kept, and the saturation only
+    # reads ranks, so no other stage eliminates
     calls = set()
 
     def recording(fn):
@@ -365,41 +365,97 @@ def test_eliminations_happen_only_where_kernels_are_kept(field, monkeypatch):
         core.saturation_dim(inputs[2], m)
         core.h1_E(nodal, m - 2)
     callers = {caller for _, caller in calls}
-    assert callers == {"rank_at", "_generator_degrees", "saturation_dim"}
-    assert ("rank", "saturation_dim") not in calls
+    assert callers == {"rank_at", "_generator_degrees"}
 
 
 def _full_stack_saturation(Q, m):
-    # dim S_m minus the rank of every column-shifted copy of N, held whole
+    # dim S_m minus the rank of every column-shifted copy of N_{m+e}, held
+    # whole: I is saturated from k* on, so a degree m+e above the anchor
+    # gives (I : m^e)_m, the saturation in degree m
+    if m < 0:
+        return 0
     eng = core._Analysis(Q)
-    # N_{anchor+1} when m <= anchor: for c <= 2 a lower degree than the
-    # engine's n0 = a+b+2, so the oracle does not read the engine's kernel
     e = max(1, eng.anchor + 1 - m)
     N = kernel_basis(eng.map_at(m + e).T, Q.field)
     stack = np.vstack([N[:, cols] for cols in product_positions(m, e)])
     return dim_S(m) - rank(stack, Q.field)
 
 
+def _seeded_triple(field, seed):
+    # forms of degrees <= 4 through one to three coordinate points (no pure
+    # power of the points' variables), redrawn until the scheme is finite
+    rng = random.Random(seed)
+    while True:
+        degrees = sorted(rng.randrange(1, 5) for _ in range(3))
+        points = rng.sample(range(3), rng.randrange(1, 4))
+        polys = []
+        for d in degrees:
+            f = random_homog(d, field, rng)
+            for i in points:
+                power = tuple(d if j == i else 0 for j in range(3))
+                f = f - HomogPoly.monomial(power, field, f.coeffs.get(power, 0))
+            polys.append(f)
+        if any(f.is_zero for f in polys):
+            continue
+        Q = QciInput.of(*polys)
+        if core._Analysis(Q).dimension()[0] == "dim0":
+            return Q
+
+
+def _oracle_input(field, which):
+    if which.startswith("triple"):
+        return _seeded_triple(field, int(which[6:]))
+    if which == "product":
+        rng = random.Random(5)
+        f = random_homog(2, field, rng) * random_homog(3, field, rng)
+        return QciInput.of(*f.partials())
+    return _named_input(field, which)
+
+
+# inputs whose degrees the guard refuses at p = 13
+_ONLY_LARGE = {"lines6", "lines7", "lines8", "node6"}
+
+
 @pytest.mark.parametrize(
-    "which", ["lines6", "lines7", "lines8", "node6", "x,y,x+y", "nodal cubic"]
+    "which",
+    [f"triple{i}" for i in range(10)]
+    + ["node4", "node5", "node6", "lines4", "lines5", "lines6", "lines7"]
+    + ["lines8", "product", "nodal cubic", "ci_qci(2, 4)", "x,y,x+y"],
 )
-def test_chunked_saturation_matches_the_full_stack(which, field, monkeypatch):
+def test_saturation_matches_the_full_stack(which):
+    for p in (32003,) if which in _ONLY_LARGE else (13, 32003):
+        field = PrimeField(p)
+        Q = _oracle_input(field, which)
+        eng = core._Analysis(Q)
+        assert eng.dimension()[0] == "dim0"
+        k_max = eng.dimension()[2].k_max
+        c = Q.degrees[2]
+        for m in range(-2, k_max + 3):
+            sat = _full_stack_saturation(Q, m)
+            assert eng.saturation_dim(m) == sat, (p, m)
+            ideal = rank(eng.map_at(m), field) if m >= 0 else 0
+            assert eng.h1E(m - c) == sat - ideal, (p, m)
+
+
+@pytest.mark.parametrize(
+    "which", ["lines6", "x,y,x+y", "nodal cubic", "ci_qci(2, 4)", "node7"]
+)
+def test_lone_saturation_call_eliminates_nothing(which, field, monkeypatch):
+    # the saturation reads only the window's ranks, at any degree
     Q = _named_input(field, which)
-    expected = analyze_qci(Q).to_dict()
-    products = []
+    eng = core._Analysis(Q)
+    t = eng.require_dim0()
+    m = eng.dimension()[2].k_max + 5
+    calls = []
 
-    def counting(A, B, p):
-        products.append(A.shape)
-        return linalg.matmul(A, B, p)
+    def recording(fn):
+        def wrapper(M, field):
+            calls.append(fn.__name__)
+            return fn(M, field)
 
-    monkeypatch.setattr(core, "_SAT_CHUNK", 1)
-    monkeypatch.setattr(core, "matmul", counting)
-    engines = _record_engines(monkeypatch)
-    assert analyze_qci(Q).to_dict() == expected
-    (eng,) = engines
-    assert eng._sat
-    for m, v in eng._sat.items():
-        assert v == _full_stack_saturation(Q, m), m
-    if which.startswith("lines"):
-        # no chain, so every product restricted a saturation kernel
-        assert products
+        return wrapper
+
+    monkeypatch.setattr(core, "rank", recording(core.rank))
+    monkeypatch.setattr(core, "kernel_basis", recording(core.kernel_basis))
+    assert eng.saturation_dim(m) == dim_S(m) - t
+    assert calls == []
