@@ -36,9 +36,11 @@ bound by one compatibility equation per pair of variables and per
 degree-(m-1) monomial.  The system has 3*HF(m) unknowns, and its kernel
 has dimension HF(m+1).  The chain starts at the first degree
 m >= max(c, a+b+2), above the syzygy window, where a shape-only cost
-estimate puts a step at under a quarter of the direct elimination (see
-``_Analysis._switches_at``); sparse maps with a
-large quotient, such as the pencil of lines, stay direct.  Where the chain
+estimate puts the step into m+1 at under a quarter of the direct
+elimination of that degree's map (see ``_Analysis._switches_at``); degree
+m eliminates its transposed map for N_m in place of a plain rank, so the
+chain's first new degree is already a step.  Sparse maps with a large
+quotient, such as the pencil of lines, stay direct.  Where the chain
 reaches the top of the window, N is multiplied against the direct map
 there and must annihilate it exactly, or the run fails with InternalError.
 
@@ -57,12 +59,18 @@ with chi(k) = (k+1)(k+2)/2 and h^0(E(m')) the kernel dimension of the
 degree-m' map.  For m >= 0, m' < k*, so that rank is one the Hilbert
 window already holds.
 
-Each degree's map is eliminated once, in ``_Analysis.rank_at``, which
-keeps the one kernel a later stage reads: N_m on the chain (stepped, or
-eliminated at its start), and the right kernel K_m over the syzygy window
-[a-1, a+b+1] (lift degree, window, twist above), whose row count is
-h^0(E(m-c)).  The saturation and the resolution check only read ranks of
-the window, so ``analyze_qci`` eliminates nothing above k_max.
+Each degree's map is eliminated at most once, in ``_Analysis.rank_at``,
+which keeps the one kernel a later stage reads: N_m on the chain (stepped,
+or eliminated at its start), and the right kernel K_m over the syzygy
+window [a-1, a+b+1] (lift degree, window, twist above), whose row count is
+h^0(E(m-c)).  S is a domain, so x times a degree-m syzygy is a nonzero
+syzygy of degree m+1, and h^0(E(k)) never drops as k grows: below an
+injective degree every degree is injective.  ``dimension`` ranks the
+window from the top down, so of the injective degrees below the least
+syzygy degree r+c only r+c-1 is eliminated; the ones below it keep the
+empty K_m an elimination would give.  The saturation and the resolution
+check only read ranks of the window, so ``analyze_qci`` eliminates nothing
+above k_max.
 """
 
 from __future__ import annotations
@@ -357,6 +365,10 @@ class _Analysis:
         kernel: a chain degree its N_m, stepped from N_{m-1}; a degree of
         the syzygy window [a-1, a+b+1] its K_m, for kernel_at; a degree
         that starts the chain its N_m.  Any other degree is one plain rank.
+        A window degree whose successor is already ranked injective is
+        injective too and eliminates nothing: its K_m is the empty
+        0 x cols array kernel_basis would return.  Only the cache is read,
+        so a lone value still eliminates one map.
         """
         if m < 0:
             return 0
@@ -371,7 +383,12 @@ class _Analysis:
             self._chain.add(m)
             v = dim_S(m) - N.shape[0]
         elif self.a - 1 <= m <= self.a + self.b + 1:
-            K = kernel_basis(self.map_at(m), self.field)
+            if self._ranks.get(m + 1) == self._cols(m + 1):
+                # injective one degree up, so injective here: a syzygy of
+                # degree m times x would be one of degree m+1
+                K = np.zeros((0, self._cols(m)), dtype=np.int64)
+            else:
+                K = kernel_basis(self.map_at(m), self.field)
             self._kernels[m] = K
             v = K.shape[1] - K.shape[0]
         elif self._switches_at(m):
@@ -391,24 +408,26 @@ class _Analysis:
     def _switches_at(self, m: int) -> bool:
         """Whether degree m starts the inverse-system chain.
 
-        Only a degree m >= max(c, a+b+2) can: below c the ideal is not
-        S_1 times its previous degree, and up to a+b+1 the syzygy stage
-        reads the right kernel K_m, which a chain degree does not keep.
-        Above that, shapes alone decide.  A step into degree m eliminates a
-        3*dim_S(m-1) x 3h system, h = HF(m-1), taken here to cost
-        18 h^2 dim_S(m-1); the direct map costs about
-        (dim_S(m) - h) * dim_S(m) * cols.  The chain starts only where the
-        step is estimated at under a quarter of that: direct maps are often
-        sparse, which the estimate does not see, and with a smaller margin
-        the pencil-of-lines maps (plateau (d-1)^2) ran slower stepped.  A
-        lone Hilbert value, with no HF(m-1) at hand, stays direct.
+        Only a degree m >= max(c, a+b+2) can: from c on the ideal in
+        degree m+1 is S_1 times its degree-m part, and up to a+b+1 the
+        syzygy stage reads the right kernel K_m, which a chain degree does
+        not keep.  Above that, shapes alone decide, pricing the step into
+        m+1 against the direct map there.  The step eliminates a
+        3*dim_S(m) x 3h system, h = HF(m), taken here to cost
+        18 h^2 dim_S(m); the direct map costs about
+        (dim_S(m+1) - h) * dim_S(m+1) * cols(m+1).  HF(m) is what degree m
+        is about to compute, so HF(m-1) stands in for it.  The chain starts
+        only where the step is estimated at under a quarter of that: direct
+        maps are often sparse, which the estimate does not see, and with a
+        smaller margin the pencil-of-lines maps (plateau (d-1)^2) ran
+        slower stepped.  A lone Hilbert value, with no HF(m-1) at hand,
+        stays direct.
         """
         if m < max(self.c, self.a + self.b + 2) or m - 1 not in self._ranks:
             return False
-        cols = self._cols(m)
         h = dim_S(m - 1) - self._ranks[m - 1]
-        step_cost = 18 * h * h * dim_S(m - 1)
-        direct_cost = (dim_S(m) - h) * dim_S(m) * cols
+        step_cost = 18 * h * h * dim_S(m)
+        direct_cost = (dim_S(m + 1) - h) * dim_S(m + 1) * self._cols(m + 1)
         return 4 * step_cost < direct_cost
 
     def _check_annihilation(self, m: int) -> None:
@@ -438,10 +457,15 @@ class _Analysis:
 
         All zero is empty, constant is dim0, strictly increasing is
         dim_ge_1 (see the module docstring); anything else is a fault.
+        The syzygy window a+b+1 .. a-1 is ranked first, from the top down,
+        so that its degrees below the topmost injective one are not
+        eliminated (see ``rank_at``).
         """
         if self._dim_info is not None:
             return self._dim_info
         k_max = self.anchor + _TAIL - 1
+        for m in range(self.a + self.b + 1, self.a - 2, -1):
+            self.rank_at(m)
         values = tuple(self.hilbert_value(k) for k in range(k_max + 1))
         tail = values[-_TAIL:]
         if not any(tail):

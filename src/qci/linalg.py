@@ -250,7 +250,9 @@ def kernel_basis(M, field: PrimeField) -> np.ndarray:
             "dimensional as rank-nullity needs"
         )
     piv = np.array(pivots, dtype=np.intp)
-    free = np.setdiff1d(np.arange(n), piv)
+    is_free = np.ones(n, dtype=bool)
+    is_free[piv] = False
+    free = np.flatnonzero(is_free)
     basis = np.zeros((free.size, n), dtype=np.int64)
     basis[np.arange(free.size), free] = 1
     basis[:, piv] = (-R[: piv.size, free].T) % field.p

@@ -10,7 +10,9 @@ the one kernel a later stage reads (K_m in the syzygy window, N_m on the
 chain), so ``kernel_at`` only reads it, ``saturation_dim`` reads only
 ranks of the Hilbert window, and ``analyze_qci`` ranks nothing above
 k_max.  The chain starts above the syzygy window, so it never holds a
-degree whose K_m the syzygy stage needs.
+degree whose K_m the syzygy stage needs.  A window degree below an
+injective one is injective and is not eliminated at all; its empty K_m is
+compared byte for byte with a direct kernel.
 A stepped N is a basis of I_m^perp but not the canonical one, so it is
 compared with a direct kernel through the RREF of both.
 The saturation, read off the window by Riemann-Roch and Serre duality, is
@@ -263,6 +265,13 @@ def _eliminations_per_degree(eng, seen):
     return counts
 
 
+def _skipped_window_degrees(eng):
+    # the syzygy window's degrees below its topmost injective one
+    window = range(max(eng.a - 1, 0), eng.a + eng.b + 2)
+    injective = [m for m in window if eng._ranks[m] == eng._cols(m)]
+    return set(range(window.start, max(injective))) if injective else set()
+
+
 def _named_input(field, which):
     if which == "nodal cubic":
         return QciInput.of(*parse_poly("y^2*z - x^3 - x^2*z", field).partials())
@@ -297,9 +306,12 @@ def test_each_map_is_eliminated_once(which, both, field, monkeypatch):
     twice = {m for m, n in counts.items() if n > 1}
     assert twice == both
     assert all(n <= 1 for n in counts.values())
-    # every degree the engine ranked without a step was eliminated
+    # every degree the engine ranked without a step was eliminated, except
+    # the window degrees below the topmost injective one, none of which was
     stepped = {m for m in eng._chain if m - 1 in eng._chain}
-    assert all(counts[m] for m in eng._ranks if m not in stepped)
+    skipped = _skipped_window_degrees(eng)
+    assert all(counts[m] for m in eng._ranks if m not in stepped | skipped)
+    assert not any(counts[m] for m in skipped)
     if which.startswith("node"):
         assert any(m - 1 in eng._chain for m in eng._chain)
     if which == "lines6":
@@ -437,15 +449,8 @@ def test_saturation_matches_the_full_stack(which):
             assert eng.h1E(m - c) == sat - ideal, (p, m)
 
 
-@pytest.mark.parametrize(
-    "which", ["lines6", "x,y,x+y", "nodal cubic", "ci_qci(2, 4)", "node7"]
-)
-def test_lone_saturation_call_eliminates_nothing(which, field, monkeypatch):
-    # the saturation reads only the window's ranks, at any degree
-    Q = _named_input(field, which)
-    eng = core._Analysis(Q)
-    t = eng.require_dim0()
-    m = eng.dimension()[2].k_max + 5
+def _record_eliminations(monkeypatch):
+    """A list of the names of core's elimination calls made from here on."""
     calls = []
 
     def recording(fn):
@@ -457,5 +462,108 @@ def test_lone_saturation_call_eliminates_nothing(which, field, monkeypatch):
 
     monkeypatch.setattr(core, "rank", recording(core.rank))
     monkeypatch.setattr(core, "kernel_basis", recording(core.kernel_basis))
+    return calls
+
+
+@pytest.mark.parametrize(
+    "which", ["lines6", "x,y,x+y", "nodal cubic", "ci_qci(2, 4)", "node7"]
+)
+def test_lone_saturation_call_eliminates_nothing(which, field, monkeypatch):
+    # the saturation reads only the window's ranks, at any degree
+    Q = _named_input(field, which)
+    eng = core._Analysis(Q)
+    t = eng.require_dim0()
+    m = eng.dimension()[2].k_max + 5
+    calls = _record_eliminations(monkeypatch)
     assert eng.saturation_dim(m) == dim_S(m) - t
     assert calls == []
+
+
+def _window_triple(field, kind, seed):
+    # forms of degrees <= 4: random, a third form in the ideal of the other
+    # two, through coordinate points, or sharing a linear factor
+    rng = random.Random(seed)
+    if kind == "points":
+        return _seeded_triple(field, seed)
+
+    def form(d):
+        while True:
+            f = random_homog(d, field, rng)
+            if not f.is_zero:
+                return f
+
+    if kind == "factor":
+        line = form(1)
+        return QciInput.of(*(line * form(rng.randrange(0, 4)) for _ in range(3)))
+    a, b, c = sorted(rng.randrange(1, 5) for _ in range(3))
+    fa, fb = form(a), form(b)
+    if kind == "dependent":
+        return QciInput.of(fa, fb, fa * form(c - a) + fb * form(c - b))
+    return QciInput.of(fa, fb, form(c))
+
+
+_MONOMIAL_IDEALS = {
+    "x2,xy,y3": ((2, 0, 0), (1, 1, 0), (0, 3, 0)),
+    "x,y2,yz": ((1, 0, 0), (0, 2, 0), (0, 1, 1)),
+    "yz,xz,xy": ((0, 1, 1), (1, 0, 1), (1, 1, 0)),
+    "x3,y3,z3": ((3, 0, 0), (0, 3, 0), (0, 0, 3)),
+}
+
+
+def _skip_input(field, which):
+    kind, _, seed = which.partition("-")
+    if kind in ("random", "dependent", "points", "factor"):
+        return _window_triple(field, kind, int(seed))
+    if which in _MONOMIAL_IDEALS:
+        gens = _MONOMIAL_IDEALS[which]
+        return QciInput.of(*(HomogPoly.monomial(g, field) for g in gens))
+    return _named_input(field, which)
+
+
+# inputs whose degrees the guard refuses at p = 13
+_SKIP_ONLY_LARGE = _ONLY_LARGE | {"node7", "node8", "node9", "zero-form"}
+
+
+@pytest.mark.parametrize(
+    "which",
+    [f"{kind}-{seed}" for kind in ("random", "dependent", "points", "factor")
+     for seed in range(4)]
+    + [f"node{d}" for d in range(5, 10)] + [f"lines{d}" for d in range(4, 9)]
+    + ["zero-form", *_MONOMIAL_IDEALS, "nodal cubic", "ci_qci(2, 4)"],
+)
+def test_skipped_window_kernels_match_direct_elimination(which):
+    # a window degree below an injective one keeps the empty K_m without
+    # elimination; it must be the kernel a direct elimination gives
+    for p in (32003,) if which in _SKIP_ONLY_LARGE else (13, 32003):
+        field = PrimeField(p)
+        eng = core._Analysis(_skip_input(field, which))
+        eng.dimension()
+        window = range(max(eng.a - 1, 0), eng.a + eng.b + 2)
+        for m in window:
+            K, kept = kernel_basis(eng.map_at(m), field), eng.kernel_at(m)
+            assert (kept.shape, kept.dtype) == (K.shape, K.dtype), (p, m)
+            assert kept.tobytes() == K.tobytes(), (p, m)
+        # x times a syzygy is a syzygy one degree up, so h^0(E(k)) never drops
+        h0 = [eng.h0E(m - eng.c) for m in window]
+        assert h0 == sorted(h0), p
+
+
+def test_no_window_degree_below_the_least_syzygy_is_eliminated(field, monkeypatch):
+    report, eng, seen = _analyze_recording(_case_input(field, "node9"), monkeypatch)
+    counts = _eliminations_per_degree(eng, seen)
+    first = report.r + eng.c - 1  # the topmost injective degree
+    assert first > eng.a - 1
+    assert counts[first] == 1
+    assert not any(counts[m] for m in range(eng.a - 1, first))
+
+
+@pytest.mark.parametrize("which", ["node7", "nodal cubic", "ci_qci(2, 4)", "x,y,x+y"])
+def test_lone_window_value_eliminates_one_map(which, field, monkeypatch):
+    # the skip reads only degrees already ranked; it never ranks one above
+    Q = _named_input(field, which)
+    a, b, _ = Q.degrees
+    calls = _record_eliminations(monkeypatch)
+    for m in range(max(a - 1, 0), a + b + 2):
+        calls.clear()
+        assert core.quotient_hilbert(Q, m) == _direct_hilbert(Q, m)
+        assert len(calls) == 1, m
