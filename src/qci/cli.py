@@ -24,6 +24,7 @@ from .report import (
     curve_csv_row,
     curve_document,
     document_json,
+    empty_csv_row,
     hilbert_document,
     qci_document,
     render_text,
@@ -128,15 +129,14 @@ def _emit(payload: str, out: str | None) -> None:
 
 def _sweep_worker(task: tuple[str, int, int]) -> list[str]:
     family_name, d, prime = task
-    blank = [family_name, str(d), str(prime), "", "", "", "", "", ""]
     try:
         field = PrimeField(prime)
         C = family(_FAMILY_MAP[family_name], field, d=d)
         rep = analyze_curve(C)
     except (GuardError, PolyParseError) as exc:
-        return blank + [f"error: {exc}"]
+        return empty_csv_row(family_name, d, prime, f"error: {exc}")
     except InternalError as exc:
-        return blank + [f"{_INTERNAL_STATUS}{exc}"]
+        return empty_csv_row(family_name, d, prime, f"{_INTERNAL_STATUS}{exc}")
     return curve_csv_row(family_name, d, prime, rep)
 
 

@@ -39,7 +39,8 @@ m >= max(c, a+b+2), above the syzygy window, where a shape-only cost
 estimate puts the step into m+1 at under a quarter of the direct
 elimination of that degree's map (see ``_Analysis._switches_at``); degree
 m eliminates its transposed map for N_m in place of a plain rank, so the
-chain's first new degree is already a step.  Sparse maps with a large
+chain's first new degree is already a step.  It never starts at k_max,
+whose N_m no stage would read.  Sparse maps with a large
 quotient, such as the pencil of lines, stay direct.  Where the chain
 reaches the top of the window, N is multiplied against the direct map
 there and must annihilate it exactly, or the run fails with InternalError.
@@ -68,9 +69,10 @@ syzygy of degree m+1, and h^0(E(k)) never drops as k grows: below an
 injective degree every degree is injective.  ``dimension`` ranks the
 window from the top down, so of the injective degrees below the least
 syzygy degree r+c only r+c-1 is eliminated; the ones below it keep the
-empty K_m an elimination would give.  The saturation and the resolution
-check only read ranks of the window, so ``analyze_qci`` eliminates nothing
-above k_max.
+empty K_m an elimination would give.  Below max(a-1, 0) the ideal is zero
+and the map has no columns, so those degrees have rank 0 and nothing is
+built there.  The saturation and the resolution check only read ranks of
+the window, so ``analyze_qci`` eliminates nothing above k_max.
 """
 
 from __future__ import annotations
@@ -287,6 +289,22 @@ def _opt_int(x):
     return None if x is None else int(x)
 
 
+def theorem_bounds(a: int, b: int, c: int, r: int, t: int) -> tuple[BoundsI, BoundsII]:
+    """The Theorem's bounds on t for sorted degrees a <= b <= c and syzygy degree r.
+
+    Bound (i) is c(a+b-c-r) <= t <= r^2 + r(c-a-b) + ab; where 2r > a+b-c,
+    bound (ii) sharpens the upper end by the binomial (c-a-b+2r+1 choose 2).
+    """
+    lower = c * (a + b - c - r)
+    upper = r * r + r * (c - a - b) + a * b
+    bi = BoundsI(lower=lower, upper=upper, lower_ok=lower <= t, upper_ok=t <= upper)
+    if 2 * r > a + b - c:
+        cut = (c - a - b + 2 * r + 1) * (c - a - b + 2 * r) // 2
+        bound = upper - cut
+        return bi, BoundsII(applicable=True, bound=bound, ok=t <= bound)
+    return bi, BoundsII(applicable=False, bound=None, ok=None)
+
+
 def _contraction_system(N: np.ndarray, m: int, p: int) -> np.ndarray:
     """Equations on the contractions of a degree-(m+1) functional.
 
@@ -338,8 +356,9 @@ class _Analysis:
         a, b, c = Q.degrees
         self.a, self.b, self.c = a, b, c
         self.k_star = a + b + c - 2
-        # stabilization anchor: the Hilbert window is 0 .. anchor + _TAIL - 1
+        # stabilization anchor: the Hilbert window is 0 .. k_max
         self.anchor = max(self.k_star, 0)
+        self.k_max = self.anchor + _TAIL - 1
         self._ranks: dict[int, int] = {}
         # right kernels K_m and the chain's left null spaces N_m, kept by rank_at
         self._kernels: dict[int, np.ndarray] = {}
@@ -368,9 +387,11 @@ class _Analysis:
         A window degree whose successor is already ranked injective is
         injective too and eliminates nothing: its K_m is the empty
         0 x cols array kernel_basis would return.  Only the cache is read,
-        so a lone value still eliminates one map.
+        so a lone value still eliminates one map.  Below the window, under
+        degree max(a-1, 0), the map has no columns: its rank is 0, and
+        nothing is built or cached.
         """
-        if m < 0:
+        if m < max(self.a - 1, 0):
             return 0
         v = self._ranks.get(m)
         if v is not None:
@@ -421,9 +442,13 @@ class _Analysis:
         maps are often sparse, which the estimate does not see, and with a
         smaller margin the pencil-of-lines maps (plateau (d-1)^2) ran
         slower stepped.  A lone Hilbert value, with no HF(m-1) at hand,
-        stays direct.
+        stays direct, and so does k_max, since no stage reads degree
+        k_max+1.
         """
-        if m < max(self.c, self.a + self.b + 2) or m - 1 not in self._ranks:
+        if (
+            not max(self.c, self.a + self.b + 2) <= m < self.k_max
+            or m - 1 not in self._ranks
+        ):
             return False
         h = dim_S(m - 1) - self._ranks[m - 1]
         step_cost = 18 * h * h * dim_S(m)
@@ -463,10 +488,9 @@ class _Analysis:
         """
         if self._dim_info is not None:
             return self._dim_info
-        k_max = self.anchor + _TAIL - 1
         for m in range(self.a + self.b + 1, self.a - 2, -1):
             self.rank_at(m)
-        values = tuple(self.hilbert_value(k) for k in range(k_max + 1))
+        values = tuple(self.hilbert_value(k) for k in range(self.k_max + 1))
         tail = values[-_TAIL:]
         if not any(tail):
             tag, t, plateau = "empty", 0, 0
@@ -477,12 +501,12 @@ class _Analysis:
         else:
             raise InternalError(
                 f"quotient Hilbert tail {list(tail)} at k = {self.anchor}.."
-                f"{k_max} (k* = {self.k_star}) is neither constant nor "
+                f"{self.k_max} (k* = {self.k_star}) is neither constant nor "
                 "strictly increasing"
             )
-        self._check_annihilation(k_max)
+        self._check_annihilation(self.k_max)
         table = HilbertTable(
-            values=values, k_star=self.k_star, k_max=k_max, plateau=plateau
+            values=values, k_star=self.k_star, k_max=self.k_max, plateau=plateau
         )
         self._dim_info = (tag, t, table)
         return self._dim_info
@@ -596,18 +620,7 @@ class _Analysis:
 
     def bounds(self) -> tuple[BoundsI, BoundsII]:
         t = self.require_dim0()
-        r = self.syzygy_table().r
-        a, b, c = self.a, self.b, self.c
-        lower = c * (a + b - c - r)
-        upper = r * r + r * (c - a - b) + a * b
-        bi = BoundsI(lower=lower, upper=upper, lower_ok=lower <= t, upper_ok=t <= upper)
-        if 2 * r > a + b - c:
-            cut = (c - a - b + 2 * r + 1) * (c - a - b + 2 * r) // 2
-            bound = upper - cut
-            bii = BoundsII(applicable=True, bound=bound, ok=t <= bound)
-        else:
-            bii = BoundsII(applicable=False, bound=None, ok=None)
-        return bi, bii
+        return theorem_bounds(self.a, self.b, self.c, self.syzygy_table().r, t)
 
     def m0(self) -> int:
         # twist at which the normalized bundle criterion reads h^1: the
@@ -747,7 +760,7 @@ class _Analysis:
         dim S_m - t and the check there is arithmetic on t.
         """
         t = self.require_dim0()
-        for m in range(self.anchor + _TAIL):
+        for m in range(self.k_max + 1):
             predicted = sum(dim_S(m - vj) for vj in v) - sum(
                 dim_S(m - ui) for ui in u
             )

@@ -3,17 +3,17 @@
 For a reduced curve of degree d the three partials of its equation form a
 triple of degree d-1 forms; the finite scheme they cut out is the curve's
 singular locus, and its degree is tau, the global Tjurina number.  This
-module wraps the generic engine, certifies the degree/syzygy bounds on
-tau, and classifies the curve (smooth, lines through a point, free,
-nearly free, generic) with hard cross-checks between the independent
-freeness tests.
+module wraps the generic engine, reports the bounds on tau, and classifies
+the curve (smooth, lines through a point, free, nearly free, generic) with
+hard cross-checks between the independent freeness tests.  The tau bounds
+are the Theorem's bounds on t at a = b = c = d-1, du Plessis and Wall's.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import QciInput, QciReport, analyze_qci
+from .core import BoundsI, BoundsII, QciInput, QciReport, analyze_qci, theorem_bounds
 from .errors import GuardError, InternalError
 from .linalg import PrimeField
 from .poly import HomogPoly, parse_poly, variables
@@ -109,33 +109,23 @@ class CurveReport:
         }
 
 
+def _tau_bounds(bi: BoundsI, bii: BoundsII) -> TauBounds:
+    return TauBounds(
+        lower=bi.lower,
+        upper=bi.upper,
+        lower_ok=bi.lower_ok,
+        upper_ok=bi.upper_ok,
+        ii_applicable=bii.applicable,
+        ii_bound=bii.bound,
+        ii_ok=bii.ok,
+    )
+
+
 def certify_tau_bounds(d: int, r: int, tau: int) -> TauBounds:
     """Evaluate the two tau bounds for a degree-d curve with syzygy degree r."""
     if d < 2 or r < 0 or r > d - 1:
         raise GuardError(f"bounds need d >= 2 and 0 <= r <= d-1, got d={d}, r={r}")
-    lower = (d - 1) * (d - 1 - r)
-    upper = lower + r * r
-    if 2 * r + 1 > d:
-        cut = (2 * r + 1 - d) * (2 * r + 2 - d) // 2
-        bound = upper - cut
-        return TauBounds(
-            lower=lower,
-            upper=upper,
-            lower_ok=lower <= tau,
-            upper_ok=tau <= upper,
-            ii_applicable=True,
-            ii_bound=bound,
-            ii_ok=tau <= bound,
-        )
-    return TauBounds(
-        lower=lower,
-        upper=upper,
-        lower_ok=lower <= tau,
-        upper_ok=tau <= upper,
-        ii_applicable=False,
-        ii_bound=None,
-        ii_ok=None,
-    )
+    return _tau_bounds(*theorem_bounds(d - 1, d - 1, d - 1, r, tau))
 
 
 def free_lower_bound_check(d: int, tau: int) -> bool:
@@ -244,7 +234,6 @@ def analyze_curve(C: CurveInput) -> CurveReport:
             qci=rep,
         )
     tau, r = rep.t, rep.r
-    bounds = certify_tau_bounds(d, r, tau)
     curve_class, exponents, plus_one_case = _classify(
         d, tau, r, rep.c2_at_r, rep.splits
     )
@@ -256,7 +245,7 @@ def analyze_curve(C: CurveInput) -> CurveReport:
         curve_class=curve_class,
         exponents=exponents,
         plus_one_case=plus_one_case,
-        tau_bounds=bounds,
+        tau_bounds=_tau_bounds(rep.bounds_i, rep.bounds_ii),
         refusal=None,
         qci=rep,
     )

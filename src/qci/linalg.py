@@ -11,10 +11,11 @@ The prime is capped at ``p < 2**21``, so a product of two residues is
 below ``2**42``.  One kernel, :func:`_echelon`, eliminates every matrix,
 one panel of ``_NB`` columns at a time.  Inside a panel an entry takes at
 most ``_NB`` updates before it is reduced, staying below ``2**48`` in
-int64.  The rows above the panel and the columns right of it receive the
-panel's row operations as float64 matrix products of residues whose inner
-dimension is at most ``_NB``, so every sum stays below ``2**53``, where
-float64 represents every integer exactly and rounds nothing: the
+int64.  The columns right of the panel receive the panel's row operations
+as one float64 matrix product, and the rows above it then lose a multiple
+of the finished pivot rows as one more.  Both multiply residues over an
+inner dimension of at most ``_NB``, so every sum stays below ``2**53``,
+where float64 represents every integer exactly and rounds nothing: the
 arithmetic is exact and the bytes do not depend on the panel width.
 :func:`matmul` applies the same bound to a plain product: it cuts the
 inner dimension into runs of ``2**53 // (p-1)**2`` terms, one float64
@@ -89,18 +90,18 @@ def _echelon(M: np.ndarray, p: int, nb: int = _NB):
 
     The panel is held transposed, one C-contiguous block whose columns are
     the rows from the panel's first pivot row ``r0`` down, so the rank-one
-    update of each pivot writes contiguous rows.  The rows above ``r0``,
-    pivot rows of earlier panels, take no per-pivot work: with ``X`` their
-    entries in the panel's new pivot columns, their panel columns lose
-    ``X`` times the reduced pivot rows once the panel is done.  When
-    columns lie right of the panel, the panel also carries a block E that
-    writes every row from ``r0`` down as a combination of the panel's
-    pivot rows as they stood before it.  The columns right of the panel
-    then receive the whole panel's row operations as one float64 product
-    of E, and of ``-X`` times E's pivot rows for the rows above, with the
-    pivot rows' trailing parts, restricted to the rows it changes and the
+    update of each pivot writes contiguous rows.  When columns lie right of
+    the panel, the panel also carries a block E that writes every row from
+    ``r0`` down as a combination of the panel's pivot rows as they stood
+    before it.  The columns right of the panel then receive the whole
+    panel's row operations as one float64 product of E with the pivot
+    rows' trailing parts, restricted to the rows it changes and the
     columns where a pivot row is nonzero, so sparse maps stay cheap.  Row
-    swaps are two-row swaps of the trailing columns, made per pivot.
+    swaps are two-row swaps of the trailing columns, made per pivot.  The
+    rows above ``r0``, pivot rows of earlier panels, take no per-pivot
+    work: with ``X`` their entries in the panel's new pivot columns, they
+    lose ``X`` times the finished pivot rows, from column ``c0`` on, in
+    one product after the trailing one.
 
     Inside a panel, entries are reduced mod p only where a value is read:
     the pivot column and the pivot row.  Every other entry takes at most
@@ -143,7 +144,8 @@ def _echelon(M: np.ndarray, p: int, nb: int = _NB):
             if e:
                 P[w + k, k] = 1
             inv = pow(int(col[k]), p - 2, p)
-            tail = P[jc : w + k + 1] if e else P[jc:w]
+            # a P without E holds only its w panel rows
+            tail = P[jc : w + k + 1]
             prow = tail[:, k] % p * inv % p
             tail[:, k] = prow
             col[k] = 0
@@ -161,40 +163,36 @@ def _echelon(M: np.ndarray, p: int, nb: int = _NB):
         R[r0:, c0:c1] = P[:w].T
         if k == 0:
             continue
-        # The rows above r0 lose X times the new pivot rows, X being their
-        # entries in the new pivot columns: here in the panel columns, and
-        # folded into the trailing product below.
-        X = None
-        if r0:
-            new = pivots[-k:]
-            above = np.flatnonzero(R[:r0, new].any(axis=1))
-            if above.size:
-                X = R[np.ix_(above, new)].astype(np.float64)
-                T = (X @ R[r0:row, c0:c1].astype(np.float64)).astype(np.int64)
-                R[above, c0:c1] = (R[above, c0:c1] - T) % p
-        if not e:
+        if e:
+            Et = P[w : w + k]
+            below = np.flatnonzero(Et.any(axis=0))
+            rows = r0 + below
+            A = Et[:, below].T.astype(np.float64)
+            cols = c1 + np.flatnonzero(R[r0:row, c1:].any(axis=0))
+            U = R[r0:row, cols].astype(np.float64)
+            # Pivot rows are wholly described by E, other rows keep themselves.
+            R[r0:row, c1:] = 0
+            block = np.ix_(rows, cols)
+            T = (A @ U).astype(np.int64)
+            T += R[block]
+            # int64 remainder: float64 fmod is many times slower on values
+            # this far above p.
+            T %= p
+            R[block] = T
+        if not r0:
             continue
-        Et = P[w : w + k]
-        below = np.flatnonzero(Et.any(axis=0))
-        rows = r0 + below
-        A = Et[:, below].T.astype(np.float64)
-        if X is not None:
-            # The new pivot rows are E's pivot rows times the old ones, so
-            # the rows above take -X times those as their rows of E.
-            XE = (X @ -Et[:, :k].T.astype(np.float64)).astype(np.int64) % p
-            rows = np.concatenate([above, rows])
-            A = np.vstack([XE, A])
-        cols = c1 + np.flatnonzero(R[r0:row, c1:].any(axis=0))
-        U = R[r0:row, cols].astype(np.float64)
-        # Pivot rows are wholly described by E, other rows keep themselves.
-        R[r0:row, c1:] = 0
-        block = np.ix_(rows, cols)
-        T = (A @ U).astype(np.int64)
-        T += R[block]
-        # int64 remainder: float64 fmod is many times slower on values
-        # this far above p.
-        T %= p
-        R[block] = T
+        # The rows above r0 lose X times the now final pivot rows, X being
+        # their entries in the new pivot columns.
+        new = pivots[-k:]
+        above = np.flatnonzero(R[:r0, new].any(axis=1))
+        if above.size:
+            X = R[np.ix_(above, new)].astype(np.float64)
+            cols = c0 + np.flatnonzero(R[r0:row, c0:].any(axis=0))
+            block = np.ix_(above, cols)
+            T = (-X @ R[r0:row, cols].astype(np.float64)).astype(np.int64)
+            T += R[block]
+            T %= p
+            R[block] = T
     return R, tuple(pivots)
 
 

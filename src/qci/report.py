@@ -33,69 +33,53 @@ CSV_COLUMNS = (
 _BOUND_FLAG = {True: "pass", False: "fail", None: "na"}
 
 
-def _diagnostics(rep: QciReport) -> dict:
+def _document(command: str, rep: QciReport, inp: dict, results: dict) -> dict:
+    # the envelope every command's document shares; rep is the triple's report
     return {
-        "k_star": int(rep.hilbert.k_star),
-        "k_max": int(rep.hilbert.k_max),
-        # schema 1 keeps the key; the Hilbert window is fixed
-        "window_extensions": 0,
+        "schema_version": SCHEMA_VERSION,
+        "command": command,
+        "prime": int(rep.prime),
+        "input": inp,
+        "results": results,
+        "diagnostics": {
+            "k_star": int(rep.hilbert.k_star),
+            "k_max": int(rep.hilbert.k_max),
+            # schema 1 keeps the key; the Hilbert window is fixed
+            "window_extensions": 0,
+        },
+    }
+
+
+def _triple_input(
+    rep: QciReport, fa: str, fb: str, fc: str, degrees: tuple[int, int, int]
+) -> dict:
+    return {
+        "fa": fa,
+        "fb": fb,
+        "fc": fc,
+        "degrees": [int(x) for x in degrees],
+        "degrees_sorted": [int(x) for x in rep.degrees],
     }
 
 
 def qci_document(
     rep: QciReport, fa: str, fb: str, fc: str, degrees: tuple[int, int, int]
 ) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "command": "analyze-qci",
-        "prime": int(rep.prime),
-        "input": {
-            "fa": fa,
-            "fb": fb,
-            "fc": fc,
-            "degrees": [int(x) for x in degrees],
-            "degrees_sorted": [int(x) for x in rep.degrees],
-        },
-        "results": rep.to_dict(),
-        "diagnostics": _diagnostics(rep),
-    }
+    inp = _triple_input(rep, fa, fb, fc, degrees)
+    return _document("analyze-qci", rep, inp, rep.to_dict())
 
 
 def curve_document(rep: CurveReport, f: str) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "command": "analyze-curve",
-        "prime": int(rep.prime),
-        "input": {"f": f, "d": int(rep.d)},
-        "results": rep.to_dict(),
-        "diagnostics": _diagnostics(rep.qci),
-    }
+    return _document("analyze-curve", rep.qci, {"f": f, "d": int(rep.d)}, rep.to_dict())
 
 
 def hilbert_document(
     rep: QciReport, fa: str, fb: str, fc: str, degrees: tuple[int, int, int]
 ) -> dict:
     full = rep.to_dict()
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "command": "hilbert",
-        "prime": int(rep.prime),
-        "input": {
-            "fa": fa,
-            "fb": fb,
-            "fc": fc,
-            "degrees": [int(x) for x in degrees],
-            "degrees_sorted": [int(x) for x in rep.degrees],
-        },
-        "results": {
-            "dimension_class": full["dimension_class"],
-            "refusal": full["refusal"],
-            "t": full["t"],
-            "hilbert": full["hilbert"],
-            "syzygies": full["syzygies"],
-        },
-        "diagnostics": _diagnostics(rep),
-    }
+    keys = ("dimension_class", "refusal", "t", "hilbert", "syzygies")
+    inp = _triple_input(rep, fa, fb, fc, degrees)
+    return _document("hilbert", rep, inp, {key: full[key] for key in keys})
 
 
 def document_json(doc: dict) -> str:
@@ -233,10 +217,15 @@ def sweep_csv(rows: list[list[str]]) -> str:
     return buf.getvalue()
 
 
+def empty_csv_row(family: str, d: int, prime: int, status: str) -> list[str]:
+    """A sweep row with no results; the status column says why."""
+    return [family, str(d), str(prime)] + [""] * (len(CSV_COLUMNS) - 4) + [status]
+
+
 def curve_csv_row(family: str, d: int, prime: int, rep: CurveReport) -> list[str]:
     """One sweep row; refusals land in the status column, not in an exception."""
     if rep.refusal is not None:
-        return [family, str(d), str(prime), "", "", "", "", "", "", f"refused: {rep.refusal}"]
+        return empty_csv_row(family, d, prime, f"refused: {rep.refusal}")
     if rep.curve_class == "smooth":
         return [family, str(d), str(prime), "0", "", "", "smooth", "na", "na", "ok"]
     tb = rep.tau_bounds

@@ -12,9 +12,17 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qci import InternalError, PolyParseError, PrimeField, cli, parse_poly
+from qci import (
+    CurveInput,
+    InternalError,
+    PolyParseError,
+    PrimeField,
+    analyze_curve,
+    cli,
+    parse_poly,
+)
 from qci.cli import build_parser, main
-from qci.report import CSV_COLUMNS, REPORT_SCHEMA, SCHEMA_VERSION
+from qci.report import CSV_COLUMNS, REPORT_SCHEMA, SCHEMA_VERSION, curve_csv_row
 
 
 def run_cli(capsys, argv):
@@ -334,6 +342,30 @@ def test_sweep_reports_internal_error_per_row(capsys, monkeypatch):
     assert [row[9] for row in rows[1:]] == ["ok", "internal error: injected failure", "ok"]
     assert rows[2][3:9] == [""] * 6
     assert [int(row[3]) for row in (rows[1], rows[3])] == [4, 16]
+
+
+def test_every_sweep_row_fills_every_column(capsys, monkeypatch):
+    # ok, guard-error, internal-error and refused rows all have one field
+    # per CSV column
+    _, ok, _ = run_cli(capsys, ["sweep", "--family", "lines", "--d-range", "3..4"])
+    argv = ["sweep", "--family", "lines", "--d-range", "2..4", "--prime", "3"]
+    _, guarded, _ = run_cli(capsys, argv)
+
+    def fails(C):
+        raise InternalError("injected failure")
+
+    monkeypatch.setattr(cli, "analyze_curve", fails)
+    argv = ["sweep", "--family", "lines", "--d-range", "3..3"]
+    _, internal, _ = run_cli(capsys, argv)
+    field = PrimeField(32003)
+    rep = analyze_curve(CurveInput(parse_poly("x^2*y", field)))
+    rows = [
+        row for text in (ok, guarded, internal) for row in read_csv(text)[1:]
+    ] + [curve_csv_row("lines", 3, 32003, rep)]
+    assert [len(row) for row in rows] == [len(CSV_COLUMNS)] * len(rows)
+    statuses = [row[-1].partition(":")[0] for row in rows]
+    assert statuses == ["ok"] * 2 + ["error"] * 3 + ["internal error", "refused"]
+    assert all(row[3:-1] == [""] * (len(CSV_COLUMNS) - 4) for row in rows[2:])
 
 
 @pytest.mark.parametrize("cpus, workers", [(64, 3), (2, 2)])

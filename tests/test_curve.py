@@ -189,6 +189,23 @@ def test_certify_tau_bounds_guards():
         certify_tau_bounds(4, -1, 1)
 
 
+@pytest.mark.parametrize(
+    "spec",
+    ["x*y*z", "y^2*z - x^3 - x^2*z", "x^5 + y^5 + x^2*y^2*z", "x^4*z - y^4*z + x^5"],
+)
+def test_curve_tau_bounds_are_the_triple_bounds(spec, field):
+    # the tau bounds are the triple's bounds at a = b = c = d-1
+    rep = analyze_curve(CurveInput(parse_poly(spec, field)))
+    tb, bi, bii = rep.tau_bounds, rep.qci.bounds_i, rep.qci.bounds_ii
+    assert tb == certify_tau_bounds(rep.d, rep.r, rep.tau)
+    assert (tb.lower, tb.upper, tb.lower_ok, tb.upper_ok) == (
+        bi.lower, bi.upper, bi.lower_ok, bi.upper_ok
+    )
+    assert (tb.ii_applicable, tb.ii_bound, tb.ii_ok) == (
+        bii.applicable, bii.bound, bii.ok
+    )
+
+
 def test_free_lower_bound_check_values():
     assert free_lower_bound_check(3, 3)
     assert free_lower_bound_check(5, 13)

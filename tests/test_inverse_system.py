@@ -557,6 +557,57 @@ def test_no_window_degree_below_the_least_syzygy_is_eliminated(field, monkeypatc
     assert not any(counts[m] for m in range(eng.a - 1, first))
 
 
+def _pencil(field, seed):
+    # three linear forms in x and y alone: the point [0:0:1]
+    rng = random.Random(seed)
+    return QciInput.of(
+        *(
+            HomogPoly(1, {(1, 0, 0): rng.randrange(1, field.p),
+                          (0, 1, 0): rng.randrange(1, field.p)}, field)
+            for _ in range(3)
+        )
+    )
+
+
+@pytest.mark.parametrize("which", ["x,y,x+y", "pencil-0", "pencil-1", "node7"])
+def test_chain_never_starts_at_k_max(which, field, monkeypatch):
+    # no stage reads degree k_max+1, so an N_{k_max} from a chain starting
+    # at k_max would be read by nothing
+    if which.startswith("pencil"):
+        Q = _pencil(field, int(which[7:]))
+    else:
+        Q = _named_input(field, which)
+    engines = _record_engines(monkeypatch)
+    report = analyze_qci(Q)
+    (eng,) = engines
+    assert report.dimension_class == "dim0"
+    assert not eng._chain or min(eng._chain) < report.hilbert.k_max
+
+
+@pytest.mark.parametrize("which", ["node9", "lines6", "1,x,y", "x,y,x+y"])
+def test_nothing_is_built_below_the_syzygy_window(which, field, monkeypatch):
+    # below degree a-1 the map has no columns: a lone value there builds and
+    # eliminates nothing, and analyze_qci ranks no such degree
+    Q = _named_input(field, which)
+    lo = max(Q.degrees[0] - 1, 0)
+    calls = _record_eliminations(monkeypatch)
+    built = []
+    mult_matrix = core.mult_matrix
+
+    def recording(g, src):
+        built.append(src)
+        return mult_matrix(g, src)
+
+    monkeypatch.setattr(core, "mult_matrix", recording)
+    for k in range(lo):
+        assert core.quotient_hilbert(Q, k) == dim_S(k)
+    assert calls == [] and built == []
+    engines = _record_engines(monkeypatch)
+    analyze_qci(Q)
+    (eng,) = engines
+    assert min(eng._ranks) >= lo
+
+
 @pytest.mark.parametrize("which", ["node7", "nodal cubic", "ci_qci(2, 4)", "x,y,x+y"])
 def test_lone_window_value_eliminates_one_map(which, field, monkeypatch):
     # the skip reads only degrees already ranked; it never ranks one above
