@@ -60,7 +60,7 @@ with chi(k) = (k+1)(k+2)/2 and h^0(E(m')) the kernel dimension of the
 degree-m' map.  For m >= 0, m' < k*, so that rank is one the Hilbert
 window already holds.
 
-Each degree's map is eliminated at most once, in ``_Analysis.rank_at``,
+Each degree's map is eliminated at most once, in ``_Analysis.dimension``,
 which keeps the one kernel a later stage reads: N_m on the chain (stepped,
 or eliminated at its start), and the right kernel K_m over the syzygy
 window [a-1, a+b+1] (lift degree, window, twist above), whose row count is
@@ -72,7 +72,8 @@ syzygy degree r+c only r+c-1 is eliminated; the ones below it keep the
 empty K_m an elimination would give.  Below max(a-1, 0) the ideal is zero
 and the map has no columns, so those degrees have rank 0 and nothing is
 built there.  The saturation and the resolution check only read ranks of
-the window, so ``analyze_qci`` eliminates nothing above k_max.
+the window, so ``analyze_qci`` eliminates nothing above k_max; a lone
+value outside ``dimension`` is one plain rank.
 """
 
 from __future__ import annotations
@@ -108,14 +109,10 @@ class QciInput:
     __slots__ = ("polys",)
 
     def __init__(self, polys: tuple[HomogPoly, HomogPoly, HomogPoly]):
-        self.polys = polys
-
-    @classmethod
-    def of(cls, f1: HomogPoly, f2: HomogPoly, f3: HomogPoly) -> "QciInput":
-        triple = (f1, f2, f3)
+        f1, f2, f3 = polys
         if f1.field != f2.field or f1.field != f3.field:
             raise GuardError("all three forms must live over the same prime field")
-        if all(f.is_zero for f in triple):
+        if all(f.is_zero for f in polys):
             raise GuardError("at least one form must be nonzero")
         p = f1.field.p
         total = f1.degree + f2.degree + f3.degree
@@ -123,7 +120,7 @@ class QciInput:
             raise GuardError(
                 f"prime {p} too small for degrees summing to {total}; need p > a+b+c"
             )
-        polys = tuple(sorted(triple, key=lambda f: f.degree))
+        polys = tuple(sorted(polys, key=lambda f: f.degree))
         if polys[0].is_zero and polys[0].degree < polys[1].degree:
             # the invariants need Fa != 0: a zero form of least degree
             # puts a syzygy at twist a - c, which forces t = a*c, while
@@ -132,7 +129,11 @@ class QciInput:
                 f"the form of least degree {polys[0].degree} is zero; a zero "
                 "form must tie in degree with another form"
             )
-        return cls(polys)
+        self.polys = polys
+
+    @classmethod
+    def of(cls, f1: HomogPoly, f2: HomogPoly, f3: HomogPoly) -> "QciInput":
+        return cls((f1, f2, f3))
 
     @property
     def degrees(self) -> tuple[int, int, int]:
@@ -360,12 +361,10 @@ class _Analysis:
         self.anchor = max(self.k_star, 0)
         self.k_max = self.anchor + _TAIL - 1
         self._ranks: dict[int, int] = {}
-        # right kernels K_m and the chain's left null spaces N_m, kept by rank_at
+        # the syzygy window's right kernels K_m and the chain's left null
+        # spaces N_m, kept by dimension
         self._kernels: dict[int, np.ndarray] = {}
         self._left: dict[int, np.ndarray] = {}
-        # degrees whose N_m belongs to the inverse-system chain, stepped to
-        # N_{m+1}
-        self._chain: set[int] = set()
         self._dim_info = None
         self._syzygy = None
 
@@ -378,48 +377,17 @@ class _Analysis:
         return np.hstack([mult_matrix(f, m - f.degree) for f in self.Q.polys])
 
     def rank_at(self, m: int) -> int:
-        """Rank of the degree-m map, read off the kernel the degree keeps.
+        """Rank of the degree-m map: the one ``dimension`` recorded, or a
+        plain rank.
 
-        Each degree is eliminated at most once and keeps at most one
-        kernel: a chain degree its N_m, stepped from N_{m-1}; a degree of
-        the syzygy window [a-1, a+b+1] its K_m, for kernel_at; a degree
-        that starts the chain its N_m.  Any other degree is one plain rank.
-        A window degree whose successor is already ranked injective is
-        injective too and eliminates nothing: its K_m is the empty
-        0 x cols array kernel_basis would return.  Only the cache is read,
-        so a lone value still eliminates one map.  Below the window, under
-        degree max(a-1, 0), the map has no columns: its rank is 0, and
+        Below degree max(a-1, 0) the map has no columns: its rank is 0, and
         nothing is built or cached.
         """
         if m < max(self.a - 1, 0):
             return 0
         v = self._ranks.get(m)
-        if v is not None:
-            return v
-        if m - 1 in self._chain:
-            prev, p = self._left[m - 1], self.field.p
-            C = kernel_basis(_contraction_system(prev, m - 1, p), self.field)
-            N = _integrate(C, prev, m - 1, p)
-            self._left[m] = N
-            self._chain.add(m)
-            v = dim_S(m) - N.shape[0]
-        elif self.a - 1 <= m <= self.a + self.b + 1:
-            if self._ranks.get(m + 1) == self._cols(m + 1):
-                # injective one degree up, so injective here: a syzygy of
-                # degree m times x would be one of degree m+1
-                K = np.zeros((0, self._cols(m)), dtype=np.int64)
-            else:
-                K = kernel_basis(self.map_at(m), self.field)
-            self._kernels[m] = K
-            v = K.shape[1] - K.shape[0]
-        elif self._switches_at(m):
-            N = kernel_basis(self.map_at(m).T, self.field)
-            self._left[m] = N
-            self._chain.add(m)
-            v = dim_S(m) - N.shape[0]
-        else:
-            v = rank(self.map_at(m), self.field)
-        self._ranks[m] = v
+        if v is None:
+            v = self._ranks[m] = rank(self.map_at(m), self.field)
         return v
 
     def _cols(self, m: int) -> int:
@@ -427,41 +395,33 @@ class _Analysis:
         return sum(dim_S(m - f.degree) for f in self.Q.polys)
 
     def _switches_at(self, m: int) -> bool:
-        """Whether degree m starts the inverse-system chain.
+        """Whether degree m, above the syzygy window, starts the chain.
 
-        Only a degree m >= max(c, a+b+2) can: from c on the ideal in
-        degree m+1 is S_1 times its degree-m part, and up to a+b+1 the
-        syzygy stage reads the right kernel K_m, which a chain degree does
-        not keep.  Above that, shapes alone decide, pricing the step into
-        m+1 against the direct map there.  The step eliminates a
-        3*dim_S(m) x 3h system, h = HF(m), taken here to cost
+        Only a degree c <= m < k_max can: from c on the ideal in degree
+        m+1 is S_1 times its degree-m part, and no stage reads degree
+        k_max+1, the first step from N_{k_max}.  Shapes alone decide,
+        pricing the step into m+1 against the direct map there.  The step
+        eliminates a 3*dim_S(m) x 3h system, h = HF(m), taken here to cost
         18 h^2 dim_S(m); the direct map costs about
         (dim_S(m+1) - h) * dim_S(m+1) * cols(m+1).  HF(m) is what degree m
         is about to compute, so HF(m-1) stands in for it.  The chain starts
         only where the step is estimated at under a quarter of that: direct
         maps are often sparse, which the estimate does not see, and with a
         smaller margin the pencil-of-lines maps (plateau (d-1)^2) ran
-        slower stepped.  A lone Hilbert value, with no HF(m-1) at hand,
-        stays direct, and so does k_max, since no stage reads degree
-        k_max+1.
+        slower stepped.
         """
-        if (
-            not max(self.c, self.a + self.b + 2) <= m < self.k_max
-            or m - 1 not in self._ranks
-        ):
+        if not self.c <= m < self.k_max:
             return False
         h = dim_S(m - 1) - self._ranks[m - 1]
         step_cost = 18 * h * h * dim_S(m)
         direct_cost = (dim_S(m + 1) - h) * dim_S(m + 1) * self._cols(m + 1)
         return 4 * step_cost < direct_cost
 
-    def _check_annihilation(self, m: int) -> None:
+    def _check_annihilation(self, N: np.ndarray, m: int) -> None:
         # a stepped N_m must annihilate the direct map, checked by exact
         # products one form's block at a time, so that only one block's
-        # float64 copy is live; a directly eliminated N_m would prove nothing
-        if m not in self._chain or m - 1 not in self._chain:
-            return
-        N, p = self._left[m], self.field.p
+        # float64 copy is live
+        p = self.field.p
         if any(
             matmul(N, mult_matrix(f, m - f.degree), p).any() for f in self.Q.polys
         ):
@@ -482,14 +442,43 @@ class _Analysis:
 
         All zero is empty, constant is dim0, strictly increasing is
         dim_ge_1 (see the module docstring); anything else is a fault.
-        The syzygy window a+b+1 .. a-1 is ranked first, from the top down,
-        so that its degrees below the topmost injective one are not
-        eliminated (see ``rank_at``).
+        Every elimination of the Hilbert window is made here, once per
+        degree, in two loops.  The syzygy window a+b+1 .. max(a-1, 0) goes
+        from the top down and keeps each K_m; below the first injective
+        degree every degree is injective and keeps the empty K_m with no
+        elimination.  The degrees a+b+2 .. k_max go upward: plain ranks
+        until ``_switches_at`` starts the chain, whose first degree keeps
+        the left null space N_m and whose later degrees are steps.  A chain
+        that reaches k_max is then checked against the direct map there.
         """
         if self._dim_info is not None:
             return self._dim_info
-        for m in range(self.a + self.b + 1, self.a - 2, -1):
-            self.rank_at(m)
+        a, b, p = self.a, self.b, self.field.p
+        K = None
+        for m in range(a + b + 1, max(a - 1, 0) - 1, -1):
+            if K is not None and K.shape[0] == 0:
+                # injective one degree up, so injective here: a syzygy of
+                # degree m times x would be one of degree m+1
+                K = np.zeros((0, self._cols(m)), dtype=np.int64)
+            else:
+                K = kernel_basis(self.map_at(m), self.field)
+            self._kernels[m] = K
+            self._ranks[m] = K.shape[1] - K.shape[0]
+        N = None
+        for m in range(a + b + 2, self.k_max + 1):
+            if N is not None:
+                C = kernel_basis(_contraction_system(N, m - 1, p), self.field)
+                N = _integrate(C, N, m - 1, p)
+            elif self._switches_at(m):
+                N = kernel_basis(self.map_at(m).T, self.field)
+            else:
+                self.rank_at(m)
+                continue
+            self._left[m] = N
+            self._ranks[m] = dim_S(m) - N.shape[0]
+        if N is not None:
+            # the chain never starts at k_max, so this N was stepped
+            self._check_annihilation(N, self.k_max)
         values = tuple(self.hilbert_value(k) for k in range(self.k_max + 1))
         tail = values[-_TAIL:]
         if not any(tail):
@@ -504,7 +493,6 @@ class _Analysis:
                 f"{self.k_max} (k* = {self.k_star}) is neither constant nor "
                 "strictly increasing"
             )
-        self._check_annihilation(self.k_max)
         table = HilbertTable(
             values=values, k_star=self.k_star, k_max=self.k_max, plateau=plateau
         )
@@ -521,13 +509,10 @@ class _Analysis:
 
     # -- syzygies ---------------------------------------------------------
 
-    def kernel_at(self, m: int) -> np.ndarray:
-        # rank_at keeps K_m over the syzygy window, which no chain reaches
-        self.rank_at(m)
-        return self._kernels[m]
-
     def h0E(self, k: int) -> int:
-        return self.kernel_at(k + self.c).shape[0]
+        # syzygies of twist k: the kernel of the degree-(k+c) map
+        m = k + self.c
+        return self._cols(m) - self.rank_at(m)
 
     def syzygy_table(self) -> SyzygyTable:
         if self._syzygy is not None:
@@ -576,7 +561,7 @@ class _Analysis:
             h0 = self.h0E(k)
             if h0 == 0:
                 continue
-            prev = self.kernel_at(m - 1)
+            prev = self._kernels[m - 1]
             if prev.shape[0] == 0:
                 new = h0
             else:
@@ -641,8 +626,8 @@ class _Analysis:
         if m < 0:
             return 0
         t = self.require_dim0()
-        dual = self.a + self.b + self.c - 3 - m
-        h0 = self._cols(dual) - self.rank_at(dual)
+        # h^0(E(m')) is the kernel of the degree-m' map, at twist m' - c
+        h0 = self.h0E(self.a + self.b - 3 - m)
         shifts = sum(dim_S(m - f.degree) - _chi(m - f.degree) for f in self.Q.polys)
         return _chi(m) - t + shifts + h0
 

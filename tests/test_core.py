@@ -126,6 +126,28 @@ def test_input_rejects_small_prime():
         QciInput.of(x * y, y * z, x * z)
 
 
+@pytest.mark.parametrize(
+    "texts", [("x^2", "y", "x*z"), ("x^3", "y^2", "x*y"), ("x^2*z", "y", "x*y*z")]
+)
+def test_direct_construction_sorts_like_of(texts, field):
+    polys = tuple(parse_poly(s, field) for s in texts)
+    direct = analyze_qci(QciInput(polys)).to_dict()
+    assert direct == analyze_qci(QciInput.of(*polys)).to_dict()
+
+
+def test_direct_construction_applies_the_guards(field, alt_field):
+    from qci import PrimeField
+
+    x, y, z = variables(field)
+    with pytest.raises(GuardError, match="same prime field"):
+        QciInput((x, parse_poly("y", alt_field), z))
+    with pytest.raises(GuardError, match="least degree 0"):
+        QciInput((x, y, HomogPoly.zero(0, field)))
+    u, v, w = variables(PrimeField(7))
+    with pytest.raises(GuardError, match="need p > a\\+b\\+c"):
+        QciInput((u * v, v * w, u * w * w))
+
+
 # ---------------------------------------------------------------------------
 # graded pieces of the ideal
 

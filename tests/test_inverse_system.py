@@ -5,12 +5,13 @@ degree's map, and on monomial ideals with the counting oracle of
 conftest.py.  The step helpers are called directly, so these checks do not
 depend on where the engine's cost rule starts the chain.
 
-The engine eliminates each degree's map once: ``_Analysis.rank_at`` keeps
-the one kernel a later stage reads (K_m in the syzygy window, N_m on the
-chain), so ``kernel_at`` only reads it, ``saturation_dim`` reads only
-ranks of the Hilbert window, and ``analyze_qci`` ranks nothing above
-k_max.  The chain starts above the syzygy window, so it never holds a
-degree whose K_m the syzygy stage needs.  A window degree below an
+The engine eliminates each degree's map once: ``_Analysis.dimension``
+keeps the one kernel a later stage reads (K_m in the syzygy window, N_m on
+the chain), the syzygy stage reads the K_m it kept, ``saturation_dim``
+reads only ranks of the Hilbert window, and ``analyze_qci`` ranks nothing
+above k_max; a lone ``rank_at`` outside that plan is one plain rank.  The
+chain starts above the syzygy window, so it never holds a degree whose K_m
+the syzygy stage needs.  A window degree below an
 injective one is injective and is not eliminated at all; its empty K_m is
 compared byte for byte with a direct kernel.
 A stepped N is a basis of I_m^perp but not the canonical one, so it is
@@ -153,7 +154,7 @@ def _chained_engine(field):
     Q = QciInput.of(*_node_partials(7, field, seed=3))
     eng = core._Analysis(Q)
     eng.dimension()
-    assert any(m - 1 in eng._chain for m in eng._chain), (
+    assert any(m - 1 in eng._left for m in eng._left), (
         "the cost rule should start the chain on a dense node and step it"
     )
     return Q, eng
@@ -166,16 +167,17 @@ def test_chain_spans_the_direct_left_null_space(field):
         assert rref(N, field)[0].tobytes() == rref(K, field)[0].tobytes(), m
 
 
-def test_left_null_steps_above_the_window(field):
+def test_lone_rank_above_the_window_is_direct(field, monkeypatch):
     # after the chain, a degree above k_max (only a lone h1_E call ranks
-    # one) is stepped, not eliminated afresh
+    # one) is one plain rank, not a step from N_{k_max}
     Q, eng = _chained_engine(field)
     top = eng.dimension()[2].k_max + 1
-    eng.rank_at(top)
-    N = eng._left[top]
-    assert top in eng._chain and top - 1 in eng._chain
-    K = kernel_basis(eng.map_at(top).T, field)
-    assert rref(N, field)[0].tobytes() == rref(K, field)[0].tobytes()
+    chain = set(eng._left)
+    calls = _record_eliminations(monkeypatch)
+    v = eng.rank_at(top)
+    assert calls == ["rank"]
+    assert set(eng._left) == chain
+    assert v == rank(eng.map_at(top), field)
 
 
 def test_lone_hilbert_value_stays_direct(field):
@@ -183,19 +185,7 @@ def test_lone_hilbert_value_stays_direct(field):
     top = max(eng._left)
     fresh = core._Analysis(Q)
     assert fresh.hilbert_value(top) == eng.hilbert_value(top)
-    assert not fresh._chain
-
-
-def test_no_step_below_the_top_generator_degree(field):
-    # below c, I_{m+1} is not S_1 * I_m: the forms of degree c are new there
-    Q, eng = _chained_engine(field)
-    c = Q.degrees[2]
-    fresh = core._Analysis(Q)
-    # a held N_{c-1} and HF(c-1), as a step into degree c would read them
-    N = kernel_basis(fresh.map_at(c - 1).T, field)
-    fresh._left[c - 1] = N
-    fresh._ranks[c - 1] = dim_S(c - 1) - N.shape[0]
-    assert fresh.rank_at(c) == eng.rank_at(c) == 3
+    assert not fresh._left
 
 
 def test_corrupted_lift_fails_the_annihilation_check(field, monkeypatch):
@@ -308,14 +298,14 @@ def test_each_map_is_eliminated_once(which, both, field, monkeypatch):
     assert all(n <= 1 for n in counts.values())
     # every degree the engine ranked without a step was eliminated, except
     # the window degrees below the topmost injective one, none of which was
-    stepped = {m for m in eng._chain if m - 1 in eng._chain}
+    stepped = {m for m in eng._left if m - 1 in eng._left}
     skipped = _skipped_window_degrees(eng)
     assert all(counts[m] for m in eng._ranks if m not in stepped | skipped)
     assert not any(counts[m] for m in skipped)
     if which.startswith("node"):
-        assert any(m - 1 in eng._chain for m in eng._chain)
+        assert any(m - 1 in eng._left for m in eng._left)
     if which == "lines6":
-        assert not eng._chain
+        assert not eng._left
 
 
 @pytest.mark.parametrize(
@@ -349,13 +339,14 @@ def test_chain_starts_above_the_syzygy_window(which, field):
     eng = core._Analysis(Q)
     eng.dimension()
     a, b, c = Q.degrees
-    assert eng._chain
-    assert min(eng._chain) >= max(c, a + b + 2)
+    assert eng._left
+    assert min(eng._left) >= max(c, a + b + 2)
 
 
 def test_eliminations_happen_only_where_kernels_are_kept(field, monkeypatch):
-    # kernel_at only reads what rank_at kept, and the saturation only
-    # reads ranks, so no other stage eliminates
+    # dimension makes the Hilbert window's eliminations, its plain ranks
+    # through rank_at; the syzygy stage reads the K_m it kept, and the
+    # saturation only reads ranks, so no other stage eliminates
     calls = set()
 
     def recording(fn):
@@ -377,7 +368,7 @@ def test_eliminations_happen_only_where_kernels_are_kept(field, monkeypatch):
         core.saturation_dim(inputs[2], m)
         core.h1_E(nodal, m - 2)
     callers = {caller for _, caller in calls}
-    assert callers == {"rank_at", "_generator_degrees"}
+    assert callers == {"dimension", "rank_at", "_generator_degrees"}
 
 
 def _full_stack_saturation(Q, m):
@@ -540,7 +531,7 @@ def test_skipped_window_kernels_match_direct_elimination(which):
         eng.dimension()
         window = range(max(eng.a - 1, 0), eng.a + eng.b + 2)
         for m in window:
-            K, kept = kernel_basis(eng.map_at(m), field), eng.kernel_at(m)
+            K, kept = kernel_basis(eng.map_at(m), field), eng._kernels[m]
             assert (kept.shape, kept.dtype) == (K.shape, K.dtype), (p, m)
             assert kept.tobytes() == K.tobytes(), (p, m)
         # x times a syzygy is a syzygy one degree up, so h^0(E(k)) never drops
@@ -581,7 +572,7 @@ def test_chain_never_starts_at_k_max(which, field, monkeypatch):
     report = analyze_qci(Q)
     (eng,) = engines
     assert report.dimension_class == "dim0"
-    assert not eng._chain or min(eng._chain) < report.hilbert.k_max
+    assert not eng._left or min(eng._left) < report.hilbert.k_max
 
 
 @pytest.mark.parametrize("which", ["node9", "lines6", "1,x,y", "x,y,x+y"])

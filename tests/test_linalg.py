@@ -202,7 +202,7 @@ def _node_chain_system(p):
     coeffs = {m: rng.randrange(1, p) for m in monomial_basis(9) if m not in skip}
     eng = core._Analysis(QciInput.of(*HomogPoly(9, coeffs, field).partials()))
     eng.dimension()
-    m = min(eng._chain)
+    m = min(eng._left)
     A = core._contraction_system(eng._left[m], m, p)
     assert A.shape[0] > A.shape[1] and 0 < A.shape[1] <= NB
     return A
