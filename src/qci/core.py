@@ -390,6 +390,18 @@ class _Analysis:
             v = self._ranks[m] = rank(self.map_at(m), self.field)
         return v
 
+    def kernel_at(self, m: int) -> np.ndarray:
+        # K_m, a basis of the degree-m map's kernel
+        return kernel_basis(self.map_at(m), self.field)
+
+    def left_null(self, m: int, prev: np.ndarray | None = None) -> np.ndarray:
+        # N_m, a basis of the degree-m map's left null space: from the
+        # transposed map, or stepped from prev = N_{m-1}
+        if prev is None:
+            return kernel_basis(self.map_at(m).T, self.field)
+        C = kernel_basis(_contraction_system(prev, m - 1, self.field.p), self.field)
+        return _integrate(C, prev, m - 1, self.field.p)
+
     def _cols(self, m: int) -> int:
         # columns of the degree-m map
         return sum(dim_S(m - f.degree) for f in self.Q.polys)
@@ -450,10 +462,12 @@ class _Analysis:
         until ``_switches_at`` starts the chain, whose first degree keeps
         the left null space N_m and whose later degrees are steps.  A chain
         that reaches k_max is then checked against the direct map there.
+        Each elimination goes through ``rank_at``, ``kernel_at`` or
+        ``left_null``, the callers by which a linalg trace names its stage.
         """
         if self._dim_info is not None:
             return self._dim_info
-        a, b, p = self.a, self.b, self.field.p
+        a, b = self.a, self.b
         K = None
         for m in range(a + b + 1, max(a - 1, 0) - 1, -1):
             if K is not None and K.shape[0] == 0:
@@ -461,16 +475,13 @@ class _Analysis:
                 # degree m times x would be one of degree m+1
                 K = np.zeros((0, self._cols(m)), dtype=np.int64)
             else:
-                K = kernel_basis(self.map_at(m), self.field)
+                K = self.kernel_at(m)
             self._kernels[m] = K
             self._ranks[m] = K.shape[1] - K.shape[0]
         N = None
         for m in range(a + b + 2, self.k_max + 1):
-            if N is not None:
-                C = kernel_basis(_contraction_system(N, m - 1, p), self.field)
-                N = _integrate(C, N, m - 1, p)
-            elif self._switches_at(m):
-                N = kernel_basis(self.map_at(m).T, self.field)
+            if N is not None or self._switches_at(m):
+                N = self.left_null(m, N)
             else:
                 self.rank_at(m)
                 continue
@@ -517,6 +528,7 @@ class _Analysis:
     def syzygy_table(self) -> SyzygyTable:
         if self._syzygy is not None:
             return self._syzygy
+        self.dimension()  # keeps the K_m the generator lifts read
         a, b, c = self.a, self.b, self.c
         lo, hi = a - c, a + b - c
         dims = tuple((k, self.h0E(k)) for k in range(lo, hi + 1))

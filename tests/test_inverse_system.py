@@ -21,8 +21,10 @@ compared in every degree with the common kernel of the shifted copies of
 a directly eliminated left null space.
 """
 
+import importlib.util
 import random
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -180,12 +182,22 @@ def test_lone_rank_above_the_window_is_direct(field, monkeypatch):
     assert v == rank(eng.map_at(top), field)
 
 
-def test_lone_hilbert_value_stays_direct(field):
+def test_lone_hilbert_value_stays_direct(field, monkeypatch):
+    # a lone value on the chain's top degree is one plain rank, equal to
+    # the stepped one
     Q, eng = _chained_engine(field)
     top = max(eng._left)
     fresh = core._Analysis(Q)
+    calls = _record_eliminations(monkeypatch)
     assert fresh.hilbert_value(top) == eng.hilbert_value(top)
-    assert not fresh._left
+    assert calls == ["rank"]
+
+
+def test_lone_syzygy_table_runs_the_plan(field):
+    # the generator lifts read the K_m that dimension keeps, so the syzygy
+    # table does not depend on dimension having run first
+    Q = QciInput.of(*_node_partials(6, field, seed=1))
+    assert core._Analysis(Q).syzygy_table() == core.syzygy_dims(Q)
 
 
 def test_corrupted_lift_fails_the_annihilation_check(field, monkeypatch):
@@ -344,8 +356,8 @@ def test_chain_starts_above_the_syzygy_window(which, field):
 
 
 def test_eliminations_happen_only_where_kernels_are_kept(field, monkeypatch):
-    # dimension makes the Hilbert window's eliminations, its plain ranks
-    # through rank_at; the syzygy stage reads the K_m it kept, and the
+    # dimension makes the Hilbert window's eliminations through rank_at,
+    # kernel_at and left_null; the syzygy stage reads the K_m it kept, and the
     # saturation only reads ranks, so no other stage eliminates
     calls = set()
 
@@ -368,7 +380,14 @@ def test_eliminations_happen_only_where_kernels_are_kept(field, monkeypatch):
         core.saturation_dim(inputs[2], m)
         core.h1_E(nodal, m - 2)
     callers = {caller for _, caller in calls}
-    assert callers == {"dimension", "rank_at", "_generator_degrees"}
+    assert callers == {"kernel_at", "left_null", "rank_at", "_generator_degrees"}
+    # perfbench's trace files linalg time under its caller's stage
+    spec = importlib.util.spec_from_file_location(
+        "spans", Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    )
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    assert callers <= set(spans.STAGES)
 
 
 def _full_stack_saturation(Q, m):
