@@ -62,9 +62,9 @@ window already holds.
 
 Each degree's map is eliminated at most once, in ``_Analysis.dimension``,
 which keeps the one kernel a later stage reads: N_m on the chain (stepped,
-or eliminated at its start), and the right kernel K_m over the syzygy
-window [a-1, a+b+1] (lift degree, window, twist above), whose row count is
-h^0(E(m-c)).  S is a domain, so x times a degree-m syzygy is a nonzero
+or eliminated at its start) until the next step replaces it, and the right
+kernel K_m over the syzygy window [a-1, a+b+1] (lift degree, window, twist
+above), whose row count is h^0(E(m-c)).  S is a domain, so x times a degree-m syzygy is a nonzero
 syzygy of degree m+1, and h^0(E(k)) never drops as k grows: below an
 injective degree every degree is injective.  ``dimension`` ranks the
 window from the top down, so of the injective degrees below the least
@@ -192,102 +192,66 @@ class Classification:
     resolution: tuple[tuple[int, ...], tuple[int, ...]] | None
 
 
-@dataclass(frozen=True)
+def _plain(value, drop=()):
+    """A report value as plain data: a dataclass becomes a dict of its fields
+    in declaration order, less the names in ``drop``, and a tuple a list."""
+    if type(value) is tuple:
+        if all(type(v) is int for v in value):
+            return list(value)
+        return [_plain(v) for v in value]
+    # the field mapping that dataclasses.fields reads, in declaration order
+    names = getattr(value, "__dataclass_fields__", None)
+    if names is None:
+        return value
+    return {n: _plain(getattr(value, n)) for n in names if n not in drop}
+
+
+@dataclass(frozen=True, kw_only=True)
 class QciReport:
     prime: int
     degrees: tuple[int, int, int]
     dimension_class: str
-    refusal: str | None
-    t: int | None
-    r: int | None
-    gamma: int | None
-    c2_at_r: int | None
-    m0: int | None
-    h1_at_m0: int | None
-    splits: bool | None
-    bounds_i: BoundsI | None
-    bounds_ii: BoundsII | None
-    generator_degrees: tuple[int, ...] | None
-    classification: Classification | None
-    resolution_verified: bool | None
+    refusal: str | None = None
+    t: int | None = None
+    r: int | None = None
+    gamma: int | None = None
+    c2_at_r: int | None = None
+    m0: int | None = None
+    h1_at_m0: int | None = None
+    splits: bool | None = None
+    bounds_i: BoundsI | None = None
+    bounds_ii: BoundsII | None = None
+    generator_degrees: tuple[int, ...] | None = None
+    classification: Classification | None = None
+    resolution_verified: bool | None = None
     hilbert: HilbertTable
-    syzygies: SyzygyTable | None
+    syzygies: SyzygyTable | None = None
 
     def to_dict(self) -> dict:
-        """Plain-data view with a fixed key order, safe to serialize."""
-        cls = None
-        if self.classification is not None:
-            res = None
-            if self.classification.resolution is not None:
-                u, v = self.classification.resolution
-                res = {"u": [int(x) for x in u], "v": [int(x) for x in v]}
-            cls = {
-                "tag": self.classification.tag,
-                "case": self.classification.case,
-                "e_type": (
-                    None
-                    if self.classification.e_type is None
-                    else [int(x) for x in self.classification.e_type]
-                ),
-                "resolution": res,
-            }
-        syz = None
-        if self.syzygies is not None:
-            syz = {
-                "window": [int(x) for x in self.syzygies.window],
-                "dims": [[int(k), int(v)] for k, v in self.syzygies.dims],
-                "r": int(self.syzygies.r),
-            }
-        return {
-            "dimension_class": self.dimension_class,
-            "refusal": self.refusal,
-            "t": _opt_int(self.t),
-            "r": _opt_int(self.r),
-            "gamma": _opt_int(self.gamma),
-            "c2_at_r": _opt_int(self.c2_at_r),
-            "m0": _opt_int(self.m0),
-            "h1_at_m0": _opt_int(self.h1_at_m0),
-            "splits": self.splits,
-            "bounds_i": (
-                None
-                if self.bounds_i is None
-                else {
-                    "lower": int(self.bounds_i.lower),
-                    "upper": int(self.bounds_i.upper),
-                    "lower_ok": self.bounds_i.lower_ok,
-                    "upper_ok": self.bounds_i.upper_ok,
-                }
-            ),
-            "bounds_ii": (
-                None
-                if self.bounds_ii is None
-                else {
-                    "applicable": self.bounds_ii.applicable,
-                    "bound": _opt_int(self.bounds_ii.bound),
-                    "ok": self.bounds_ii.ok,
-                }
-            ),
-            "generator_degrees": (
-                None
-                if self.generator_degrees is None
-                else [int(x) for x in self.generator_degrees]
-            ),
-            "classification": cls,
-            "resolution_verified": self.resolution_verified,
-            "hilbert": {
-                "k_star": int(self.hilbert.k_star),
-                "k_max": int(self.hilbert.k_max),
-                # schema 1 keeps the key; the window is fixed
-                "extensions": 0,
-                "plateau": _opt_int(self.hilbert.plateau),
-                "values": [int(v) for v in self.hilbert.values],
-            },
-            "syzygies": syz,
+        """Plain-data view, safe to serialize: field order is key order.
+
+        The four edits below are schema 1's quirks, each with its reason.
+        """
+        # the document envelope carries the prime and the degrees
+        out = _plain(self, drop=("prime", "degrees"))
+        if out["syzygies"]:
+            # the generator degrees are a top-level key
+            del out["syzygies"]["generator_degrees"]
+        cls = out["classification"]
+        if cls and cls["resolution"]:
+            # schema 1 names the two sides of a resolution
+            u, v = cls["resolution"]
+            cls["resolution"] = {"u": u, "v": v}
+        h = out["hilbert"]
+        # schema 1's key order, with the fixed window's extensions count
+        out["hilbert"] = {
+            "k_star": h["k_star"],
+            "k_max": h["k_max"],
+            "extensions": 0,
+            "plateau": h["plateau"],
+            "values": h["values"],
         }
-
-
-def _opt_int(x):
-    return None if x is None else int(x)
+        return out
 
 
 def theorem_bounds(a: int, b: int, c: int, r: int, t: int) -> tuple[BoundsI, BoundsII]:
@@ -361,10 +325,8 @@ class _Analysis:
         self.anchor = max(self.k_star, 0)
         self.k_max = self.anchor + _TAIL - 1
         self._ranks: dict[int, int] = {}
-        # the syzygy window's right kernels K_m and the chain's left null
-        # spaces N_m, kept by dimension
+        # the syzygy window's right kernels K_m, kept by dimension
         self._kernels: dict[int, np.ndarray] = {}
-        self._left: dict[int, np.ndarray] = {}
         self._dim_info = None
         self._syzygy = None
 
@@ -482,11 +444,9 @@ class _Analysis:
         for m in range(a + b + 2, self.k_max + 1):
             if N is not None or self._switches_at(m):
                 N = self.left_null(m, N)
+                self._ranks[m] = dim_S(m) - N.shape[0]
             else:
                 self.rank_at(m)
-                continue
-            self._left[m] = N
-            self._ranks[m] = dim_S(m) - N.shape[0]
         if N is not None:
             # the chain never starts at k_max, so this N was stepped
             self._check_annihilation(N, self.k_max)
@@ -858,19 +818,7 @@ def analyze_qci(Q: QciInput) -> QciReport:
             dimension_class=tag,
             refusal=refusal,
             t=t if tag == "empty" else None,
-            r=None,
-            gamma=None,
-            c2_at_r=None,
-            m0=None,
-            h1_at_m0=None,
-            splits=None,
-            bounds_i=None,
-            bounds_ii=None,
-            generator_degrees=None,
-            classification=None,
-            resolution_verified=None,
             hilbert=table,
-            syzygies=None,
         )
     syz = eng.syzygy_table()
     c2 = eng.c2_at_r()
@@ -890,7 +838,6 @@ def analyze_qci(Q: QciInput) -> QciReport:
         prime=Q.prime,
         degrees=Q.degrees,
         dimension_class=tag,
-        refusal=None,
         t=t,
         r=syz.r,
         gamma=gamma,

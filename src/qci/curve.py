@@ -13,7 +13,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import BoundsI, BoundsII, QciInput, QciReport, analyze_qci, theorem_bounds
+from .core import (
+    BoundsI,
+    BoundsII,
+    QciInput,
+    QciReport,
+    _plain,
+    analyze_qci,
+    theorem_bounds,
+)
 from .errors import GuardError, InternalError
 from .linalg import PrimeField
 from .poly import HomogPoly, parse_poly, variables
@@ -63,50 +71,28 @@ class TauBounds:
     ii_ok: bool | None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class CurveReport:
     d: int
     prime: int
-    tau: int | None
-    r: int | None
-    curve_class: str | None
-    exponents: tuple[int, int] | None
-    plus_one_case: int | None
-    tau_bounds: TauBounds | None
-    refusal: str | None
+    curve_class: str | None = None
+    refusal: str | None = None
+    tau: int | None = None
+    r: int | None = None
+    exponents: tuple[int, int] | None = None
+    plus_one_case: int | None = None
+    tau_bounds: TauBounds | None = None
     qci: QciReport
 
     def to_dict(self) -> dict:
-        tb = None
-        if self.tau_bounds is not None:
-            tb = {
-                "lower": int(self.tau_bounds.lower),
-                "upper": int(self.tau_bounds.upper),
-                "lower_ok": self.tau_bounds.lower_ok,
-                "upper_ok": self.tau_bounds.upper_ok,
-                "ii_applicable": self.tau_bounds.ii_applicable,
-                "ii_bound": (
-                    None
-                    if self.tau_bounds.ii_bound is None
-                    else int(self.tau_bounds.ii_bound)
-                ),
-                "ii_ok": self.tau_bounds.ii_ok,
-            }
-        return {
-            "d": int(self.d),
-            "curve_class": self.curve_class,
-            "refusal": self.refusal,
-            "tau": None if self.tau is None else int(self.tau),
-            "r": None if self.r is None else int(self.r),
-            "exponents": (
-                None if self.exponents is None else [int(x) for x in self.exponents]
-            ),
-            "plus_one_case": (
-                None if self.plus_one_case is None else int(self.plus_one_case)
-            ),
-            "tau_bounds": tb,
-            "qci": self.qci.to_dict(),
-        }
+        """Plain-data view, safe to serialize: field order is key order.
+
+        Schema 1 leaves out the prime, which the document envelope carries,
+        and writes the triple's report under "qci" in its own layout.
+        """
+        out = _plain(self, drop=("prime", "qci"))
+        out["qci"] = self.qci.to_dict()  # the last field, so the last key
+        return out
 
 
 def _tau_bounds(bi: BoundsI, bii: BoundsII) -> TauBounds:
@@ -208,28 +194,11 @@ def analyze_curve(C: CurveInput) -> CurveReport:
     Q = QciInput.of(fx, fy, fz)
     rep = analyze_qci(Q)
     if rep.dimension_class == "empty":
-        return CurveReport(
-            d=d,
-            prime=C.prime,
-            tau=0,
-            r=None,
-            curve_class="smooth",
-            exponents=None,
-            plus_one_case=None,
-            tau_bounds=None,
-            refusal=None,
-            qci=rep,
-        )
+        return CurveReport(d=d, prime=C.prime, curve_class="smooth", tau=0, qci=rep)
     if rep.dimension_class == "dim_ge_1":
         return CurveReport(
             d=d,
             prime=C.prime,
-            tau=None,
-            r=None,
-            curve_class=None,
-            exponents=None,
-            plus_one_case=None,
-            tau_bounds=None,
             refusal="curve not reduced (singular scheme is positive-dimensional)",
             qci=rep,
         )
@@ -240,13 +209,12 @@ def analyze_curve(C: CurveInput) -> CurveReport:
     return CurveReport(
         d=d,
         prime=C.prime,
+        curve_class=curve_class,
         tau=tau,
         r=r,
-        curve_class=curve_class,
         exponents=exponents,
         plus_one_case=plus_one_case,
         tau_bounds=_tau_bounds(rep.bounds_i, rep.bounds_ii),
-        refusal=None,
         qci=rep,
     )
 

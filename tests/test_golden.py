@@ -1,16 +1,18 @@
 """Golden outputs: the documents of fixed inputs, pinned byte for byte.
 
-Each case's ``document_json`` text is pinned by its sha256, and each lone
-engine value by the integer itself.  The inputs cover finite triples at a
-small and a large prime, the ``c <= 2`` triples whose top degrees lie in the
-syzygy window, dense one-node curves (whose inverse-system chain starts near
-that window), both witness families, an empty and a positive-dimensional
-triple, and lone ``quotient_hilbert`` / ``saturation_dim`` / ``h1_E`` calls
-on fresh engines.  A reduced row echelon form is unique, so no change to
+Each case's ``document_json`` text and its ``render_text`` rendering are
+pinned by their sha256, and each lone engine value by the integer itself.
+The inputs cover finite triples at a small and a large prime, the
+``c <= 2`` triples whose top degrees lie in the syzygy window, dense
+one-node curves (whose inverse-system chain starts near that window), both
+witness families, an empty and a positive-dimensional triple, and lone
+``quotient_hilbert`` / ``saturation_dim`` / ``h1_E`` calls on fresh
+engines.  A reduced row echelon form is unique, so no change to
 the elimination internals may move any of these; a failure names the input.
 
 To re-record after a deliberate output change, print ``_digest(*case)``
-for every case and replace the table.
+and the sha256 of ``render_text(_case(*case)[1])`` for every case and
+replace the two tables.
 """
 
 import hashlib
@@ -32,7 +34,14 @@ from qci import (
     quotient_hilbert,
     saturation_dim,
 )
-from qci.report import curve_document, document_json, hilbert_document, qci_document
+from qci.report import (
+    curve_document,
+    document_json,
+    hilbert_document,
+    qci_document,
+    render_text,
+)
+
 
 def _node_curve(d, field):
     # a dense curve without z^d, x z^(d-1), y z^(d-1): one node at [0:0:1]
@@ -42,15 +51,15 @@ def _node_curve(d, field):
     return HomogPoly(d, coeffs, field)
 
 
-def _document(kind, spec, p):
-    """The document_json text of one input, as the CLI would write it."""
+def _case(kind, spec, p):
+    """The report of one input and its document, as the CLI would build it."""
     field = PrimeField(p)
     if kind in ("qci", "hilbert"):
         texts = [s.strip() for s in spec.split(",")]
         polys = [parse_poly(s, field) for s in texts]
         rep = analyze_qci(QciInput.of(*polys))
         build = qci_document if kind == "qci" else hilbert_document
-        return document_json(build(rep, *texts, tuple(f.degree for f in polys)))
+        return rep, build(rep, *texts, tuple(f.degree for f in polys))
     if kind == "node":
         f = _node_curve(int(spec), field)
     elif kind == "curve":
@@ -58,7 +67,13 @@ def _document(kind, spec, p):
     else:
         name, d = spec.split(":")
         f = family(name, field, d=int(d)).f
-    return document_json(curve_document(analyze_curve(CurveInput(f)), str(f)))
+    rep = analyze_curve(CurveInput(f))
+    return rep, curve_document(rep, str(f))
+
+
+def _document(kind, spec, p):
+    """The document_json text of one input, as the CLI would write it."""
+    return document_json(_case(kind, spec, p)[1])
 
 
 def _digest(kind, spec, p):
@@ -150,6 +165,115 @@ _DOCUMENTS = {
 )
 def test_document_bytes(kind, spec, p):
     assert _digest(kind, spec, p) == _DOCUMENTS[kind, spec, p], (kind, spec, p)
+
+
+# sha256 of render_text(document) for every case above.  json.dumps writes a
+# tuple and a list alike, but the text renderer does not, so a report that
+# leaked a tuple into its document would pass the table above and fail here.
+_TEXTS = {
+    ("qci", "x*y, y*z, z*x", 13):
+        "b7d662a62b20cb951ca6fc425e18c9e749242688342ffac2c4d9218ac04c5b62",
+    ("qci", "x, y^2, y*z", 13):
+        "31c8457d3c137dc44fee42ab8aa087cf48685119557b0545b821af5e49d0eb90",
+    ("qci", "x^2, y^2, x*y", 13):
+        "567b2d3dbe02028ff5e77f78244d8bd4fdd78309ceeb70bb5b101aa5413dcd7f",
+    ("qci", "x^2-y*z, y^2-x*z, z^2-x*y", 13):
+        "cda86148736b94654d8958e94ffe68cf202efe5402b8fb92afe7a9691bf8fde6",
+    ("qci", "x*y*z, x^3+y^3, y^2*z+x*z^2", 13):
+        "ce145df42333b5711e3627ed3626c9faf9ac675d239bc05053a0f198563c913b",
+    ("qci", "x^3, y^3, x^2*y*z", 13):
+        "f8184cc352e720bda8f49c17cc53044f852c57b76358ebf529c0c82be259cd4f",
+    ("qci", "x^2*y, x*y^2, z^3", 13):
+        "cbbf29fbc43acae6e69530b7af860137bdd3f14925175782e0bf0e8542b1f276",
+    ("qci", "x^2, x*y, y^3+x*z^2", 13):
+        "13fd4ca576ea7ad705e0f87082bab259a7a083f8c3ef8ad56ed31a0e6ed6cdad",
+    ("qci", "x*y, y*z, z*x", 32003):
+        "afec2e4cd503d1521203e095eb5f863eba64179c36516582da687e487267255b",
+    ("qci", "x, y^2, y*z", 32003):
+        "a0575ba40958a53ecbd35dbfe98d39df78b98bdd189330d4ffd913c5a7de6054",
+    ("qci", "x^2, y^2, x*y", 32003):
+        "567888a680c4bfb3d30bc4eb56d33dd73e5a7849e8b7b03d2987efec03266084",
+    ("qci", "x^2-y*z, y^2-x*z, z^2-x*y", 32003):
+        "bacda208a28b0e736b4c6e3155fc9fba158be14a923bef812507c88a6605b884",
+    ("qci", "x*y*z, x^3+y^3, y^2*z+x*z^2", 32003):
+        "86dd30e504453f1a3926d1744bba5b88421798c5930ef31387926a8f0a6d97d3",
+    ("qci", "x^3, y^3, x^2*y*z", 32003):
+        "0bf4c45875618f65e133128f49706bd3d2af33ca8326962e1212d759744b690e",
+    ("qci", "x^2*y, x*y^2, z^3", 32003):
+        "ea2840c7326471902831392159173316382d68d8de4c016cf597c17b5a8fbfbb",
+    ("qci", "x^2, x*y, y^3+x*z^2", 32003):
+        "524c3509a946ad4c920f1c14839316ed8ca009cb1cec9805a5e8fc7b3589a927",
+    ("qci", "x^3-y*z^2, y^3-x*z^2, x^2*y^2-z^4", 32003):
+        "bb276137f0ddb6f90ac307229c67645b877e758770d79563da205739429e7233",
+    ("qci", "x, y, x+y", 13):
+        "ce7dbbb5603aa4c5eb6b9c80d4e5687d05fa76fa2412f755e36ec78f10c7246e",
+    ("qci", "x, y, x+y", 32003):
+        "fa63d5f4d4ba69c7a62b5c0dc63b1d57526b57a928c2c64503defe2bcdb211b0",
+    ("curve", "y^2*z-x^3-x^2*z", 13):
+        "0ee3c2bae9f822822f34528a6a37ee010dbaf4c0692cc7a090f918fc44a0fb84",
+    ("curve", "y^2*z-x^3-x^2*z", 32003):
+        "df3503a2b4613d5467e1fa23a1393c0cdd90a4886f0ef7b65ca64c06ffbf84e4",
+    ("qci", "x^2, y^2, z^2", 32003):
+        "d40654beb3dd683f99eebabe79381f3e54717257d05d5061a97925ba2d664ebc",
+    ("qci", "x*y, x*z, x^2", 32003):
+        "f3e4a17cb44be57b9addbf32fb0de03395798cc83221168acfff7fb30350d90d",
+    ("hilbert", "x^2*y, x*y^2, z^3", 32003):
+        "2f2417de2a1d805d158562ae4be632880ef75db1f2eec066573a12ad288795fe",
+    ("node", "5", 32003):
+        "29040c0a56af03a2592bc7a99e10bc68f0b3c4fd618562a4601c26df3e523c4b",
+    ("node", "6", 32003):
+        "d7a6cb1d618538ee820bb3e6e4392151eb849acdd189602921dcadccadb8b13f",
+    ("node", "7", 32003):
+        "735a6e7174b9e931c62adcca277e9e6ee86ea2f699fb5b20b13b7792400b4926",
+    ("node", "8", 32003):
+        "5f838a88114faec27ce01c9ce67600a2d5eedd253329e0d32552d493923bd637",
+    ("node", "9", 32003):
+        "c3dd819cd694aa4156c2fc75b740c71e50029f3ef0231145ec9e6888467bf519",
+    ("family", "lines_through_point:4", 32003):
+        "ea71dc5d175f9c2482095cd5b8c64996ef0683f2b8eaf52620ca226d3ea9db57",
+    ("family", "lines_through_point:5", 32003):
+        "3b32bb74d69f570a926c0f47829bbc8578a31f11883088c45cf684012d8fa3a7",
+    ("family", "lines_through_point:6", 32003):
+        "73dba0eccfc7c076de14acdf9ea5c1cb6fe851ac4d3866cf7acf53fcc83f0b0f",
+    ("family", "lines_through_point:7", 32003):
+        "23f6b215f3dcae395a07c7b1dba8aab749db2be83859dc493541284a44c98464",
+    ("family", "lines_through_point:8", 32003):
+        "9171beea1b642d5628827696c1ab36f8bb801286defb94e151358ae9bd77bd3e",
+    ("family", "smooth_plus_line:4", 32003):
+        "79c70ad39012f7681ee0b0cb5299d609de67f1cbf4e5cfe0b29aeee04f85e675",
+    ("family", "smooth_plus_line:5", 32003):
+        "178bcee43025ae3c3800b8e0fbd3c43d0a6daddee07861d4c0f0b4456f3edcee",
+    ("family", "smooth_plus_line:6", 32003):
+        "2d254182ce6ff94283e3f0bfff1a75c07fe60455d3fbcbb942ba4079dea7e8ff",
+    ("family", "smooth_plus_line:7", 32003):
+        "3923c69e2fb3d5da59f33a4f67ca263c3f8a800fd9d44f76fdea6a0077a014c0",
+}
+
+
+@pytest.mark.parametrize(
+    "kind, spec, p", list(_TEXTS), ids=[f"{k}:{s}@{p}" for k, s, p in _TEXTS]
+)
+def test_text_bytes(kind, spec, p):
+    text = render_text(_case(kind, spec, p)[1])
+    assert hashlib.sha256(text.encode()).hexdigest() == _TEXTS[kind, spec, p]
+
+
+def _tuples(value, path="to_dict()"):
+    # paths of every tuple inside a plain-data value
+    if isinstance(value, tuple):
+        return [path]
+    if isinstance(value, dict):
+        items = value.items()
+    elif isinstance(value, list):
+        items = enumerate(value)
+    else:
+        return []
+    return [hit for key, v in items for hit in _tuples(v, f"{path}[{key!r}]")]
+
+
+def test_reports_hold_no_tuples():
+    leaks = {case: _tuples(_case(*case)[0].to_dict()) for case in _DOCUMENTS}
+    assert not {case: hits for case, hits in leaks.items() if hits}
 
 
 _LONE = {

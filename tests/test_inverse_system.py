@@ -6,8 +6,9 @@ conftest.py.  The step helpers are called directly, so these checks do not
 depend on where the engine's cost rule starts the chain.
 
 The engine eliminates each degree's map once: ``_Analysis.dimension``
-keeps the one kernel a later stage reads (K_m in the syzygy window, N_m on
-the chain), the syzygy stage reads the K_m it kept, ``saturation_dim``
+keeps the K_m of the syzygy window and carries N_m up the chain (the tests
+capture each N_m by wrapping ``_Analysis.left_null``), the syzygy stage
+reads the K_m it kept, ``saturation_dim``
 reads only ranks of the Hilbert window, and ``analyze_qci`` ranks nothing
 above k_max; a lone ``rank_at`` outside that plan is one plain rank.  The
 chain starts above the syzygy window, so it never holds a degree whose K_m
@@ -24,6 +25,7 @@ a directly eliminated left null space.
 import importlib.util
 import random
 import sys
+from collections import defaultdict
 from pathlib import Path
 
 import numpy as np
@@ -152,19 +154,38 @@ def test_stepped_hilbert_matches_monomial_oracle(gens, p, monomial_oracle):
         assert h == monomial_oracle(gens, m), m
 
 
-def _chained_engine(field):
+def _record_chains(monkeypatch):
+    """Each engine's chain {m: N_m}, filled as ``dimension`` makes it.
+
+    The engine keeps no N_m, so ``_Analysis.left_null`` is wrapped, and the
+    original still makes the elimination under its own caller name.
+    """
+    chains = defaultdict(dict)
+    left_null = core._Analysis.left_null
+
+    def recording(self, m, prev=None):
+        N = chains[self][m] = left_null(self, m, prev)
+        return N
+
+    monkeypatch.setattr(core._Analysis, "left_null", recording)
+    return chains
+
+
+def _chained_engine(field, monkeypatch):
     Q = QciInput.of(*_node_partials(7, field, seed=3))
+    chains = _record_chains(monkeypatch)
     eng = core._Analysis(Q)
     eng.dimension()
-    assert any(m - 1 in eng._left for m in eng._left), (
+    chain = chains[eng]
+    assert any(m - 1 in chain for m in chain), (
         "the cost rule should start the chain on a dense node and step it"
     )
-    return Q, eng
+    return Q, eng, chain
 
 
-def test_chain_spans_the_direct_left_null_space(field):
-    Q, eng = _chained_engine(field)
-    for m, N in sorted(eng._left.items()):
+def test_chain_spans_the_direct_left_null_space(field, monkeypatch):
+    Q, eng, chain = _chained_engine(field, monkeypatch)
+    for m, N in sorted(chain.items()):
         K = kernel_basis(eng.map_at(m).T, field)
         assert rref(N, field)[0].tobytes() == rref(K, field)[0].tobytes(), m
 
@@ -172,21 +193,21 @@ def test_chain_spans_the_direct_left_null_space(field):
 def test_lone_rank_above_the_window_is_direct(field, monkeypatch):
     # after the chain, a degree above k_max (only a lone h1_E call ranks
     # one) is one plain rank, not a step from N_{k_max}
-    Q, eng = _chained_engine(field)
+    Q, eng, chain = _chained_engine(field, monkeypatch)
     top = eng.dimension()[2].k_max + 1
-    chain = set(eng._left)
+    before = set(chain)
     calls = _record_eliminations(monkeypatch)
     v = eng.rank_at(top)
     assert calls == ["rank"]
-    assert set(eng._left) == chain
+    assert set(chain) == before
     assert v == rank(eng.map_at(top), field)
 
 
 def test_lone_hilbert_value_stays_direct(field, monkeypatch):
     # a lone value on the chain's top degree is one plain rank, equal to
     # the stepped one
-    Q, eng = _chained_engine(field)
-    top = max(eng._left)
+    Q, eng, chain = _chained_engine(field, monkeypatch)
+    top = max(chain)
     fresh = core._Analysis(Q)
     calls = _record_eliminations(monkeypatch)
     assert fresh.hilbert_value(top) == eng.hilbert_value(top)
@@ -201,7 +222,7 @@ def test_lone_syzygy_table_runs_the_plan(field):
 
 
 def test_corrupted_lift_fails_the_annihilation_check(field, monkeypatch):
-    Q, eng = _chained_engine(field)
+    Q, eng, _ = _chained_engine(field, monkeypatch)
     k_max = eng.dimension()[2].k_max
     integrate = core._integrate
 
@@ -217,8 +238,8 @@ def test_corrupted_lift_fails_the_annihilation_check(field, monkeypatch):
         analyze_qci(Q)
 
 
-def test_engine_report_matches_direct_ranks(field):
-    Q, _ = _chained_engine(field)
+def test_engine_report_matches_direct_ranks(field, monkeypatch):
+    Q, _, _ = _chained_engine(field, monkeypatch)
     values = analyze_qci(Q).hilbert.values
     assert list(values) == [_direct_hilbert(Q, k) for k in range(len(values))]
 
@@ -301,7 +322,9 @@ def _named_input(field, which):
     ],
 )
 def test_each_map_is_eliminated_once(which, both, field, monkeypatch):
+    chains = _record_chains(monkeypatch)
     report, eng, seen = _analyze_recording(_named_input(field, which), monkeypatch)
+    chain = chains[eng]
     assert report.dimension_class == "dim0"
     counts = _eliminations_per_degree(eng, seen)
     # no degree keeps two kernels, K_m and N_m, not even for c <= 2
@@ -310,14 +333,14 @@ def test_each_map_is_eliminated_once(which, both, field, monkeypatch):
     assert all(n <= 1 for n in counts.values())
     # every degree the engine ranked without a step was eliminated, except
     # the window degrees below the topmost injective one, none of which was
-    stepped = {m for m in eng._left if m - 1 in eng._left}
+    stepped = {m for m in chain if m - 1 in chain}
     skipped = _skipped_window_degrees(eng)
     assert all(counts[m] for m in eng._ranks if m not in stepped | skipped)
     assert not any(counts[m] for m in skipped)
     if which.startswith("node"):
-        assert any(m - 1 in eng._left for m in eng._left)
+        assert any(m - 1 in chain for m in chain)
     if which == "lines6":
-        assert not eng._left
+        assert not chain
 
 
 @pytest.mark.parametrize(
@@ -341,18 +364,19 @@ def _random_triple(field, degrees):
     [f"node{d}" for d in range(5, 10)] + [(4, 4, 5), (5, 5, 5), (2, 2, 7), (3, 4, 6)],
     ids=str,
 )
-def test_chain_starts_above_the_syzygy_window(which, field):
+def test_chain_starts_above_the_syzygy_window(which, field, monkeypatch):
     # the syzygy stage reads K_m over [a-1, a+b+1]; a chain degree keeps
     # only N_m, so the chain must start above that window and at c or later
     if isinstance(which, str):
         Q = _case_input(field, which)
     else:
         Q = _random_triple(field, which)
+    chains = _record_chains(monkeypatch)
     eng = core._Analysis(Q)
     eng.dimension()
     a, b, c = Q.degrees
-    assert eng._left
-    assert min(eng._left) >= max(c, a + b + 2)
+    assert chains[eng]
+    assert min(chains[eng]) >= max(c, a + b + 2)
 
 
 def test_eliminations_happen_only_where_kernels_are_kept(field, monkeypatch):
@@ -588,10 +612,11 @@ def test_chain_never_starts_at_k_max(which, field, monkeypatch):
     else:
         Q = _named_input(field, which)
     engines = _record_engines(monkeypatch)
+    chains = _record_chains(monkeypatch)
     report = analyze_qci(Q)
     (eng,) = engines
     assert report.dimension_class == "dim0"
-    assert not eng._left or min(eng._left) < report.hilbert.k_max
+    assert not chains[eng] or min(chains[eng]) < report.hilbert.k_max
 
 
 @pytest.mark.parametrize("which", ["node9", "lines6", "1,x,y", "x,y,x+y"])

@@ -201,9 +201,19 @@ def _node_chain_system(p):
     skip = {(0, 0, 9), (1, 0, 8), (0, 1, 8)}
     coeffs = {m: rng.randrange(1, p) for m in monomial_basis(9) if m not in skip}
     eng = core._Analysis(QciInput.of(*HomogPoly(9, coeffs, field).partials()))
-    eng.dimension()
-    m = min(eng._left)
-    A = core._contraction_system(eng._left[m], m, p)
+    # the chain's first N_m, captured as dimension makes it
+    chain = {}
+    left_null = core._Analysis.left_null
+
+    def recording(self, m, prev=None):
+        N = chain[m] = left_null(self, m, prev)
+        return N
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(core._Analysis, "left_null", recording)
+        eng.dimension()
+    m = min(chain)
+    A = core._contraction_system(chain[m], m, p)
     assert A.shape[0] > A.shape[1] and 0 < A.shape[1] <= NB
     return A
 
