@@ -153,12 +153,14 @@ class QciInput:
 
 @dataclass(frozen=True)
 class HilbertTable:
-    """Quotient Hilbert values for k = 0 .. k_max plus plateau bookkeeping."""
+    """Quotient Hilbert values for k = 0 .. k_max and the window's anchors.
+
+    The plateau of a finite or empty scheme is the report's ``t``.
+    """
 
     values: tuple[int, ...]
     k_star: int
     k_max: int
-    plateau: int | None
 
 
 @dataclass(frozen=True)
@@ -166,7 +168,6 @@ class SyzygyTable:
     window: tuple[int, int]
     dims: tuple[tuple[int, int], ...]
     r: int
-    generator_degrees: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -230,13 +231,10 @@ class QciReport:
     def to_dict(self) -> dict:
         """Plain-data view, safe to serialize: field order is key order.
 
-        The four edits below are schema 1's quirks, each with its reason.
+        The three edits below are schema 1's quirks, each with its reason.
         """
         # the document envelope carries the prime and the degrees
         out = _plain(self, drop=("prime", "degrees"))
-        if out["syzygies"]:
-            # the generator degrees are a top-level key
-            del out["syzygies"]["generator_degrees"]
         cls = out["classification"]
         if cls and cls["resolution"]:
             # schema 1 names the two sides of a resolution
@@ -244,11 +242,12 @@ class QciReport:
             cls["resolution"] = {"u": u, "v": v}
         h = out["hilbert"]
         # schema 1's key order, with the fixed window's extensions count
+        # and the plateau, which is t
         out["hilbert"] = {
             "k_star": h["k_star"],
             "k_max": h["k_max"],
             "extensions": 0,
-            "plateau": h["plateau"],
+            "plateau": self.t,
             "values": h["values"],
         }
         return out
@@ -268,6 +267,112 @@ def theorem_bounds(a: int, b: int, c: int, r: int, t: int) -> tuple[BoundsI, Bou
         bound = upper - cut
         return bi, BoundsII(applicable=True, bound=bound, ok=t <= bound)
     return bi, BoundsII(applicable=False, bound=None, ok=None)
+
+
+def _c2(a: int, b: int, c: int, t: int, r: int) -> int:
+    # second Chern number of the minimally twisted syzygy bundle E(r)
+    value = r * (c - a - b) + a * b - t + r * r
+    if value < 0:
+        raise InternalError(
+            f"second Chern number {value} of the minimally twisted syzygy "
+            "bundle is negative; computation is inconsistent"
+        )
+    return value
+
+
+def _gamma(a: int, c: int, t: int) -> int:
+    # degree of the scheme linked to T by the pencil of the two outer forms
+    g = a * c - t
+    if g < 0 or g > a * c:
+        raise InternalError(
+            f"residual degree {g} outside [0, {a * c}]; "
+            "the scheme degree exceeds the pencil degree product"
+        )
+    return g
+
+
+def _split_flag(h1: int, c2: int) -> bool:
+    # E splits: h^1(E(m0)) = 0 and c2 = 0 must agree
+    by_h1 = h1 == 0
+    by_c2 = c2 == 0
+    if by_h1 != by_c2:
+        raise InternalError(
+            "splitting tests disagree: vanishing middle cohomology says "
+            f"{by_h1} but the Chern criterion says {by_c2}"
+        )
+    return by_h1
+
+
+def _classify(a: int, b: int, c: int, t: int, r: int, c2: int) -> Classification:
+    """Extremal class of a finite scheme from its degrees, t, r and c2.
+
+    The three near-minimal cases need no Chern check: on their own
+    (a, b, c, t, r), c2 = r(c-a-b) + ab - t + r^2 is 1 in case 1 and 0 in
+    cases 2 and 3.
+    """
+    split_e = (-r, c - a - b + r)
+    split_res = ((c + r, a + b - r), (a, b, c))
+    c2one_res = ((c + r - 1, c + r - 1, a + b - r), (c + r - 2, a, b, c))
+
+    if r == a - c:
+        if t != a * c:
+            raise InternalError(
+                f"minimal twist {r} forces a pencil intersection of degree "
+                f"{a * c}, but the scheme degree is {t}"
+            )
+        return Classification(
+            tag="complete-intersection",
+            case=None,
+            e_type=split_e,
+            resolution=((a + c,), (a, c)),
+        )
+    if r == a - c + 1:
+        if b > a + 1:
+            raise InternalError(
+                f"minimal twist {r} is incompatible with degrees "
+                f"({a}, {b}, {c}); the middle degree may exceed a by at most 1"
+            )
+        if a == b and t == c * (a - 1):
+            return Classification(
+                tag="r-eq-a-minus-c-plus-1", case=1, e_type=None,
+                resolution=c2one_res,
+            )
+        if a == b and t == c * (a - 1) + 1:
+            return Classification(
+                tag="aci-split", case=2, e_type=split_e, resolution=split_res
+            )
+        if b == a + 1 and t == a * c:
+            return Classification(
+                tag="r-eq-a-minus-c-plus-1", case=3, e_type=split_e,
+                resolution=split_res,
+            )
+        raise InternalError(
+            f"minimal twist {a - c + 1} with signature (a={a}, b={b}, t={t}) "
+            "matches none of the three admissible cases"
+        )
+    if c2 == 0:
+        if 2 * r > a + b - c:
+            raise InternalError(
+                f"split bundle with minimal twist {r} violates 2r <= a+b-c"
+            )
+        return Classification(
+            tag="aci-split", case=None, e_type=split_e, resolution=split_res
+        )
+    if c2 == 1:
+        if 2 * r > a + b - c + 1:
+            raise InternalError(
+                f"Chern-one bundle with minimal twist {r} violates "
+                "2r <= a+b-c+1"
+            )
+        return Classification(
+            tag="c2-one-resolution", case=None, e_type=None, resolution=c2one_res
+        )
+    return Classification(tag="generic", case=None, e_type=None, resolution=None)
+
+
+def _require_dim0(tag: str) -> None:
+    if tag != "dim0":
+        raise GuardError(f"operation needs a finite nonempty scheme; input is {tag}")
 
 
 def _contraction_system(N: np.ndarray, m: int, p: int) -> np.ndarray:
@@ -309,10 +414,12 @@ def _integrate(C: np.ndarray, N: np.ndarray, m: int, p: int) -> np.ndarray:
 
 
 class _Analysis:
-    """Per-input computation engine with degreewise caches.
+    """Per-input elimination engine with degreewise caches.
 
-    Every method is deterministic; caches only memoize pure functions of
-    the input, so evaluation order never changes a result.
+    ``dimension`` makes the plan's eliminations once; every other method
+    reads what it kept, or ranks one lone degree.  ``analyze_qci`` is the
+    one pass that runs the stages in order; the paper's arithmetic on
+    (a, b, c, t, r) lives in module-level functions, not here.
     """
 
     def __init__(self, Q: QciInput):
@@ -328,7 +435,6 @@ class _Analysis:
         # the syzygy window's right kernels K_m, kept by dimension
         self._kernels: dict[int, np.ndarray] = {}
         self._dim_info = None
-        self._syzygy = None
 
     # -- evaluation maps ------------------------------------------------
 
@@ -453,29 +559,24 @@ class _Analysis:
         values = tuple(self.hilbert_value(k) for k in range(self.k_max + 1))
         tail = values[-_TAIL:]
         if not any(tail):
-            tag, t, plateau = "empty", 0, 0
+            tag, t = "empty", 0
         elif all(v == tail[0] for v in tail):
-            tag, t, plateau = "dim0", tail[0], tail[0]
+            tag, t = "dim0", tail[0]
         elif all(x < y for x, y in zip(tail, tail[1:])):
-            tag, t, plateau = "dim_ge_1", None, None
+            tag, t = "dim_ge_1", None
         else:
             raise InternalError(
                 f"quotient Hilbert tail {list(tail)} at k = {self.anchor}.."
                 f"{self.k_max} (k* = {self.k_star}) is neither constant nor "
                 "strictly increasing"
             )
-        table = HilbertTable(
-            values=values, k_star=self.k_star, k_max=self.k_max, plateau=plateau
-        )
+        table = HilbertTable(values=values, k_star=self.k_star, k_max=self.k_max)
         self._dim_info = (tag, t, table)
         return self._dim_info
 
     def require_dim0(self) -> int:
         tag, t, _ = self.dimension()
-        if tag != "dim0":
-            raise GuardError(
-                f"operation needs a finite nonempty scheme; input is {tag}"
-            )
+        _require_dim0(tag)
         return t
 
     # -- syzygies ---------------------------------------------------------
@@ -486,9 +587,6 @@ class _Analysis:
         return self._cols(m) - self.rank_at(m)
 
     def syzygy_table(self) -> SyzygyTable:
-        if self._syzygy is not None:
-            return self._syzygy
-        self.dimension()  # keeps the K_m the generator lifts read
         a, b, c = self.a, self.b, self.c
         lo, hi = a - c, a + b - c
         dims = tuple((k, self.h0E(k)) for k in range(lo, hi + 1))
@@ -502,11 +600,7 @@ class _Analysis:
                 "no syzygy found in the guaranteed window "
                 f"[{lo}, {hi}]; the Koszul relation must appear there"
             )
-        gens = self._generator_degrees(lo, hi + 1)
-        self._syzygy = SyzygyTable(
-            window=(lo, hi), dims=dims, r=r, generator_degrees=gens
-        )
-        return self._syzygy
+        return SyzygyTable(window=(lo, hi), dims=dims, r=r)
 
     def _lift_index(self, m: int, axis: int) -> np.ndarray:
         # column map of multiplication by the axis variable from the
@@ -519,16 +613,18 @@ class _Analysis:
             tgt_off += dim_S(e + 1)
         return np.concatenate(parts)
 
-    def _generator_degrees(self, lo: int, hi: int) -> tuple[int, ...]:
-        """New minimal syzygy generators per twist, scanned over [lo, hi].
+    def _generator_degrees(self) -> tuple[int, ...]:
+        """New minimal syzygy generators per twist, scanned over a-c .. a+b-c+1.
 
         A twist-k syzygy already reachable as (variable) * (twist k-1
         syzygy) is not new; the count of new ones is the kernel dimension
-        minus the rank of the lifted previous kernel.  Twists above hi are
-        not scanned, so the multiset is a truncation, not a Betti table.
+        minus the rank of the lifted previous kernel.  Twists above the
+        range are not scanned, so the multiset is a truncation, not a Betti
+        table.
         """
+        self.dimension()  # keeps the K_m the lifts read
         gens: list[int] = []
-        for k in range(lo, hi + 1):
+        for k in range(self.a - self.c, self.a + self.b - self.c + 2):
             m = k + self.c
             h0 = self.h0E(k)
             if h0 == 0:
@@ -550,40 +646,6 @@ class _Analysis:
                 )
             gens.extend([k] * new)
         return tuple(gens)
-
-    # -- derived invariants -----------------------------------------------
-
-    def c2_at_r(self) -> int:
-        t = self.require_dim0()
-        r = self.syzygy_table().r
-        a, b, c = self.a, self.b, self.c
-        value = r * (c - a - b) + a * b - t + r * r
-        if value < 0:
-            raise InternalError(
-                f"second Chern number {value} of the minimally twisted syzygy "
-                "bundle is negative; computation is inconsistent"
-            )
-        return value
-
-    def gamma(self) -> int:
-        t = self.require_dim0()
-        g = self.a * self.c - t
-        if g < 0 or g > self.a * self.c:
-            raise InternalError(
-                f"residual degree {g} outside [0, {self.a * self.c}]; "
-                "the scheme degree exceeds the pencil degree product"
-            )
-        return g
-
-    def bounds(self) -> tuple[BoundsI, BoundsII]:
-        t = self.require_dim0()
-        return theorem_bounds(self.a, self.b, self.c, self.syzygy_table().r, t)
-
-    def m0(self) -> int:
-        # twist at which the normalized bundle criterion reads h^1: the
-        # first Chern number of E(m0) must land in {-2, -3}
-        a, b, c = self.a, self.b, self.c
-        return (a + b - c - 2) // 2
 
     # -- saturation --------------------------------------------------------
 
@@ -615,95 +677,6 @@ class _Analysis:
             )
         return v
 
-    def splits(self) -> tuple[bool, int, int]:
-        h1 = self.h1E(self.m0())
-        by_h1 = h1 == 0
-        by_c2 = self.c2_at_r() == 0
-        if by_h1 != by_c2:
-            raise InternalError(
-                "splitting tests disagree: vanishing middle cohomology says "
-                f"{by_h1} but the Chern criterion says {by_c2}"
-            )
-        return by_h1, self.m0(), h1
-
-    # -- classification ------------------------------------------------------
-
-    def classify(self) -> Classification:
-        t = self.require_dim0()
-        a, b, c = self.a, self.b, self.c
-        r = self.syzygy_table().r
-        c2 = self.c2_at_r()
-        split_e = (-r, c - a - b + r)
-        split_res = ((c + r, a + b - r), (a, b, c))
-        c2one_res = ((c + r - 1, c + r - 1, a + b - r), (c + r - 2, a, b, c))
-
-        if r == a - c:
-            if t != a * c:
-                raise InternalError(
-                    f"minimal twist {r} forces a pencil intersection of degree "
-                    f"{a * c}, but the scheme degree is {t}"
-                )
-            return Classification(
-                tag="complete-intersection",
-                case=None,
-                e_type=split_e,
-                resolution=((a + c,), (a, c)),
-            )
-        if r == a - c + 1:
-            if b > a + 1:
-                raise InternalError(
-                    f"minimal twist {r} is incompatible with degrees "
-                    f"({a}, {b}, {c}); the middle degree may exceed a by at most 1"
-                )
-            if a == b and t == c * (a - 1):
-                if c2 != 1:
-                    raise InternalError(
-                        f"near-minimal twist case 1 requires Chern number 1, got {c2}"
-                    )
-                return Classification(
-                    tag="r-eq-a-minus-c-plus-1", case=1, e_type=None,
-                    resolution=c2one_res,
-                )
-            if a == b and t == c * (a - 1) + 1:
-                if c2 != 0:
-                    raise InternalError(
-                        f"near-minimal twist case 2 requires Chern number 0, got {c2}"
-                    )
-                return Classification(
-                    tag="aci-split", case=2, e_type=split_e, resolution=split_res
-                )
-            if b == a + 1 and t == a * c:
-                if c2 != 0:
-                    raise InternalError(
-                        f"near-minimal twist case 3 requires Chern number 0, got {c2}"
-                    )
-                return Classification(
-                    tag="r-eq-a-minus-c-plus-1", case=3, e_type=split_e,
-                    resolution=split_res,
-                )
-            raise InternalError(
-                f"minimal twist {a - c + 1} with signature (a={a}, b={b}, t={t}) "
-                "matches none of the three admissible cases"
-            )
-        if c2 == 0:
-            if 2 * r > a + b - c:
-                raise InternalError(
-                    f"split bundle with minimal twist {r} violates 2r <= a+b-c"
-                )
-            return Classification(
-                tag="aci-split", case=None, e_type=split_e, resolution=split_res
-            )
-        if c2 == 1:
-            if 2 * r > a + b - c + 1:
-                raise InternalError(
-                    f"Chern-one bundle with minimal twist {r} violates "
-                    "2r <= a+b-c+1"
-                )
-            return Classification(
-                tag="c2-one-resolution", case=None, e_type=None, resolution=c2one_res
-            )
-        return Classification(tag="generic", case=None, e_type=None, resolution=None)
-
     def verify_resolution(
         self, u: tuple[int, ...], v: tuple[int, ...]
     ) -> bool:
@@ -732,6 +705,9 @@ class _Analysis:
 
 
 # -- public operations ----------------------------------------------------
+#
+# The entry points that take a degree, or stop at the dimension stage, run
+# their own engine; the others read one field of the full battery.
 
 
 def graded_map_matrix(Q: QciInput, m: int) -> np.ndarray:
@@ -751,20 +727,6 @@ def degree_t(Q: QciInput) -> int:
     return _Analysis(Q).require_dim0()
 
 
-def syzygy_dims(Q: QciInput) -> SyzygyTable:
-    eng = _Analysis(Q)
-    eng.require_dim0()
-    return eng.syzygy_table()
-
-
-def c2_at_r(Q: QciInput) -> int:
-    return _Analysis(Q).c2_at_r()
-
-
-def certify_bounds(Q: QciInput) -> tuple[BoundsI, BoundsII]:
-    return _Analysis(Q).bounds()
-
-
 def saturation_dim(Q: QciInput, m: int) -> int:
     eng = _Analysis(Q)
     eng.require_dim0()
@@ -777,18 +739,6 @@ def h1_E(Q: QciInput, k: int) -> int:
     return eng.h1E(k)
 
 
-def splits(Q: QciInput) -> bool:
-    return _Analysis(Q).splits()[0]
-
-
-def syzygy_generator_degrees(Q: QciInput) -> tuple[int, ...]:
-    return syzygy_dims(Q).generator_degrees
-
-
-def classify(Q: QciInput) -> Classification:
-    return _Analysis(Q).classify()
-
-
 def verify_resolution(
     Q: QciInput,
     resolution: tuple[tuple[int, ...], tuple[int, ...]],
@@ -797,12 +747,48 @@ def verify_resolution(
     return _Analysis(Q).verify_resolution(tuple(u), tuple(v))
 
 
+def _finite_report(Q: QciInput) -> QciReport:
+    # the full battery of a finite scheme; a refusal is a GuardError here
+    rep = analyze_qci(Q)
+    _require_dim0(rep.dimension_class)
+    return rep
+
+
+def syzygy_dims(Q: QciInput) -> SyzygyTable:
+    return _finite_report(Q).syzygies
+
+
+def syzygy_generator_degrees(Q: QciInput) -> tuple[int, ...]:
+    return _finite_report(Q).generator_degrees
+
+
+def c2_at_r(Q: QciInput) -> int:
+    return _finite_report(Q).c2_at_r
+
+
+def certify_bounds(Q: QciInput) -> tuple[BoundsI, BoundsII]:
+    rep = _finite_report(Q)
+    return rep.bounds_i, rep.bounds_ii
+
+
+def splits(Q: QciInput) -> bool:
+    return _finite_report(Q).splits
+
+
+def classify(Q: QciInput) -> Classification:
+    return _finite_report(Q).classification
+
+
 def linked_degree(Q: QciInput) -> int:
-    return _Analysis(Q).gamma()
+    return _finite_report(Q).gamma
 
 
 def analyze_qci(Q: QciInput) -> QciReport:
-    """Full invariant battery for one input, computed on a shared engine."""
+    """Full invariant battery for one input, in one pass on one engine.
+
+    The engine eliminates; every other value is arithmetic on
+    (a, b, c, t, r), computed once, in the order below.
+    """
     eng = _Analysis(Q)
     tag, t, table = eng.dimension()
     if tag != "dim0":
@@ -817,15 +803,21 @@ def analyze_qci(Q: QciInput) -> QciReport:
             degrees=Q.degrees,
             dimension_class=tag,
             refusal=refusal,
-            t=t if tag == "empty" else None,
+            t=t,
             hilbert=table,
         )
+    a, b, c = Q.degrees
     syz = eng.syzygy_table()
-    c2 = eng.c2_at_r()
-    gamma = eng.gamma()
-    bi, bii = eng.bounds()
-    split_flag, m0, h1 = eng.splits()
-    cls = eng.classify()
+    r = syz.r
+    c2 = _c2(a, b, c, t, r)
+    gamma = _gamma(a, c, t)
+    bi, bii = theorem_bounds(a, b, c, r, t)
+    # the twist at which the normalized bundle criterion reads h^1: the
+    # first Chern number of E(m0) must land in {-2, -3}
+    m0 = (a + b - c - 2) // 2
+    h1 = eng.h1E(m0)
+    split_flag = _split_flag(h1, c2)
+    cls = _classify(a, b, c, t, r, c2)
     verified = None
     if cls.resolution is not None:
         verified = eng.verify_resolution(*cls.resolution)
@@ -839,7 +831,7 @@ def analyze_qci(Q: QciInput) -> QciReport:
         degrees=Q.degrees,
         dimension_class=tag,
         t=t,
-        r=syz.r,
+        r=r,
         gamma=gamma,
         c2_at_r=c2,
         m0=m0,
@@ -847,7 +839,7 @@ def analyze_qci(Q: QciInput) -> QciReport:
         splits=split_flag,
         bounds_i=bi,
         bounds_ii=bii,
-        generator_degrees=syz.generator_degrees,
+        generator_degrees=eng._generator_degrees(),
         classification=cls,
         resolution_verified=verified,
         hilbert=table,

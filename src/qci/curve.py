@@ -74,7 +74,6 @@ class TauBounds:
 @dataclass(frozen=True, kw_only=True)
 class CurveReport:
     d: int
-    prime: int
     curve_class: str | None = None
     refusal: str | None = None
     tau: int | None = None
@@ -87,10 +86,10 @@ class CurveReport:
     def to_dict(self) -> dict:
         """Plain-data view, safe to serialize: field order is key order.
 
-        Schema 1 leaves out the prime, which the document envelope carries,
-        and writes the triple's report under "qci" in its own layout.
+        Schema 1 writes the triple's report under "qci" in its own layout;
+        the document envelope carries the prime, ``qci.prime``.
         """
-        out = _plain(self, drop=("prime", "qci"))
+        out = _plain(self, drop=("qci",))
         out["qci"] = self.qci.to_dict()  # the last field, so the last key
         return out
 
@@ -142,10 +141,8 @@ def _classify(d: int, tau: int, r: int, c2: int, split_flag: bool):
             raise InternalError(
                 f"free curve with syzygy degree {r} violates 2r+1 <= d"
             )
-        if not free_lower_bound_check(d, tau):
-            raise InternalError(
-                f"free curve of degree {d} has tau {tau} below the parity bound"
-            )
+        # with 1 <= r and 2r+1 <= d, tau falls with r to the parity bound
+        # of free_lower_bound_check at the largest r, so it always holds
         curve_class = "free"
         exponents = (r, d - 1 - r)
     elif tau == free_value - 1:
@@ -194,11 +191,10 @@ def analyze_curve(C: CurveInput) -> CurveReport:
     Q = QciInput.of(fx, fy, fz)
     rep = analyze_qci(Q)
     if rep.dimension_class == "empty":
-        return CurveReport(d=d, prime=C.prime, curve_class="smooth", tau=0, qci=rep)
+        return CurveReport(d=d, curve_class="smooth", tau=0, qci=rep)
     if rep.dimension_class == "dim_ge_1":
         return CurveReport(
             d=d,
-            prime=C.prime,
             refusal="curve not reduced (singular scheme is positive-dimensional)",
             qci=rep,
         )
@@ -208,7 +204,6 @@ def analyze_curve(C: CurveInput) -> CurveReport:
     )
     return CurveReport(
         d=d,
-        prime=C.prime,
         curve_class=curve_class,
         tau=tau,
         r=r,

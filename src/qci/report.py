@@ -38,12 +38,12 @@ def _document(command: str, rep: QciReport, inp: dict, results: dict) -> dict:
     return {
         "schema_version": SCHEMA_VERSION,
         "command": command,
-        "prime": int(rep.prime),
+        "prime": rep.prime,
         "input": inp,
         "results": results,
         "diagnostics": {
-            "k_star": int(rep.hilbert.k_star),
-            "k_max": int(rep.hilbert.k_max),
+            "k_star": rep.hilbert.k_star,
+            "k_max": rep.hilbert.k_max,
             # schema 1 keeps the key; the Hilbert window is fixed
             "window_extensions": 0,
         },
@@ -57,8 +57,8 @@ def _triple_input(
         "fa": fa,
         "fb": fb,
         "fc": fc,
-        "degrees": [int(x) for x in degrees],
-        "degrees_sorted": [int(x) for x in rep.degrees],
+        "degrees": list(degrees),
+        "degrees_sorted": list(rep.degrees),
     }
 
 
@@ -70,7 +70,7 @@ def qci_document(
 
 
 def curve_document(rep: CurveReport, f: str) -> dict:
-    return _document("analyze-curve", rep.qci, {"f": f, "d": int(rep.d)}, rep.to_dict())
+    return _document("analyze-curve", rep.qci, {"f": f, "d": rep.d}, rep.to_dict())
 
 
 def hilbert_document(

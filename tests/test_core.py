@@ -39,6 +39,7 @@ from qci import (
     variables,
     verify_resolution,
 )
+from qci.core import _c2, _classify, _gamma, _split_flag
 
 
 @pytest.fixture()
@@ -236,7 +237,8 @@ def test_triangle_invariants(field, triangle):
     assert (rep.m0, rep.h1_at_m0, rep.splits) == (0, 0, True)
     assert rep.hilbert.values == (1, 3, 3, 3, 3, 3, 3, 3)
     assert (rep.hilbert.k_star, rep.hilbert.k_max) == (4, 7)
-    assert rep.hilbert.plateau == 3 and rep.to_dict()["hilbert"]["extensions"] == 0
+    hilbert = rep.to_dict()["hilbert"]
+    assert hilbert["plateau"] == 3 and hilbert["extensions"] == 0
     assert rep.syzygies.window == (0, 2)
     assert rep.syzygies.dims == ((0, 0), (1, 2), (2, 6))
     assert rep.generator_degrees == (1, 1)
@@ -307,6 +309,96 @@ def test_single_invariant_entry_points(field, triangle, point_ideal, ci_23):
     assert syzygy_generator_degrees(ci_23) == (0, 2)
     assert linked_degree(triangle) == 1
     assert linked_degree(ci_23) == 0
+
+
+# the entry points that read one field of the full battery, with the field
+_REPORT_READERS = (
+    (syzygy_dims, lambda rep: rep.syzygies),
+    (syzygy_generator_degrees, lambda rep: rep.generator_degrees),
+    (c2_at_r, lambda rep: rep.c2_at_r),
+    (certify_bounds, lambda rep: (rep.bounds_i, rep.bounds_ii)),
+    (splits, lambda rep: rep.splits),
+    (classify, lambda rep: rep.classification),
+    (linked_degree, lambda rep: rep.gamma),
+)
+
+
+def _seeded_finite_triples(field):
+    # (Ga, Gb, u*Ga + v*Gb) cut out the finite scheme V(Ga, Gb), and the
+    # partials of a product of two forms cut out its nodes and more
+    rng = random.Random(4417)
+    out = []
+    for a, b, c in ((1, 2, 2), (2, 2, 3), (2, 3, 4)):
+        ga, gb = random_homog(a, field, rng), random_homog(b, field, rng)
+        third = random_homog(c - a, field, rng) * ga + random_homog(c - b, field, rng) * gb
+        out.append(QciInput.of(ga, gb, third))
+    for e, d in ((1, 3), (2, 4)):
+        f = random_homog(e, field, rng) * random_homog(d - e, field, rng)
+        out.append(QciInput.of(*f.partials()))
+    return out
+
+
+def test_report_readers_equal_their_report_field(field, triangle, point_ideal, ci_23):
+    triples = [triangle, point_ideal, ci_23] + _seeded_finite_triples(field)
+    for Q in triples:
+        rep = analyze_qci(Q)
+        assert rep.dimension_class == "dim0"
+        for read, field_of in _REPORT_READERS:
+            assert read(Q) == field_of(rep), read.__name__
+
+
+@pytest.mark.parametrize("read", [read for read, _ in _REPORT_READERS])
+@pytest.mark.parametrize(
+    "texts, tag", [(("x", "y", "z"), "empty"), (("x*z", "y*z", "x*z+y*z"), "dim_ge_1")]
+)
+def test_report_readers_refuse_schemes_that_are_not_finite(field, read, texts, tag):
+    Q = QciInput.of(*(parse_poly(t, field) for t in texts))
+    with pytest.raises(GuardError, match=f"finite nonempty scheme; input is {tag}$"):
+        read(Q)
+
+
+# ---------------------------------------------------------------------------
+# the paper's arithmetic on (a, b, c, t, r): every fault branch
+
+
+def _classify_at(a, b, c, t, r):
+    return _classify(a, b, c, t, r, _c2(a, b, c, t, r))
+
+
+@pytest.mark.parametrize(
+    "fn, args, match",
+    [
+        (_c2, (1, 1, 1, 2, 0), "second Chern number -1 .* is negative"),
+        (_gamma, (2, 3, 7), "residual degree -1 outside \\[0, 6\\]"),
+        (_split_flag, (1, 0), "splitting tests disagree: .* says False but .* says True"),
+        (_split_flag, (0, 1), "splitting tests disagree: .* says True but .* says False"),
+        # r = a-c forces t = ac
+        (_classify_at, (2, 2, 2, 3, 0), "forces a pencil intersection of degree 4"),
+        # r = a-c+1 needs b <= a+1
+        (_classify_at, (1, 3, 3, 3, -1), "incompatible with degrees \\(1, 3, 3\\)"),
+        # r = a-c+1 in none of the three cases
+        (_classify_at, (2, 2, 2, 1, 1), "matches none of the three admissible cases"),
+        # split (c2 = 0) with 2r > a+b-c
+        (_classify_at, (2, 2, 2, 4, 2), "split bundle .* violates 2r <= a\\+b-c$"),
+        # Chern one with 2r > a+b-c+1
+        (_classify_at, (2, 2, 2, 3, 2), "Chern-one bundle .* violates 2r <= a\\+b-c\\+1"),
+    ],
+)
+def test_arithmetic_faults_raise_internal_errors(fn, args, match):
+    with pytest.raises(InternalError, match=match):
+        fn(*args)
+
+
+def test_near_minimal_cases_fix_their_chern_number():
+    # at r = a-c+1, c2 = r(c-a-b) + ab - t + r^2 is 1 in case 1 and 0 in
+    # cases 2 and 3, whatever a and c, so _classify checks none of them
+    for a in range(1, 40):
+        for c in range(a, a + 40):
+            r = a - c + 1
+            assert _c2(a, a, c, c * (a - 1), r) == 1
+            assert _c2(a, a, c, c * (a - 1) + 1, r) == 0
+            if c >= a + 1:
+                assert _c2(a, a + 1, c, a * c, r) == 0
 
 
 def test_linked_degree_of_concurrent_lines(field):

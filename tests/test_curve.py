@@ -7,6 +7,7 @@ import pytest
 from qci import (
     CurveInput,
     GuardError,
+    InternalError,
     PrimeField,
     analyze_curve,
     analyze_qci,
@@ -19,6 +20,7 @@ from qci import (
     random_homog,
     variables,
 )
+from qci.curve import _classify
 
 
 def lines_product(field, d, shift=0):
@@ -210,6 +212,34 @@ def test_free_lower_bound_check_values():
     assert free_lower_bound_check(3, 3)
     assert free_lower_bound_check(5, 13)
     assert not free_lower_bound_check(4, 6)
+
+
+def test_free_values_meet_the_parity_bound():
+    # a free curve has 1 <= r, 2r+1 <= d and tau = (d-1)(d-1-r) + r^2,
+    # which the parity bound never refuses, so _classify does not check it
+    for d in range(3, 201):
+        for r in range(1, (d - 1) // 2 + 1):
+            assert free_lower_bound_check(d, (d - 1) * (d - 1 - r) + r * r), (d, r)
+
+
+@pytest.mark.parametrize(
+    "d, tau, r, c2, split, match",
+    [
+        (4, 8, 0, 0, True, "degree-0 syzygy forces tau = 9, got 8"),
+        (4, 9, 0, 0, False, "degree-0 syzygy forces a split bundle"),
+        (4, 7, 1, 0, False, "freeness tests disagree: .* split=False, c2=0"),
+        (4, 7, 1, 1, True, "freeness tests disagree: .* split=True, c2=1"),
+        (4, 7, 2, 0, True, "free curve with syzygy degree 2 violates 2r\\+1 <= d"),
+        (4, 6, 1, 1, True, "nearly-free tests disagree: .* split=True, c2=1"),
+        (4, 6, 1, 0, False, "nearly-free tests disagree: .* split=False, c2=0"),
+        (4, 5, 1, 0, True, "split bundle with tau 5 away from the free value 7"),
+        (4, 9, 1, 2, False, "tau 9 exceeds the cap 7"),
+        (8, 40, 3, 2, False, "high tau 40 at degree 8 matches none"),
+    ],
+)
+def test_classify_faults_raise_internal_errors(d, tau, r, c2, split, match):
+    with pytest.raises(InternalError, match=match):
+        _classify(d, tau, r, c2, split)
 
 
 # ---------------------------------------------------------------------------

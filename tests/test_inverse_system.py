@@ -215,10 +215,10 @@ def test_lone_hilbert_value_stays_direct(field, monkeypatch):
 
 
 def test_lone_syzygy_table_runs_the_plan(field):
-    # the generator lifts read the K_m that dimension keeps, so the syzygy
-    # table does not depend on dimension having run first
+    # the generator lifts read the K_m that dimension keeps, so the lift
+    # scan does not depend on dimension having run first
     Q = QciInput.of(*_node_partials(6, field, seed=1))
-    assert core._Analysis(Q).syzygy_table() == core.syzygy_dims(Q)
+    assert core._Analysis(Q)._generator_degrees() == core.syzygy_generator_degrees(Q)
 
 
 def test_corrupted_lift_fails_the_annihilation_check(field, monkeypatch):
