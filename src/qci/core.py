@@ -24,7 +24,7 @@ values k* .. k*+3 therefore decide the dimension class, and a tail that
 is neither constant nor strictly increasing is an InternalError.
 
 At the top of the Hilbert window the maps are the largest while the
-quotient is small, so there the engine carries the inverse system
+quotient is small, so there the window carries the inverse system
 (Macaulay) instead: from degree c on, I_{m+1} = S_1 * I_m, hence
 
     I_{m+1}^perp = { L : x_i -| L lies in I_m^perp for i = 0, 1, 2 },
@@ -37,7 +37,7 @@ degree-(m-1) monomial.  The system has 3*HF(m) unknowns, and its kernel
 has dimension HF(m+1).  The chain starts at the first degree
 m >= max(c, a+b+2), above the syzygy window, where a shape-only cost
 estimate puts the step into m+1 at under a quarter of the direct
-elimination of that degree's map (see ``_Analysis._switches_at``); degree
+elimination of that degree's map (see ``_switches_at``); degree
 m eliminates its transposed map for N_m in place of a plain rank, so the
 chain's first new degree is already a step.  It never starts at k_max,
 whose N_m no stage would read.  Sparse maps with a large
@@ -60,20 +60,22 @@ with chi(k) = (k+1)(k+2)/2 and h^0(E(m')) the kernel dimension of the
 degree-m' map.  For m >= 0, m' < k*, so that rank is one the Hilbert
 window already holds.
 
-Each degree's map is eliminated at most once, in ``_Analysis.dimension``,
-which keeps the one kernel a later stage reads: N_m on the chain (stepped,
-or eliminated at its start) until the next step replaces it, and the right
-kernel K_m over the syzygy window [a-1, a+b+1] (lift degree, window, twist
-above), whose row count is h^0(E(m-c)).  S is a domain, so x times a degree-m syzygy is a nonzero
-syzygy of degree m+1, and h^0(E(k)) never drops as k grows: below an
-injective degree every degree is injective.  ``dimension`` ranks the
-window from the top down, so of the injective degrees below the least
-syzygy degree r+c only r+c-1 is eliminated; the ones below it keep the
-empty K_m an elimination would give.  Below max(a-1, 0) the ideal is zero
-and the map has no columns, so those degrees have rank 0 and nothing is
-built there.  The saturation and the resolution check only read ranks of
-the window, so ``analyze_qci`` eliminates nothing above k_max; a lone
-value outside ``dimension`` is one plain rank.
+Each degree's map is eliminated at most once, in ``_hilbert_window``, which
+returns the Hilbert table and the right kernels K_m over the syzygy window
+[a-1, a+b+1] (lift degree, window, twist above), whose row count is
+h^0(E(m-c)); on the chain it holds only the current N_m (stepped, or
+eliminated at its start) until the next step replaces it.  S is a domain,
+so x times a degree-m syzygy is a nonzero syzygy of degree m+1, and
+h^0(E(k)) never drops as k grows: below an injective degree every degree
+is injective.  The window is ranked from the top down, so of the injective
+degrees below the least syzygy degree r+c only r+c-1 is eliminated; the
+ones below it keep the empty K_m an elimination would give.  Below
+max(a-1, 0) the ideal is zero and the map has no columns, so those degrees
+have rank 0 and nothing is built there.  Every later value (the syzygy
+dimensions and r, the saturation, h^1 and the resolution check) is
+arithmetic on the table, reading the rank of the degree-m map as
+dim S_m - HF(m), so ``analyze_qci`` eliminates nothing above k_max; a
+lone value outside the window is one plain rank.
 """
 
 from __future__ import annotations
@@ -106,7 +108,7 @@ def _chi(k: int) -> int:
 class QciInput:
     """Three homogeneous forms, stored sorted by degree a <= b <= c."""
 
-    __slots__ = ("polys",)
+    __slots__ = ("polys", "degrees")
 
     def __init__(self, polys: tuple[HomogPoly, HomogPoly, HomogPoly]):
         f1, f2, f3 = polys
@@ -130,14 +132,11 @@ class QciInput:
                 "form must tie in degree with another form"
             )
         self.polys = polys
+        self.degrees: tuple[int, int, int] = tuple(f.degree for f in polys)
 
     @classmethod
     def of(cls, f1: HomogPoly, f2: HomogPoly, f3: HomogPoly) -> "QciInput":
         return cls((f1, f2, f3))
-
-    @property
-    def degrees(self) -> tuple[int, int, int]:
-        return tuple(f.degree for f in self.polys)
 
     @property
     def field(self) -> PrimeField:
@@ -413,330 +412,315 @@ def _integrate(C: np.ndarray, N: np.ndarray, m: int, p: int) -> np.ndarray:
     )
 
 
-class _Analysis:
-    """Per-input elimination engine with degreewise caches.
+# -- eliminations ----------------------------------------------------------
+#
+# rank and kernel_basis are called from these frames alone: a linalg trace
+# names an elimination's stage by its caller.
 
-    ``dimension`` makes the plan's eliminations once; every other method
-    reads what it kept, or ranks one lone degree.  ``analyze_qci`` is the
-    one pass that runs the stages in order; the paper's arithmetic on
-    (a, b, c, t, r) lives in module-level functions, not here.
+
+def graded_map_matrix(Q: QciInput, m: int) -> np.ndarray:
+    # Built afresh on each call: a map is cheap to rebuild, and keeping all
+    # of them would only hold tens of MB at the larger degrees.
+    return np.hstack([mult_matrix(f, m - f.degree) for f in Q.polys])
+
+
+def rank_at(Q: QciInput, m: int) -> int:
+    """Rank of the degree-m map, one plain rank.
+
+    Below degree max(a-1, 0) the map has no columns: its rank is 0, and
+    nothing is built.
     """
+    if m < max(Q.degrees[0] - 1, 0):
+        return 0
+    return rank(graded_map_matrix(Q, m), Q.field)
 
-    def __init__(self, Q: QciInput):
-        self.Q = Q
-        self.field = Q.field
-        a, b, c = Q.degrees
-        self.a, self.b, self.c = a, b, c
-        self.k_star = a + b + c - 2
-        # stabilization anchor: the Hilbert window is 0 .. k_max
-        self.anchor = max(self.k_star, 0)
-        self.k_max = self.anchor + _TAIL - 1
-        self._ranks: dict[int, int] = {}
-        # the syzygy window's right kernels K_m, kept by dimension
-        self._kernels: dict[int, np.ndarray] = {}
-        self._dim_info = None
 
-    # -- evaluation maps ------------------------------------------------
+def kernel_at(Q: QciInput, m: int) -> np.ndarray:
+    # K_m, a basis of the degree-m map's kernel
+    return kernel_basis(graded_map_matrix(Q, m), Q.field)
 
-    def map_at(self, m: int) -> np.ndarray:
-        # Built afresh on each call: a map is cheap to rebuild, and every
-        # consumer caches what it derives, so keeping all of them would
-        # only hold tens of MB at the larger degrees.
-        return np.hstack([mult_matrix(f, m - f.degree) for f in self.Q.polys])
 
-    def rank_at(self, m: int) -> int:
-        """Rank of the degree-m map: the one ``dimension`` recorded, or a
-        plain rank.
+def left_null(Q: QciInput, m: int, prev: np.ndarray | None = None) -> np.ndarray:
+    # N_m, a basis of the degree-m map's left null space: from the
+    # transposed map, or stepped from prev = N_{m-1}
+    if prev is None:
+        return kernel_basis(graded_map_matrix(Q, m).T, Q.field)
+    C = kernel_basis(_contraction_system(prev, m - 1, Q.prime), Q.field)
+    return _integrate(C, prev, m - 1, Q.prime)
 
-        Below degree max(a-1, 0) the map has no columns: its rank is 0, and
-        nothing is built or cached.
-        """
-        if m < max(self.a - 1, 0):
-            return 0
-        v = self._ranks.get(m)
-        if v is None:
-            v = self._ranks[m] = rank(self.map_at(m), self.field)
-        return v
 
-    def kernel_at(self, m: int) -> np.ndarray:
-        # K_m, a basis of the degree-m map's kernel
-        return kernel_basis(self.map_at(m), self.field)
+def _cols(Q: QciInput, m: int) -> int:
+    # columns of the degree-m map
+    return sum(dim_S(m - f.degree) for f in Q.polys)
 
-    def left_null(self, m: int, prev: np.ndarray | None = None) -> np.ndarray:
-        # N_m, a basis of the degree-m map's left null space: from the
-        # transposed map, or stepped from prev = N_{m-1}
-        if prev is None:
-            return kernel_basis(self.map_at(m).T, self.field)
-        C = kernel_basis(_contraction_system(prev, m - 1, self.field.p), self.field)
-        return _integrate(C, prev, m - 1, self.field.p)
 
-    def _cols(self, m: int) -> int:
-        # columns of the degree-m map
-        return sum(dim_S(m - f.degree) for f in self.Q.polys)
+def _lift_index(Q: QciInput, m: int, axis: int) -> np.ndarray:
+    # column map of multiplication by the axis variable from the
+    # syzygy coordinate space at twist m - c into the one at m - c + 1
+    parts = []
+    tgt_off = 0
+    for f in Q.polys:
+        e = m - f.degree
+        parts.append(tgt_off + shift_index(e, axis))
+        tgt_off += dim_S(e + 1)
+    return np.concatenate(parts)
 
-    def _switches_at(self, m: int) -> bool:
-        """Whether degree m, above the syzygy window, starts the chain.
 
-        Only a degree c <= m < k_max can: from c on the ideal in degree
-        m+1 is S_1 times its degree-m part, and no stage reads degree
-        k_max+1, the first step from N_{k_max}.  Shapes alone decide,
-        pricing the step into m+1 against the direct map there.  The step
-        eliminates a 3*dim_S(m) x 3h system, h = HF(m), taken here to cost
-        18 h^2 dim_S(m); the direct map costs about
-        (dim_S(m+1) - h) * dim_S(m+1) * cols(m+1).  HF(m) is what degree m
-        is about to compute, so HF(m-1) stands in for it.  The chain starts
-        only where the step is estimated at under a quarter of that: direct
-        maps are often sparse, which the estimate does not see, and with a
-        smaller margin the pencil-of-lines maps (plateau (d-1)^2) ran
-        slower stepped.
-        """
-        if not self.c <= m < self.k_max:
-            return False
-        h = dim_S(m - 1) - self._ranks[m - 1]
-        step_cost = 18 * h * h * dim_S(m)
-        direct_cost = (dim_S(m + 1) - h) * dim_S(m + 1) * self._cols(m + 1)
-        return 4 * step_cost < direct_cost
+def _generator_degrees(
+    Q: QciInput, values: tuple[int, ...], kernels: dict[int, np.ndarray]
+) -> tuple[int, ...]:
+    """New minimal syzygy generators per twist, scanned over a-c .. a+b-c+1.
 
-    def _check_annihilation(self, N: np.ndarray, m: int) -> None:
-        # a stepped N_m must annihilate the direct map, checked by exact
-        # products one form's block at a time, so that only one block's
-        # float64 copy is live
-        p = self.field.p
-        if any(
-            matmul(N, mult_matrix(f, m - f.degree), p).any() for f in self.Q.polys
-        ):
-            raise InternalError(
-                f"stepped inverse system in degree {m} does not annihilate "
-                "the ideal; the integration step is broken"
-            )
-
-    def hilbert_value(self, k: int) -> int:
-        if k < 0:
-            raise GuardError("quotient Hilbert values are defined for k >= 0")
-        return dim_S(k) - self.rank_at(k)
-
-    # -- dimension detection --------------------------------------------
-
-    def dimension(self) -> tuple[str, int | None, HilbertTable]:
-        """Dimension class from the window's last four Hilbert values.
-
-        All zero is empty, constant is dim0, strictly increasing is
-        dim_ge_1 (see the module docstring); anything else is a fault.
-        Every elimination of the Hilbert window is made here, once per
-        degree, in two loops.  The syzygy window a+b+1 .. max(a-1, 0) goes
-        from the top down and keeps each K_m; below the first injective
-        degree every degree is injective and keeps the empty K_m with no
-        elimination.  The degrees a+b+2 .. k_max go upward: plain ranks
-        until ``_switches_at`` starts the chain, whose first degree keeps
-        the left null space N_m and whose later degrees are steps.  A chain
-        that reaches k_max is then checked against the direct map there.
-        Each elimination goes through ``rank_at``, ``kernel_at`` or
-        ``left_null``, the callers by which a linalg trace names its stage.
-        """
-        if self._dim_info is not None:
-            return self._dim_info
-        a, b = self.a, self.b
-        K = None
-        for m in range(a + b + 1, max(a - 1, 0) - 1, -1):
-            if K is not None and K.shape[0] == 0:
-                # injective one degree up, so injective here: a syzygy of
-                # degree m times x would be one of degree m+1
-                K = np.zeros((0, self._cols(m)), dtype=np.int64)
-            else:
-                K = self.kernel_at(m)
-            self._kernels[m] = K
-            self._ranks[m] = K.shape[1] - K.shape[0]
-        N = None
-        for m in range(a + b + 2, self.k_max + 1):
-            if N is not None or self._switches_at(m):
-                N = self.left_null(m, N)
-                self._ranks[m] = dim_S(m) - N.shape[0]
-            else:
-                self.rank_at(m)
-        if N is not None:
-            # the chain never starts at k_max, so this N was stepped
-            self._check_annihilation(N, self.k_max)
-        values = tuple(self.hilbert_value(k) for k in range(self.k_max + 1))
-        tail = values[-_TAIL:]
-        if not any(tail):
-            tag, t = "empty", 0
-        elif all(v == tail[0] for v in tail):
-            tag, t = "dim0", tail[0]
-        elif all(x < y for x, y in zip(tail, tail[1:])):
-            tag, t = "dim_ge_1", None
+    A twist-k syzygy already reachable as (variable) * (twist k-1
+    syzygy) is not new; the count of new ones is the kernel dimension
+    minus the rank of the lifted previous kernel, read from the window's
+    kernels.  Twists above the range are not scanned, so the multiset is a
+    truncation, not a Betti table.
+    """
+    a, b, c = Q.degrees
+    gens: list[int] = []
+    for k in range(a - c, a + b - c + 2):
+        m = k + c
+        h0 = _h0E(Q, values, k)
+        if h0 == 0:
+            continue
+        prev = kernels[m - 1]
+        if prev.shape[0] == 0:
+            new = h0
         else:
+            lifted = np.zeros((3 * prev.shape[0], _cols(Q, m)), dtype=np.int64)
+            for axis in range(3):
+                idx = _lift_index(Q, m - 1, axis)
+                block = lifted[axis * prev.shape[0] : (axis + 1) * prev.shape[0]]
+                block[:, idx] = prev
+            new = h0 - rank(lifted, Q.field)
+        if new < 0:
             raise InternalError(
-                f"quotient Hilbert tail {list(tail)} at k = {self.anchor}.."
-                f"{self.k_max} (k* = {self.k_star}) is neither constant nor "
-                "strictly increasing"
+                "lifted syzygies exceed the kernel dimension at twist "
+                f"{k}; multiplication lift is broken"
             )
-        table = HilbertTable(values=values, k_star=self.k_star, k_max=self.k_max)
-        self._dim_info = (tag, t, table)
-        return self._dim_info
+        gens.extend([k] * new)
+    return tuple(gens)
 
-    def require_dim0(self) -> int:
-        tag, t, _ = self.dimension()
-        _require_dim0(tag)
-        return t
 
-    # -- syzygies ---------------------------------------------------------
+# -- the Hilbert window ------------------------------------------------------
 
-    def h0E(self, k: int) -> int:
-        # syzygies of twist k: the kernel of the degree-(k+c) map
-        m = k + self.c
-        return self._cols(m) - self.rank_at(m)
 
-    def syzygy_table(self) -> SyzygyTable:
-        a, b, c = self.a, self.b, self.c
-        lo, hi = a - c, a + b - c
-        dims = tuple((k, self.h0E(k)) for k in range(lo, hi + 1))
-        r = None
-        for k, d in dims:
-            if d > 0:
-                r = k
-                break
-        if r is None:
-            raise InternalError(
-                "no syzygy found in the guaranteed window "
-                f"[{lo}, {hi}]; the Koszul relation must appear there"
-            )
-        return SyzygyTable(window=(lo, hi), dims=dims, r=r)
+def _switches_at(Q: QciInput, m: int, h: int, k_max: int) -> bool:
+    """Whether degree m, above the syzygy window, starts the chain.
 
-    def _lift_index(self, m: int, axis: int) -> np.ndarray:
-        # column map of multiplication by the axis variable from the
-        # syzygy coordinate space at twist m - c into the one at m - c + 1
-        parts = []
-        tgt_off = 0
-        for f in self.Q.polys:
-            e = m - f.degree
-            parts.append(tgt_off + shift_index(e, axis))
-            tgt_off += dim_S(e + 1)
-        return np.concatenate(parts)
+    Only a degree c <= m < k_max can: from c on the ideal in degree
+    m+1 is S_1 times its degree-m part, and no stage reads degree
+    k_max+1, the first step from N_{k_max}.  Shapes alone decide,
+    pricing the step into m+1 against the direct map there.  The step
+    eliminates a 3*dim_S(m) x 3h system, h = HF(m), taken here to cost
+    18 h^2 dim_S(m); the direct map costs about
+    (dim_S(m+1) - h) * dim_S(m+1) * cols(m+1).  HF(m) is what degree m
+    is about to compute, so the caller passes h = HF(m-1) in its place.
+    The chain starts only where the step is estimated at under a quarter
+    of that: direct maps are often sparse, which the estimate does not
+    see, and with a smaller margin the pencil-of-lines maps (plateau
+    (d-1)^2) ran slower stepped.
+    """
+    if not Q.degrees[2] <= m < k_max:
+        return False
+    step_cost = 18 * h * h * dim_S(m)
+    direct_cost = (dim_S(m + 1) - h) * dim_S(m + 1) * _cols(Q, m + 1)
+    return 4 * step_cost < direct_cost
 
-    def _generator_degrees(self) -> tuple[int, ...]:
-        """New minimal syzygy generators per twist, scanned over a-c .. a+b-c+1.
 
-        A twist-k syzygy already reachable as (variable) * (twist k-1
-        syzygy) is not new; the count of new ones is the kernel dimension
-        minus the rank of the lifted previous kernel.  Twists above the
-        range are not scanned, so the multiset is a truncation, not a Betti
-        table.
-        """
-        self.dimension()  # keeps the K_m the lifts read
-        gens: list[int] = []
-        for k in range(self.a - self.c, self.a + self.b - self.c + 2):
-            m = k + self.c
-            h0 = self.h0E(k)
-            if h0 == 0:
-                continue
-            prev = self._kernels[m - 1]
-            if prev.shape[0] == 0:
-                new = h0
-            else:
-                lifted = np.zeros((3 * prev.shape[0], self._cols(m)), dtype=np.int64)
-                for axis in range(3):
-                    idx = self._lift_index(m - 1, axis)
-                    block = lifted[axis * prev.shape[0] : (axis + 1) * prev.shape[0]]
-                    block[:, idx] = prev
-                new = h0 - rank(lifted, self.field)
-            if new < 0:
-                raise InternalError(
-                    "lifted syzygies exceed the kernel dimension at twist "
-                    f"{k}; multiplication lift is broken"
-                )
-            gens.extend([k] * new)
-        return tuple(gens)
+def _check_annihilation(Q: QciInput, N: np.ndarray, m: int) -> None:
+    # a stepped N_m must annihilate the direct map, checked by exact
+    # products one form's block at a time, so that only one block's
+    # float64 copy is live
+    p = Q.prime
+    if any(matmul(N, mult_matrix(f, m - f.degree), p).any() for f in Q.polys):
+        raise InternalError(
+            f"stepped inverse system in degree {m} does not annihilate "
+            "the ideal; the integration step is broken"
+        )
 
-    # -- saturation --------------------------------------------------------
 
-    def saturation_dim(self, m: int) -> int:
-        """Dimension of the saturation of I in degree m.
+def _hilbert_window(Q: QciInput) -> tuple[HilbertTable, dict[int, np.ndarray]]:
+    """Every elimination of the Hilbert window, once per degree, in two loops.
 
-        Read off t and the kernel dimension h^0(E(m')) of the degree
-        m' = a+b+c-3-m map by the identity in the module docstring; m' lies
-        below k*, so the rank is the Hilbert window's and nothing is
-        eliminated at any m.
-        """
-        if m < 0:
-            return 0
-        t = self.require_dim0()
-        # h^0(E(m')) is the kernel of the degree-m' map, at twist m' - c
-        h0 = self.h0E(self.a + self.b - 3 - m)
-        shifts = sum(dim_S(m - f.degree) - _chi(m - f.degree) for f in self.Q.polys)
-        return _chi(m) - t + shifts + h0
+    The syzygy window a+b+1 .. max(a-1, 0) goes from the top down and keeps
+    each K_m; below the first injective degree every degree is injective
+    and keeps the empty K_m with no elimination.  The degrees a+b+2 ..
+    k_max go upward: plain ranks until ``_switches_at`` starts the chain,
+    whose first degree keeps the left null space N_m and whose later
+    degrees are steps.  A chain that reaches k_max is then checked against
+    the direct map there.  Returns the quotient Hilbert values on
+    0 .. k_max and the kept K_m, keyed by degree.
+    """
+    a, b, c = Q.degrees
+    k_star = a + b + c - 2
+    k_max = max(k_star, 0) + _TAIL - 1
+    ranks: dict[int, int] = {}
+    kernels: dict[int, np.ndarray] = {}
+    K = None
+    for m in range(a + b + 1, max(a - 1, 0) - 1, -1):
+        if K is not None and K.shape[0] == 0:
+            # injective one degree up, so injective here: a syzygy of
+            # degree m times x would be one of degree m+1
+            K = np.zeros((0, _cols(Q, m)), dtype=np.int64)
+        else:
+            K = kernel_at(Q, m)
+        kernels[m] = K
+        ranks[m] = K.shape[1] - K.shape[0]
+    N = None
+    for m in range(a + b + 2, k_max + 1):
+        if N is not None or _switches_at(Q, m, dim_S(m - 1) - ranks[m - 1], k_max):
+            N = left_null(Q, m, N)
+            ranks[m] = dim_S(m) - N.shape[0]
+        else:
+            ranks[m] = rank_at(Q, m)
+    if N is not None:
+        # the chain never starts at k_max, so this N was stepped
+        _check_annihilation(Q, N, k_max)
+    # below max(a-1, 0) the map has no columns and rank 0
+    values = tuple(dim_S(k) - ranks.get(k, 0) for k in range(k_max + 1))
+    return HilbertTable(values=values, k_star=k_star, k_max=k_max), kernels
 
-    def h1E(self, k: int) -> int:
-        m = self.c + k
-        if m < 0:
-            return 0
-        v = self.saturation_dim(m) - self.rank_at(m)
-        if v < 0:
-            raise InternalError(
-                f"saturation lost ideal elements in degree {m}; "
-                "saturation must contain the ideal"
-            )
-        return v
 
-    def verify_resolution(
-        self, u: tuple[int, ...], v: tuple[int, ...]
-    ) -> bool:
-        """Numeric check of a claimed resolution 0 -> +O(-u) -> +O(-v) -> I -> 0.
+def _dimension_tag(table: HilbertTable) -> tuple[str, int | None]:
+    """Dimension class and t from the window's last four Hilbert values.
 
-        Compares the alternating sum of graded dimensions against the
-        saturation, and the alternating Euler characteristic against t, in
-        every degree 0 .. k_max of the Hilbert window.  A true resolution
-        holds in any degree, since H^1(O(k)) = 0 for every k; a false one
-        shows only in the low degrees, as from k*-1 on the saturation is
-        dim S_m - t and the check there is arithmetic on t.
-        """
-        t = self.require_dim0()
-        for m in range(self.k_max + 1):
-            predicted = sum(dim_S(m - vj) for vj in v) - sum(
-                dim_S(m - ui) for ui in u
-            )
-            if self.saturation_dim(m) != predicted:
-                return False
-            euler = _chi(m) - (
-                sum(_chi(m - vj) for vj in v) - sum(_chi(m - ui) for ui in u)
-            )
-            if euler != t:
-                return False
-        return True
+    All zero is empty, constant is dim0, strictly increasing is dim_ge_1
+    (see the module docstring); anything else is a fault.
+    """
+    tail = table.values[-_TAIL:]
+    if not any(tail):
+        return "empty", 0
+    if all(v == tail[0] for v in tail):
+        return "dim0", tail[0]
+    if all(x < y for x, y in zip(tail, tail[1:])):
+        return "dim_ge_1", None
+    raise InternalError(
+        f"quotient Hilbert tail {list(tail)} at k = {max(table.k_star, 0)}.."
+        f"{table.k_max} (k* = {table.k_star}) is neither constant nor "
+        "strictly increasing"
+    )
+
+
+def _finite_window(Q: QciInput) -> HilbertTable:
+    # the Hilbert window of a finite nonempty scheme; a refusal is a GuardError
+    table, _ = _hilbert_window(Q)
+    _require_dim0(_dimension_tag(table)[0])
+    return table
+
+
+# -- arithmetic on the window's values ---------------------------------------
+#
+# ``values`` are the Hilbert window's, so the degree-m map has rank
+# dim_S(m) - values[m] for m <= k_max; where t is read, the scheme is finite
+# and nonempty, and t is values[-1].
+
+
+def _h0E(Q: QciInput, values: tuple[int, ...], k: int) -> int:
+    # syzygies of twist k: the kernel of the degree-(k+c) map
+    m = k + Q.degrees[2]
+    if m < 0:
+        return 0
+    return _cols(Q, m) - dim_S(m) + values[m]
+
+
+def _syzygy_table(Q: QciInput, values: tuple[int, ...]) -> SyzygyTable:
+    a, b, c = Q.degrees
+    lo, hi = a - c, a + b - c
+    dims = tuple((k, _h0E(Q, values, k)) for k in range(lo, hi + 1))
+    r = next((k for k, d in dims if d > 0), None)
+    if r is None:
+        raise InternalError(
+            "no syzygy found in the guaranteed window "
+            f"[{lo}, {hi}]; the Koszul relation must appear there"
+        )
+    return SyzygyTable(window=(lo, hi), dims=dims, r=r)
+
+
+def _saturation_dim(Q: QciInput, values: tuple[int, ...], m: int) -> int:
+    """Dimension of the saturation of I in degree m.
+
+    Read off t and the kernel dimension h^0(E(m')) of the degree
+    m' = a+b+c-3-m map by the identity in the module docstring; m' lies
+    below k*, so the rank is the Hilbert window's and nothing is
+    eliminated at any m.
+    """
+    if m < 0:
+        return 0
+    a, b, _ = Q.degrees
+    # h^0(E(m')) is the kernel of the degree-m' map, at twist m' - c
+    h0 = _h0E(Q, values, a + b - 3 - m)
+    shifts = sum(dim_S(m - f.degree) - _chi(m - f.degree) for f in Q.polys)
+    return _chi(m) - values[-1] + shifts + h0
+
+
+def _h1E(Q: QciInput, values: tuple[int, ...], k: int) -> int:
+    m = Q.degrees[2] + k
+    if m < 0:
+        return 0
+    # above the window the ideal's dimension is one lone rank
+    ideal = dim_S(m) - values[m] if m < len(values) else rank_at(Q, m)
+    v = _saturation_dim(Q, values, m) - ideal
+    if v < 0:
+        raise InternalError(
+            f"saturation lost ideal elements in degree {m}; "
+            "saturation must contain the ideal"
+        )
+    return v
+
+
+def _verify_resolution(
+    Q: QciInput, values: tuple[int, ...], u: tuple[int, ...], v: tuple[int, ...]
+) -> bool:
+    """Numeric check of a claimed resolution 0 -> +O(-u) -> +O(-v) -> I -> 0.
+
+    Compares the alternating sum of graded dimensions against the
+    saturation, and the alternating Euler characteristic against t, in
+    every degree 0 .. k_max of the Hilbert window.  A true resolution
+    holds in any degree, since H^1(O(k)) = 0 for every k; a false one
+    shows only in the low degrees, as from k*-1 on the saturation is
+    dim S_m - t and the check there is arithmetic on t.
+    """
+    t = values[-1]
+    for m in range(len(values)):
+        predicted = sum(dim_S(m - vj) for vj in v) - sum(dim_S(m - ui) for ui in u)
+        if _saturation_dim(Q, values, m) != predicted:
+            return False
+        euler = _chi(m) - (
+            sum(_chi(m - vj) for vj in v) - sum(_chi(m - ui) for ui in u)
+        )
+        if euler != t:
+            return False
+    return True
 
 
 # -- public operations ----------------------------------------------------
 #
 # The entry points that take a degree, or stop at the dimension stage, run
-# their own engine; the others read one field of the full battery.
-
-
-def graded_map_matrix(Q: QciInput, m: int) -> np.ndarray:
-    return _Analysis(Q).map_at(m)
+# the window themselves; the others read one field of the full battery.
 
 
 def quotient_hilbert(Q: QciInput, k: int) -> int:
-    return _Analysis(Q).hilbert_value(k)
+    if k < 0:
+        raise GuardError("quotient Hilbert values are defined for k >= 0")
+    return dim_S(k) - rank_at(Q, k)
 
 
 def dimension_class(Q: QciInput) -> tuple[str, int | None]:
-    tag, t, _ = _Analysis(Q).dimension()
-    return tag, t
+    return _dimension_tag(_hilbert_window(Q)[0])
 
 
 def degree_t(Q: QciInput) -> int:
-    return _Analysis(Q).require_dim0()
+    return _finite_window(Q).values[-1]
 
 
 def saturation_dim(Q: QciInput, m: int) -> int:
-    eng = _Analysis(Q)
-    eng.require_dim0()
-    return eng.saturation_dim(m)
+    return _saturation_dim(Q, _finite_window(Q).values, m)
 
 
 def h1_E(Q: QciInput, k: int) -> int:
-    eng = _Analysis(Q)
-    eng.require_dim0()
-    return eng.h1E(k)
+    return _h1E(Q, _finite_window(Q).values, k)
 
 
 def verify_resolution(
@@ -744,7 +728,7 @@ def verify_resolution(
     resolution: tuple[tuple[int, ...], tuple[int, ...]],
 ) -> bool:
     u, v = resolution
-    return _Analysis(Q).verify_resolution(tuple(u), tuple(v))
+    return _verify_resolution(Q, _finite_window(Q).values, tuple(u), tuple(v))
 
 
 def _finite_report(Q: QciInput) -> QciReport:
@@ -784,13 +768,14 @@ def linked_degree(Q: QciInput) -> int:
 
 
 def analyze_qci(Q: QciInput) -> QciReport:
-    """Full invariant battery for one input, in one pass on one engine.
+    """Full invariant battery for one input, in one pass.
 
-    The engine eliminates; every other value is arithmetic on
-    (a, b, c, t, r), computed once, in the order below.
+    The Hilbert window makes every elimination but the generator lifts;
+    every other value is arithmetic on its values and on (a, b, c, t, r),
+    computed once, in the order below.
     """
-    eng = _Analysis(Q)
-    tag, t, table = eng.dimension()
+    table, kernels = _hilbert_window(Q)
+    tag, t = _dimension_tag(table)
     if tag != "dim0":
         refusal = (
             "empty scheme: the three forms have no common zero"
@@ -807,7 +792,8 @@ def analyze_qci(Q: QciInput) -> QciReport:
             hilbert=table,
         )
     a, b, c = Q.degrees
-    syz = eng.syzygy_table()
+    values = table.values
+    syz = _syzygy_table(Q, values)
     r = syz.r
     c2 = _c2(a, b, c, t, r)
     gamma = _gamma(a, c, t)
@@ -815,12 +801,12 @@ def analyze_qci(Q: QciInput) -> QciReport:
     # the twist at which the normalized bundle criterion reads h^1: the
     # first Chern number of E(m0) must land in {-2, -3}
     m0 = (a + b - c - 2) // 2
-    h1 = eng.h1E(m0)
+    h1 = _h1E(Q, values, m0)
     split_flag = _split_flag(h1, c2)
     cls = _classify(a, b, c, t, r, c2)
     verified = None
     if cls.resolution is not None:
-        verified = eng.verify_resolution(*cls.resolution)
+        verified = _verify_resolution(Q, values, *cls.resolution)
         if not verified:
             raise InternalError(
                 f"predicted resolution for tag {cls.tag} failed numeric "
@@ -839,7 +825,7 @@ def analyze_qci(Q: QciInput) -> QciReport:
         splits=split_flag,
         bounds_i=bi,
         bounds_ii=bii,
-        generator_degrees=eng._generator_degrees(),
+        generator_degrees=_generator_degrees(Q, values, kernels),
         classification=cls,
         resolution_verified=verified,
         hilbert=table,

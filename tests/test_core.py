@@ -226,6 +226,26 @@ def test_degree_requires_finite_scheme(field):
         degree_t(QciInput.of(*variables(field)))
 
 
+_STAGE_CALLS = {
+    "degree_t": lambda Q: degree_t(Q),
+    "saturation_dim": lambda Q: saturation_dim(Q, 2),
+    "h1_E": lambda Q: h1_E(Q, 0),
+    "verify_resolution": lambda Q: verify_resolution(Q, ((2,), (1, 1))),
+}
+
+
+@pytest.mark.parametrize("stage", sorted(_STAGE_CALLS))
+@pytest.mark.parametrize(
+    "forms, tag",
+    [(("x", "y", "z"), "empty"), (("x*z", "y*z", "x*z + y*z"), "dim_ge_1")],
+)
+def test_every_stage_refuses_a_scheme_that_is_not_finite(stage, forms, tag, field):
+    Q = QciInput.of(*(parse_poly(s, field) for s in forms))
+    message = f"operation needs a finite nonempty scheme; input is {tag}$"
+    with pytest.raises(GuardError, match=message):
+        _STAGE_CALLS[stage](Q)
+
+
 # ---------------------------------------------------------------------------
 # frozen invariant batteries for the three standing witnesses
 

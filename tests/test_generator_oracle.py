@@ -1,7 +1,8 @@
 """Syzygy generator degrees against a brute-force scan of every twist.
 
-The engine counts new minimal generators only over the twists
-[a-c, a+b-c] (``_Analysis._generator_degrees``).  The oracle here scans
+The report counts new minimal generators only over the twists
+a-c .. a+b-c+1 (``core._generator_degrees``, which lifts the kernels the
+Hilbert window returns).  The oracle here scans
 every degree m = max(a-1, 0) .. a+b+2c, that is every twist up to a+b+c:
 it takes the kernel K_m of the degree-m map, lifts the previous kernel
 K_{m-1} into degree m by multiplying each form's block with the

@@ -5,14 +5,13 @@ degree's map, and on monomial ideals with the counting oracle of
 conftest.py.  The step helpers are called directly, so these checks do not
 depend on where the engine's cost rule starts the chain.
 
-The engine eliminates each degree's map once: ``_Analysis.dimension``
-keeps the K_m of the syzygy window and carries N_m up the chain (the tests
-capture each N_m by wrapping ``_Analysis.left_null``), the syzygy stage
-reads the K_m it kept, ``saturation_dim``
-reads only ranks of the Hilbert window, and ``analyze_qci`` ranks nothing
-above k_max; a lone ``rank_at`` outside that plan is one plain rank.  The
-chain starts above the syzygy window, so it never holds a degree whose K_m
-the syzygy stage needs.  A window degree below an
+Each degree's map is eliminated once: ``_hilbert_window`` returns the K_m
+of the syzygy window and carries N_m up the chain (the tests capture each
+N_m by wrapping ``core.left_null``), the generator lifts read the K_m it
+returned, the saturation reads only ranks of the Hilbert window, and
+``analyze_qci`` ranks nothing above k_max; a lone ``rank_at`` outside the
+window is one plain rank.  The chain starts above the syzygy window, so it
+never holds a degree whose K_m the lifts need.  A window degree below an
 injective one is injective and is not eliminated at all; its empty K_m is
 compared byte for byte with a direct kernel.
 A stepped N is a basis of I_m^perp but not the canonical one, so it is
@@ -27,15 +26,18 @@ import random
 import sys
 from collections import defaultdict
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from qci import (
+    CurveInput,
     HomogPoly,
     InternalError,
     PrimeField,
     QciInput,
+    analyze_curve,
     analyze_qci,
     dim_S,
     family,
@@ -46,7 +48,7 @@ from qci import (
     rank,
     rref,
 )
-from qci import core
+from qci import core, linalg
 from qci.poly import product_positions
 
 LARGE_PRIMES = (32003, 2097143)
@@ -69,21 +71,20 @@ def _node_partials(d, field, seed):
 
 def _stepped_hilbert(Q):
     """HF(m) for m in [m0, k_max] by stepping N_m0 up with the core helpers."""
-    eng = core._Analysis(Q)
     p = Q.prime
     m0 = max(Q.degrees[2], 1)
-    N = kernel_basis(eng.map_at(m0).T, Q.field)
+    N = kernel_basis(core.graded_map_matrix(Q, m0).T, Q.field)
     values = {m0: N.shape[0]}
-    for m in range(m0, eng.k_star + 3):
+    for m in range(m0, sum(Q.degrees) + 1):
         C = kernel_basis(core._contraction_system(N, m, p), Q.field)
         N = core._integrate(C, N, m, p)
-        assert not (N @ eng.map_at(m + 1) % p).any()
+        assert not (N @ core.graded_map_matrix(Q, m + 1) % p).any()
         values[m + 1] = N.shape[0]
     return values
 
 
 def _direct_hilbert(Q, m):
-    return dim_S(m) - rank(core._Analysis(Q).map_at(m), Q.field)
+    return dim_S(m) - rank(core.graded_map_matrix(Q, m), Q.field)
 
 
 def _check_against_direct(Q):
@@ -155,75 +156,75 @@ def test_stepped_hilbert_matches_monomial_oracle(gens, p, monomial_oracle):
 
 
 def _record_chains(monkeypatch):
-    """Each engine's chain {m: N_m}, filled as ``dimension`` makes it.
+    """Each input's chain {m: N_m}, filled as its Hilbert window makes it.
 
-    The engine keeps no N_m, so ``_Analysis.left_null`` is wrapped, and the
+    The window keeps no N_m, so ``core.left_null`` is wrapped, and the
     original still makes the elimination under its own caller name.
     """
     chains = defaultdict(dict)
-    left_null = core._Analysis.left_null
+    left_null = core.left_null
 
-    def recording(self, m, prev=None):
-        N = chains[self][m] = left_null(self, m, prev)
+    def recording(Q, m, prev=None):
+        N = chains[Q][m] = left_null(Q, m, prev)
         return N
 
-    monkeypatch.setattr(core._Analysis, "left_null", recording)
+    monkeypatch.setattr(core, "left_null", recording)
     return chains
 
 
 def _chained_engine(field, monkeypatch):
     Q = QciInput.of(*_node_partials(7, field, seed=3))
     chains = _record_chains(monkeypatch)
-    eng = core._Analysis(Q)
-    eng.dimension()
-    chain = chains[eng]
+    table, _ = core._hilbert_window(Q)
+    chain = chains[Q]
     assert any(m - 1 in chain for m in chain), (
         "the cost rule should start the chain on a dense node and step it"
     )
-    return Q, eng, chain
+    return Q, table, chain
 
 
 def test_chain_spans_the_direct_left_null_space(field, monkeypatch):
-    Q, eng, chain = _chained_engine(field, monkeypatch)
+    Q, _, chain = _chained_engine(field, monkeypatch)
     for m, N in sorted(chain.items()):
-        K = kernel_basis(eng.map_at(m).T, field)
+        K = kernel_basis(core.graded_map_matrix(Q, m).T, field)
         assert rref(N, field)[0].tobytes() == rref(K, field)[0].tobytes(), m
 
 
 def test_lone_rank_above_the_window_is_direct(field, monkeypatch):
     # after the chain, a degree above k_max (only a lone h1_E call ranks
     # one) is one plain rank, not a step from N_{k_max}
-    Q, eng, chain = _chained_engine(field, monkeypatch)
-    top = eng.dimension()[2].k_max + 1
+    Q, table, chain = _chained_engine(field, monkeypatch)
+    top = table.k_max + 1
     before = set(chain)
     calls = _record_eliminations(monkeypatch)
-    v = eng.rank_at(top)
+    v = core.rank_at(Q, top)
     assert calls == ["rank"]
     assert set(chain) == before
-    assert v == rank(eng.map_at(top), field)
+    assert v == rank(core.graded_map_matrix(Q, top), field)
 
 
 def test_lone_hilbert_value_stays_direct(field, monkeypatch):
     # a lone value on the chain's top degree is one plain rank, equal to
     # the stepped one
-    Q, eng, chain = _chained_engine(field, monkeypatch)
+    Q, table, chain = _chained_engine(field, monkeypatch)
     top = max(chain)
-    fresh = core._Analysis(Q)
     calls = _record_eliminations(monkeypatch)
-    assert fresh.hilbert_value(top) == eng.hilbert_value(top)
+    assert core.quotient_hilbert(Q, top) == table.values[top]
     assert calls == ["rank"]
 
 
 def test_lone_syzygy_table_runs_the_plan(field):
-    # the generator lifts read the K_m that dimension keeps, so the lift
-    # scan does not depend on dimension having run first
+    # the generator lifts read the K_m that the window returns, passed in,
+    # so the lift scan depends on no earlier call
     Q = QciInput.of(*_node_partials(6, field, seed=1))
-    assert core._Analysis(Q)._generator_degrees() == core.syzygy_generator_degrees(Q)
+    table, kernels = core._hilbert_window(Q)
+    lifts = core._generator_degrees(Q, table.values, kernels)
+    assert lifts == core.syzygy_generator_degrees(Q)
 
 
 def test_corrupted_lift_fails_the_annihilation_check(field, monkeypatch):
-    Q, eng, _ = _chained_engine(field, monkeypatch)
-    k_max = eng.dimension()[2].k_max
+    Q, table, _ = _chained_engine(field, monkeypatch)
+    k_max = table.k_max
     integrate = core._integrate
 
     def corrupted(C, N, m, p):
@@ -245,15 +246,35 @@ def test_engine_report_matches_direct_ranks(field, monkeypatch):
 
 
 def _record_engines(monkeypatch):
-    """A list that every engine built from here on is appended to."""
+    """A list that every Hilbert window made from here on is appended to.
+
+    Each entry holds the input ``Q``, its degrees ``a, b, c``, the window's
+    ``table`` and ``kernels``, and ``ranked``: the degrees it keeps a K_m
+    for and every degree passed to ``rank_at``, ``kernel_at`` or
+    ``left_null`` from its start on.  The wrapped originals still make each
+    elimination under their own caller names.
+    """
     engines = []
+    hilbert_window = core._hilbert_window
 
-    class Recorded(core._Analysis):
-        def __init__(self, Q):
-            super().__init__(Q)
-            engines.append(self)
+    def window(Q):
+        eng = SimpleNamespace(Q=Q, ranked=set())
+        eng.a, eng.b, eng.c = Q.degrees
+        engines.append(eng)
+        eng.table, eng.kernels = hilbert_window(Q)
+        eng.ranked.update(eng.kernels)
+        return eng.table, eng.kernels
 
-    monkeypatch.setattr(core, "_Analysis", Recorded)
+    def ranking(fn):
+        def wrapper(Q, m, *prev):
+            engines[-1].ranked.add(m)
+            return fn(Q, m, *prev)
+
+        return wrapper
+
+    monkeypatch.setattr(core, "_hilbert_window", window)
+    for name in ("rank_at", "kernel_at", "left_null"):
+        monkeypatch.setattr(core, name, ranking(getattr(core, name)))
     return engines
 
 
@@ -278,8 +299,8 @@ def _analyze_recording(Q, monkeypatch):
 
 def _eliminations_per_degree(eng, seen):
     counts = {}
-    for m in range(eng.anchor + 5):
-        M = eng.map_at(m)
+    for m in range(eng.table.k_max + 2):
+        M = core.graded_map_matrix(eng.Q, m)
         counts[m] = sum(
             (A.shape == M.shape and np.array_equal(A, M))
             or (A.shape == M.T.shape and np.array_equal(A, M.T))
@@ -291,7 +312,7 @@ def _eliminations_per_degree(eng, seen):
 def _skipped_window_degrees(eng):
     # the syzygy window's degrees below its topmost injective one
     window = range(max(eng.a - 1, 0), eng.a + eng.b + 2)
-    injective = [m for m in window if eng._ranks[m] == eng._cols(m)]
+    injective = [m for m in window if eng.kernels[m].shape[0] == 0]
     return set(range(window.start, max(injective))) if injective else set()
 
 
@@ -324,7 +345,7 @@ def _named_input(field, which):
 def test_each_map_is_eliminated_once(which, both, field, monkeypatch):
     chains = _record_chains(monkeypatch)
     report, eng, seen = _analyze_recording(_named_input(field, which), monkeypatch)
-    chain = chains[eng]
+    chain = chains[eng.Q]
     assert report.dimension_class == "dim0"
     counts = _eliminations_per_degree(eng, seen)
     # no degree keeps two kernels, K_m and N_m, not even for c <= 2
@@ -335,7 +356,7 @@ def test_each_map_is_eliminated_once(which, both, field, monkeypatch):
     # the window degrees below the topmost injective one, none of which was
     stepped = {m for m in chain if m - 1 in chain}
     skipped = _skipped_window_degrees(eng)
-    assert all(counts[m] for m in eng._ranks if m not in stepped | skipped)
+    assert all(counts[m] for m in eng.ranked if m not in stepped | skipped)
     assert not any(counts[m] for m in skipped)
     if which.startswith("node"):
         assert any(m - 1 in chain for m in chain)
@@ -351,7 +372,7 @@ def test_nothing_is_ranked_above_the_window(which, field, monkeypatch):
     # Hilbert window already holds
     report, eng, _ = _analyze_recording(_named_input(field, which), monkeypatch)
     assert report.dimension_class == "dim0"
-    assert max(eng._ranks) <= report.hilbert.k_max
+    assert max(eng.ranked) <= report.hilbert.k_max
 
 
 def _random_triple(field, degrees):
@@ -372,16 +393,15 @@ def test_chain_starts_above_the_syzygy_window(which, field, monkeypatch):
     else:
         Q = _random_triple(field, which)
     chains = _record_chains(monkeypatch)
-    eng = core._Analysis(Q)
-    eng.dimension()
+    core._hilbert_window(Q)
     a, b, c = Q.degrees
-    assert chains[eng]
-    assert min(chains[eng]) >= max(c, a + b + 2)
+    assert chains[Q]
+    assert min(chains[Q]) >= max(c, a + b + 2)
 
 
 def test_eliminations_happen_only_where_kernels_are_kept(field, monkeypatch):
-    # dimension makes the Hilbert window's eliminations through rank_at,
-    # kernel_at and left_null; the syzygy stage reads the K_m it kept, and the
+    # the Hilbert window makes its eliminations through rank_at, kernel_at
+    # and left_null; the generator lifts read the K_m it returned, and the
     # saturation only reads ranks, so no other stage eliminates
     calls = set()
 
@@ -420,9 +440,9 @@ def _full_stack_saturation(Q, m):
     # gives (I : m^e)_m, the saturation in degree m
     if m < 0:
         return 0
-    eng = core._Analysis(Q)
-    e = max(1, eng.anchor + 1 - m)
-    N = kernel_basis(eng.map_at(m + e).T, Q.field)
+    anchor = max(sum(Q.degrees) - 2, 0)
+    e = max(1, anchor + 1 - m)
+    N = kernel_basis(core.graded_map_matrix(Q, m + e).T, Q.field)
     stack = np.vstack([N[:, cols] for cols in product_positions(m, e)])
     return dim_S(m) - rank(stack, Q.field)
 
@@ -444,7 +464,7 @@ def _seeded_triple(field, seed):
         if any(f.is_zero for f in polys):
             continue
         Q = QciInput.of(*polys)
-        if core._Analysis(Q).dimension()[0] == "dim0":
+        if core.dimension_class(Q)[0] == "dim0":
             return Q
 
 
@@ -472,15 +492,15 @@ def test_saturation_matches_the_full_stack(which):
     for p in (32003,) if which in _ONLY_LARGE else (13, 32003):
         field = PrimeField(p)
         Q = _oracle_input(field, which)
-        eng = core._Analysis(Q)
-        assert eng.dimension()[0] == "dim0"
-        k_max = eng.dimension()[2].k_max
+        table, _ = core._hilbert_window(Q)
+        assert core._dimension_tag(table)[0] == "dim0"
+        k_max = table.k_max
         c = Q.degrees[2]
         for m in range(-2, k_max + 3):
             sat = _full_stack_saturation(Q, m)
-            assert eng.saturation_dim(m) == sat, (p, m)
-            ideal = rank(eng.map_at(m), field) if m >= 0 else 0
-            assert eng.h1E(m - c) == sat - ideal, (p, m)
+            assert core._saturation_dim(Q, table.values, m) == sat, (p, m)
+            ideal = rank(core.graded_map_matrix(Q, m), field) if m >= 0 else 0
+            assert core._h1E(Q, table.values, m - c) == sat - ideal, (p, m)
 
 
 def _record_eliminations(monkeypatch):
@@ -505,11 +525,11 @@ def _record_eliminations(monkeypatch):
 def test_lone_saturation_call_eliminates_nothing(which, field, monkeypatch):
     # the saturation reads only the window's ranks, at any degree
     Q = _named_input(field, which)
-    eng = core._Analysis(Q)
-    t = eng.require_dim0()
-    m = eng.dimension()[2].k_max + 5
+    table = core._finite_window(Q)
+    t = table.values[-1]
+    m = table.k_max + 5
     calls = _record_eliminations(monkeypatch)
-    assert eng.saturation_dim(m) == dim_S(m) - t
+    assert core._saturation_dim(Q, table.values, m) == dim_S(m) - t
     assert calls == []
 
 
@@ -570,15 +590,16 @@ def test_skipped_window_kernels_match_direct_elimination(which):
     # elimination; it must be the kernel a direct elimination gives
     for p in (32003,) if which in _SKIP_ONLY_LARGE else (13, 32003):
         field = PrimeField(p)
-        eng = core._Analysis(_skip_input(field, which))
-        eng.dimension()
-        window = range(max(eng.a - 1, 0), eng.a + eng.b + 2)
+        Q = _skip_input(field, which)
+        a, b, c = Q.degrees
+        table, kernels = core._hilbert_window(Q)
+        window = range(max(a - 1, 0), a + b + 2)
         for m in window:
-            K, kept = kernel_basis(eng.map_at(m), field), eng._kernels[m]
+            K, kept = kernel_basis(core.graded_map_matrix(Q, m), field), kernels[m]
             assert (kept.shape, kept.dtype) == (K.shape, K.dtype), (p, m)
             assert kept.tobytes() == K.tobytes(), (p, m)
         # x times a syzygy is a syzygy one degree up, so h^0(E(k)) never drops
-        h0 = [eng.h0E(m - eng.c) for m in window]
+        h0 = [core._h0E(Q, table.values, m - c) for m in window]
         assert h0 == sorted(h0), p
 
 
@@ -616,7 +637,7 @@ def test_chain_never_starts_at_k_max(which, field, monkeypatch):
     report = analyze_qci(Q)
     (eng,) = engines
     assert report.dimension_class == "dim0"
-    assert not chains[eng] or min(chains[eng]) < report.hilbert.k_max
+    assert not chains[Q] or min(chains[Q]) < report.hilbert.k_max
 
 
 @pytest.mark.parametrize("which", ["node9", "lines6", "1,x,y", "x,y,x+y"])
@@ -640,7 +661,7 @@ def test_nothing_is_built_below_the_syzygy_window(which, field, monkeypatch):
     engines = _record_engines(monkeypatch)
     analyze_qci(Q)
     (eng,) = engines
-    assert min(eng._ranks) >= lo
+    assert min(eng.ranked) >= lo
 
 
 @pytest.mark.parametrize("which", ["node7", "nodal cubic", "ci_qci(2, 4)", "x,y,x+y"])
@@ -653,3 +674,43 @@ def test_lone_window_value_eliminates_one_map(which, field, monkeypatch):
         calls.clear()
         assert core.quotient_hilbert(Q, m) == _direct_hilbert(Q, m)
         assert len(calls) == 1, m
+
+
+def _pinned_analysis(field, which):
+    if which == "lines8":
+        return lambda: analyze_curve(family("lines_through_point", field, d=8))
+    if which == "triangle":
+        return lambda: analyze_curve(CurveInput(parse_poly("x*y*z", field)))
+    if which == "triple(2, 3, 4)":
+        Q = _random_triple(field, (2, 3, 4))
+    else:
+        Q = _named_input(field, which)
+    return lambda: analyze_qci(Q)
+
+
+# The elimination plan's work on five fixed inputs: the number of echelon
+# passes and the pivots they find.  A change to the plan must update these
+# figures and say why; a refactor that keeps the plan keeps them.
+@pytest.mark.parametrize(
+    "which, calls, pivots",
+    [
+        ("node7", 10, 385),
+        ("lines8", 25, 1634),
+        ("triangle", 8, 89),
+        ("x,y^2,y*z", 6, 58),
+        ("triple(2, 3, 4)", 7, 91),
+    ],
+)
+def test_elimination_work_is_pinned(which, calls, pivots, field, monkeypatch):
+    analysis = _pinned_analysis(field, which)
+    seen = []
+    echelon = linalg._echelon
+
+    def counting(M, p, *rest):
+        R, found = echelon(M, p, *rest)
+        seen.append(len(found))
+        return R, found
+
+    monkeypatch.setattr(linalg, "_echelon", counting)
+    analysis()
+    assert (len(seen), sum(seen)) == (calls, pivots)

@@ -200,18 +200,18 @@ def _node_chain_system(p):
     rng = random.Random(9)
     skip = {(0, 0, 9), (1, 0, 8), (0, 1, 8)}
     coeffs = {m: rng.randrange(1, p) for m in monomial_basis(9) if m not in skip}
-    eng = core._Analysis(QciInput.of(*HomogPoly(9, coeffs, field).partials()))
-    # the chain's first N_m, captured as dimension makes it
+    Q = QciInput.of(*HomogPoly(9, coeffs, field).partials())
+    # the chain's first N_m, captured as the Hilbert window makes it
     chain = {}
-    left_null = core._Analysis.left_null
+    left_null = core.left_null
 
-    def recording(self, m, prev=None):
-        N = chain[m] = left_null(self, m, prev)
+    def recording(Q, m, prev=None):
+        N = chain[m] = left_null(Q, m, prev)
         return N
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(core._Analysis, "left_null", recording)
-        eng.dimension()
+        mp.setattr(core, "left_null", recording)
+        core._hilbert_window(Q)
     m = min(chain)
     A = core._contraction_system(chain[m], m, p)
     assert A.shape[0] > A.shape[1] and 0 < A.shape[1] <= NB

@@ -8,6 +8,7 @@ the three forms have a common factor of positive degree.
 """
 
 import random
+import re
 from functools import reduce
 
 import pytest
@@ -25,8 +26,9 @@ from qci import (
     quotient_hilbert,
     random_homog,
 )
+from qci import core
 from qci.cli import main
-from qci.core import _Analysis
+from qci.core import HilbertTable, _dimension_tag
 
 _X, _Y, _Z = sympy.symbols("x y z")
 
@@ -117,10 +119,41 @@ def test_window_tail_matches_gcd_oracle(kind, seed):
                 assert v == dim_S(k) - dim_S(k - e) + rest, (p, k)
 
 
+@pytest.mark.parametrize(
+    "values, k_star, expected",
+    [
+        ((1, 0, 0, 0, 0), 1, ("empty", 0)),
+        ((0, 0, 0, 0), -1, ("empty", 0)),
+        ((1, 3, 3, 3, 3, 3, 3, 3), 4, ("dim0", 3)),
+        ((1, 1, 1, 1), -1, ("dim0", 1)),
+        ((1, 3, 4, 5, 6, 7), 2, ("dim_ge_1", None)),
+        ((1, 3, 6, 9, 10, 12, 13, 15), 4, ("dim_ge_1", None)),
+    ],
+)
+def test_window_tail_decides_the_class(values, k_star, expected):
+    table = HilbertTable(values=values, k_star=k_star, k_max=len(values) - 1)
+    assert _dimension_tag(table) == expected
+
+
+@pytest.mark.parametrize(
+    "values, k_star, window",
+    [
+        ((1, 3, 3, 3, 3, 3, 4, 3), 4, "[3, 3, 4, 3] at k = 4..7 (k* = 4)"),
+        ((1, 3, 3, 3, 3, 3, 3, 2), 4, "[3, 3, 3, 2] at k = 4..7 (k* = 4)"),
+        ((1, 2, 2, 1), -1, "[1, 2, 2, 1] at k = 0..3 (k* = -1)"),
+    ],
+)
+def test_window_tail_that_is_neither_is_an_internal_error(values, k_star, window):
+    table = HilbertTable(values=values, k_star=k_star, k_max=len(values) - 1)
+    message = f"quotient Hilbert tail {window} is neither constant nor strictly increasing"
+    with pytest.raises(InternalError, match=f"^{re.escape(message)}$"):
+        _dimension_tag(table)
+
+
 def test_window_tail_that_falls_is_an_internal_error(monkeypatch, capsys, field):
     # the triangle's window is k = 0 .. 7 with values (1, 3, 3, 3, 3, 3, 3, 3)
-    fake = (1, 3, 3, 3, 3, 3, 4, 3)
-    monkeypatch.setattr(_Analysis, "hilbert_value", lambda self, k: fake[k])
+    fake = HilbertTable(values=(1, 3, 3, 3, 3, 3, 4, 3), k_star=4, k_max=7)
+    monkeypatch.setattr(core, "_hilbert_window", lambda Q: (fake, {}))
     message = r"tail \[3, 3, 4, 3\] at k = 4..7 \(k\* = 4\)"
     with pytest.raises(InternalError, match=message):
         analyze_qci(QciInput.of(*parse_poly("x*y*z", field).partials()))
