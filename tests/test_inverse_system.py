@@ -3,7 +3,7 @@
 Every stepped Hilbert value is compared with the direct rank of the same
 degree's map, and on monomial ideals with the counting oracle of
 conftest.py.  The step helpers are called directly, so these checks do not
-depend on where the engine's cost rule starts the chain.
+depend on where the window's cost rule starts the chain.
 
 Each degree's map is eliminated once: ``_hilbert_window`` returns the K_m
 of the syzygy window and carries N_m up the chain (the tests capture each
@@ -279,7 +279,7 @@ def _record_engines(monkeypatch):
 
 
 def _analyze_recording(Q, monkeypatch):
-    """analyze_qci(Q), the engine it ran on, and every matrix it eliminated."""
+    """analyze_qci(Q), the window it made, and every matrix it eliminated."""
     seen = []
 
     def recording(fn):
@@ -352,7 +352,7 @@ def test_each_map_is_eliminated_once(which, both, field, monkeypatch):
     twice = {m for m, n in counts.items() if n > 1}
     assert twice == both
     assert all(n <= 1 for n in counts.values())
-    # every degree the engine ranked without a step was eliminated, except
+    # every degree the window ranked without a step was eliminated, except
     # the window degrees below the topmost injective one, none of which was
     stepped = {m for m in chain if m - 1 in chain}
     skipped = _skipped_window_degrees(eng)
