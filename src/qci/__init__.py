@@ -18,19 +18,12 @@ from .core import (
     QciReport,
     SyzygyTable,
     analyze_qci,
-    c2_at_r,
-    certify_bounds,
-    classify,
     degree_t,
     dimension_class,
     graded_map_matrix,
     h1_E,
-    linked_degree,
     quotient_hilbert,
     saturation_dim,
-    splits,
-    syzygy_dims,
-    syzygy_generator_degrees,
     verify_resolution,
 )
 from .curve import (
@@ -39,7 +32,6 @@ from .curve import (
     TauBounds,
     analyze_curve,
     certify_tau_bounds,
-    classify_curve,
     family,
     free_lower_bound_check,
 )
@@ -53,9 +45,7 @@ from .errors import (
 from .linalg import (
     PRIME_MAX,
     PrimeField,
-    as_matrix,
     kernel_basis,
-    left_kernel_basis,
     rank,
     rref,
 )
@@ -95,12 +85,8 @@ __all__ = [
     "ZeroModPWarning",
     "analyze_curve",
     "analyze_qci",
-    "as_matrix",
-    "c2_at_r",
-    "certify_bounds",
+    "basis_index",
     "certify_tau_bounds",
-    "classify",
-    "classify_curve",
     "degree_t",
     "dim_S",
     "dimension_class",
@@ -109,9 +95,6 @@ __all__ = [
     "graded_map_matrix",
     "h1_E",
     "kernel_basis",
-    "left_kernel_basis",
-    "linked_degree",
-    "basis_index",
     "monomial_basis",
     "mult_matrix",
     "parse_poly",
@@ -120,9 +103,6 @@ __all__ = [
     "rank",
     "rref",
     "saturation_dim",
-    "splits",
-    "syzygy_dims",
-    "syzygy_generator_degrees",
     "variables",
     "verify_resolution",
     "__version__",

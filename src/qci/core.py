@@ -74,8 +74,8 @@ max(a-1, 0) the ideal is zero and the map has no columns, so those degrees
 have rank 0 and nothing is built there.  Every later value (the syzygy
 dimensions and r, the saturation, h^1 and the resolution check) is
 arithmetic on the table, reading the rank of the degree-m map as
-dim S_m - HF(m), so ``analyze_qci`` eliminates nothing above k_max; a
-lone value outside the window is one plain rank.
+dim S_m - HF(m), and above k_max HF(m) = t, so nothing above k_max is
+eliminated; only ``quotient_hilbert`` ranks a lone degree.
 """
 
 from __future__ import annotations
@@ -369,11 +369,6 @@ def _classify(a: int, b: int, c: int, t: int, r: int, c2: int) -> Classification
     return Classification(tag="generic", case=None, e_type=None, resolution=None)
 
 
-def _require_dim0(tag: str) -> None:
-    if tag != "dim0":
-        raise GuardError(f"operation needs a finite nonempty scheme; input is {tag}")
-
-
 def _contraction_system(N: np.ndarray, m: int, p: int) -> np.ndarray:
     """Equations on the contractions of a degree-(m+1) functional.
 
@@ -606,7 +601,9 @@ def _dimension_tag(table: HilbertTable) -> tuple[str, int | None]:
 def _finite_window(Q: QciInput) -> HilbertTable:
     # the Hilbert window of a finite nonempty scheme; a refusal is a GuardError
     table, _ = _hilbert_window(Q)
-    _require_dim0(_dimension_tag(table)[0])
+    tag = _dimension_tag(table)[0]
+    if tag != "dim0":
+        raise GuardError(f"operation needs a finite nonempty scheme; input is {tag}")
     return table
 
 
@@ -659,8 +656,8 @@ def _h1E(Q: QciInput, values: tuple[int, ...], k: int) -> int:
     m = Q.degrees[2] + k
     if m < 0:
         return 0
-    # above the window the ideal's dimension is one lone rank
-    ideal = dim_S(m) - values[m] if m < len(values) else rank_at(Q, m)
+    # the ideal's dimension; above the window HF(m) = t, the plateau
+    ideal = dim_S(m) - (values[m] if m < len(values) else values[-1])
     v = _saturation_dim(Q, values, m) - ideal
     if v < 0:
         raise InternalError(
@@ -697,8 +694,10 @@ def _verify_resolution(
 
 # -- public operations ----------------------------------------------------
 #
-# The entry points that take a degree, or stop at the dimension stage, run
-# the window themselves; the others read one field of the full battery.
+# The entry points that take a degree, or stop at the dimension stage, do
+# only that work; every other invariant is a field of ``analyze_qci``'s
+# report.  All but quotient_hilbert run the Hilbert window, and those that
+# need t refuse a scheme that is not finite with a GuardError.
 
 
 def quotient_hilbert(Q: QciInput, k: int) -> int:
@@ -729,42 +728,6 @@ def verify_resolution(
 ) -> bool:
     u, v = resolution
     return _verify_resolution(Q, _finite_window(Q).values, tuple(u), tuple(v))
-
-
-def _finite_report(Q: QciInput) -> QciReport:
-    # the full battery of a finite scheme; a refusal is a GuardError here
-    rep = analyze_qci(Q)
-    _require_dim0(rep.dimension_class)
-    return rep
-
-
-def syzygy_dims(Q: QciInput) -> SyzygyTable:
-    return _finite_report(Q).syzygies
-
-
-def syzygy_generator_degrees(Q: QciInput) -> tuple[int, ...]:
-    return _finite_report(Q).generator_degrees
-
-
-def c2_at_r(Q: QciInput) -> int:
-    return _finite_report(Q).c2_at_r
-
-
-def certify_bounds(Q: QciInput) -> tuple[BoundsI, BoundsII]:
-    rep = _finite_report(Q)
-    return rep.bounds_i, rep.bounds_ii
-
-
-def splits(Q: QciInput) -> bool:
-    return _finite_report(Q).splits
-
-
-def classify(Q: QciInput) -> Classification:
-    return _finite_report(Q).classification
-
-
-def linked_degree(Q: QciInput) -> int:
-    return _finite_report(Q).gamma
 
 
 def analyze_qci(Q: QciInput) -> QciReport:

@@ -214,22 +214,6 @@ def analyze_curve(C: CurveInput) -> CurveReport:
     )
 
 
-def classify_curve(report: CurveReport) -> str:
-    """Re-derive the class from a finished report (cross-check entry point)."""
-    if report.refusal is not None:
-        raise GuardError("cannot classify a refused input")
-    if report.curve_class == "smooth":
-        return "smooth"
-    curve_class, _, _ = _classify(
-        report.d,
-        report.tau,
-        report.r,
-        report.qci.c2_at_r,
-        report.qci.splits,
-    )
-    return curve_class
-
-
 # fixed equations used by the pencil-intersection generator
 _CI_FORMS = {
     1: "x",

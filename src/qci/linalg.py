@@ -61,16 +61,21 @@ class PrimeField:
 
 
 def _int_matrix(entries) -> np.ndarray:
-    """``entries`` as a 2-d int64 array; an int64 array is not copied."""
-    M = np.asarray(entries, dtype=np.int64)
+    """``entries`` as a 2-d int64 array; an int64 array is not copied.
+
+    Entries must be integers or bools that int64 holds: a float, string or
+    object entry, or an unsigned one of 2**63 or more, is a ValueError
+    rather than a truncated or wrapped value.
+    """
+    M = np.asarray(entries)
     if M.ndim != 2:
         raise ValueError(f"expected a 2-d matrix, got shape {M.shape}")
-    return M
-
-
-def as_matrix(entries, field: PrimeField) -> np.ndarray:
-    """Coerce a 2-d array-like to an int64 residue matrix."""
-    return _int_matrix(entries) % field.p
+    if M.dtype != np.int64 and M.size:
+        if M.dtype.kind not in "biu":
+            raise ValueError(f"expected integer entries, got dtype {M.dtype}")
+        if M.dtype.kind == "u" and M.max() >= np.uint64(1 << 63):
+            raise ValueError("an unsigned entry of 2**63 or more overflows int64")
+    return M.astype(np.int64, copy=False)
 
 
 # Panel width of the elimination.  An entry of a panel takes at most _NB
@@ -255,8 +260,3 @@ def kernel_basis(M, field: PrimeField) -> np.ndarray:
     basis[np.arange(free.size), free] = 1
     basis[:, piv] = (-R[: piv.size, free].T) % field.p
     return basis
-
-
-def left_kernel_basis(M, field: PrimeField) -> np.ndarray:
-    """Canonical basis of the left kernel (row vectors w with w M = 0)."""
-    return kernel_basis(_int_matrix(M).T, field)

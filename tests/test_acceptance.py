@@ -17,7 +17,6 @@ from qci import (
     QciInput,
     analyze_curve,
     analyze_qci,
-    classify_curve,
     dim_S,
     family,
     free_lower_bound_check,
@@ -75,7 +74,6 @@ def certify_curve_report(rep):
     assert tb.lower_ok and tb.upper_ok, rep
     if tb.ii_applicable:
         assert tb.ii_ok, rep
-    assert classify_curve(rep) == rep.curve_class
     # the three freeness tests must render the same verdict on every
     # curve: the tau formula, the split flag, and the Chern number
     free_value = (rep.d - 1) * (rep.d - 1 - rep.r) + rep.r * rep.r

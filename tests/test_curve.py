@@ -13,7 +13,6 @@ from qci import (
     analyze_qci,
     QciInput,
     certify_tau_bounds,
-    classify_curve,
     family,
     free_lower_bound_check,
     parse_poly,
@@ -286,12 +285,6 @@ def test_ci_family_returns_triple(field):
 # coherence
 
 
-def test_classify_curve_rederives_class(field):
-    for text in ("x*y*z", "x^3 - y^2*z", "x^2*y + x*y^2"):
-        rep = analyze_curve(CurveInput(parse_poly(text, field)))
-        assert classify_curve(rep) == rep.curve_class
-
-
 def test_curve_report_embeds_partials_analysis(field):
     f = parse_poly("x*y*z", field)
     rep = analyze_curve(CurveInput(f))
@@ -316,5 +309,4 @@ def test_random_products_satisfy_bounds(field):
         assert rep.tau_bounds.lower_ok and rep.tau_bounds.upper_ok
         if rep.tau_bounds.ii_applicable:
             assert rep.tau_bounds.ii_ok
-        assert classify_curve(rep) == rep.curve_class
         seen += 1

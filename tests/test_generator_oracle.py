@@ -25,12 +25,12 @@ from qci import (
     HomogPoly,
     PrimeField,
     QciInput,
+    analyze_qci,
     graded_map_matrix,
     kernel_basis,
     monomial_basis,
     mult_matrix,
     rank,
-    syzygy_generator_degrees,
     variables,
 )
 
@@ -107,4 +107,4 @@ _CASES = [
 @pytest.mark.parametrize("make", _CASES)
 def test_generator_degrees_match_the_full_scan(make):
     Q = make()
-    assert syzygy_generator_degrees(Q) == _full_generator_degrees(Q)
+    assert analyze_qci(Q).generator_degrees == _full_generator_degrees(Q)

@@ -9,8 +9,9 @@ Each degree's map is eliminated once: ``_hilbert_window`` returns the K_m
 of the syzygy window and carries N_m up the chain (the tests capture each
 N_m by wrapping ``core.left_null``), the generator lifts read the K_m it
 returned, the saturation reads only ranks of the Hilbert window, and
-``analyze_qci`` ranks nothing above k_max; a lone ``rank_at`` outside the
-window is one plain rank.  The chain starts above the syzygy window, so it
+nothing above k_max is ranked, as HF(m) = t there (``h1_E`` above the
+window is arithmetic); a lone ``rank_at`` outside the window, as
+``quotient_hilbert`` makes, is one plain rank.  The chain starts above the syzygy window, so it
 never holds a degree whose K_m the lifts need.  A window degree below an
 injective one is injective and is not eliminated at all; its empty K_m is
 compared byte for byte with a direct kernel.
@@ -191,8 +192,8 @@ def test_chain_spans_the_direct_left_null_space(field, monkeypatch):
 
 
 def test_lone_rank_above_the_window_is_direct(field, monkeypatch):
-    # after the chain, a degree above k_max (only a lone h1_E call ranks
-    # one) is one plain rank, not a step from N_{k_max}
+    # after the chain, a degree above k_max (only a lone quotient_hilbert
+    # call ranks one) is one plain rank, not a step from N_{k_max}
     Q, table, chain = _chained_engine(field, monkeypatch)
     top = table.k_max + 1
     before = set(chain)
@@ -219,7 +220,7 @@ def test_lone_syzygy_table_runs_the_plan(field):
     Q = QciInput.of(*_node_partials(6, field, seed=1))
     table, kernels = core._hilbert_window(Q)
     lifts = core._generator_degrees(Q, table.values, kernels)
-    assert lifts == core.syzygy_generator_degrees(Q)
+    assert lifts == core.analyze_qci(Q).generator_degrees
 
 
 def test_corrupted_lift_fails_the_annihilation_check(field, monkeypatch):
@@ -531,6 +532,34 @@ def test_lone_saturation_call_eliminates_nothing(which, field, monkeypatch):
     calls = _record_eliminations(monkeypatch)
     assert core._saturation_dim(Q, table.values, m) == dim_S(m) - t
     assert calls == []
+
+
+@pytest.mark.parametrize(
+    "which", ["lines6", "x,y,x+y", "nodal cubic", "ci_qci(2, 4)", "node7"]
+)
+def test_h1_above_the_window_builds_no_map(which, field, monkeypatch):
+    # above k_max HF(m) = t, so h1_E there is arithmetic on the window's
+    # values and equals the saturation less a rank of the map
+    Q = _named_input(field, which)
+    table = core._finite_window(Q)
+    k_max, c = table.k_max, Q.degrees[2]
+    direct = core.graded_map_matrix
+    built = []
+
+    def recording(Q, m):
+        built.append(m)
+        return direct(Q, m)
+
+    monkeypatch.setattr(core, "graded_map_matrix", recording)
+    ks = range(k_max - c - 1, k_max - c + 5)
+    h1 = [core.h1_E(Q, k) for k in ks]
+    assert max(built) <= k_max
+    expected = [
+        core._saturation_dim(Q, table.values, k + c) - rank(direct(Q, k + c), field)
+        for k in ks
+    ]
+    assert h1 == expected
+    assert h1[2:] == [0, 0, 0, 0]
 
 
 def _window_triple(field, kind, seed):

@@ -11,9 +11,7 @@ from qci import (
     InternalError,
     PRIME_MAX,
     PrimeField,
-    as_matrix,
     kernel_basis,
-    left_kernel_basis,
     monomial_basis,
     rank,
     rref,
@@ -53,8 +51,7 @@ def test_rank_identity(field):
 
 
 def test_rank_proportional_rows(field):
-    M = as_matrix([[1, 2, 3], [2, 4, 6]], field)
-    assert rank(M, field) == 1
+    assert rank([[1, 2, 3], [2, 4, 6]], field) == 1
 
 
 def test_rank_matches_transpose(field):
@@ -81,7 +78,7 @@ def test_kernel_of_injective_map_is_empty(field):
 
 
 def test_kernel_of_row_of_ones(field):
-    K = kernel_basis(as_matrix([[1, 1]], field), field)
+    K = kernel_basis([[1, 1]], field)
     assert K.tolist() == [[field.p - 1, 1]]
 
 
@@ -101,7 +98,7 @@ def test_kernel_vectors_annihilate(field):
 def test_left_kernel_annihilates_from_left(field):
     rng = np.random.default_rng(19)
     M = rng.integers(0, field.p, size=(6, 4))
-    N = left_kernel_basis(M, field)
+    N = kernel_basis(M.T, field)
     assert N.shape[0] == 6 - rank(M, field)
     if N.shape[0]:
         assert not ((N @ M) % field.p).any()
@@ -128,9 +125,39 @@ def test_rref_reproduces_row_space(field):
         assert not np.any(np.delete(column, row_idx))
 
 
-def test_as_matrix_rejects_non_2d(field):
+def test_rank_rejects_non_2d(field):
     with pytest.raises(ValueError):
-        as_matrix([1, 2, 3], field)
+        rank([1, 2, 3], field)
+
+
+@pytest.mark.parametrize(
+    "entries",
+    [
+        [[0.5, 0]],
+        [[1.5, 1], [1, 1]],
+        [["3"]],
+        np.array([[1]], dtype=object),
+        np.array([[1 << 63, 0]], dtype=np.uint64),
+    ],
+    ids=["half", "fractions", "string", "object", "uint64-overflow"],
+)
+def test_entries_int64_cannot_hold_are_rejected(field, entries):
+    # a float is not truncated, a string not parsed, an unsigned entry
+    # past int64 not wrapped
+    for op in (rank, kernel_basis, rref):
+        with pytest.raises(ValueError):
+            op(entries, field)
+
+
+def test_integer_entries_are_read_exactly(field):
+    M = np.arange(6, dtype=np.int64).reshape(2, 3)
+    # an int64 matrix, or a view of one, is not copied
+    assert linalg._int_matrix(M) is M
+    assert np.shares_memory(linalg._int_matrix(M.T), M)
+    top = np.array([[(1 << 63) - 1, 0]], dtype=np.uint64)
+    assert rank(top, field) == rank([[(1 << 63) - 1, 0]], field)
+    assert rank([[True, False], [False, True]], field) == 2
+    assert rank(np.array([[3, 6]], dtype=np.int8), field) == 1
 
 
 def test_kernel_basis_checks_rank_nullity(field, monkeypatch):
@@ -142,7 +169,7 @@ def test_kernel_basis_checks_rank_nullity(field, monkeypatch):
 
     monkeypatch.setattr(linalg, "_echelon", drops_last_pivot)
     with pytest.raises(InternalError):
-        kernel_basis(as_matrix([[1, 1, 0], [0, 1, 1]], field), field)
+        kernel_basis([[1, 1, 0], [0, 1, 1]], field)
 
 
 def test_kernel_basis_is_one_elimination(field, monkeypatch):
