@@ -38,8 +38,8 @@ has dimension HF(m+1).  The chain starts at the first degree
 m >= max(c, a+b+2), above the syzygy window, where a shape-only cost
 estimate puts the step into m+1 at under a quarter of the direct
 elimination of that degree's map (see ``_switches_at``); degree
-m eliminates its transposed map for N_m in place of a plain rank, so the
-chain's first new degree is already a step.  It never starts at k_max,
+m eliminates its transposed map for N_m, so the chain's first new degree
+is already a step.  It never starts at k_max,
 whose N_m no stage would read.  Sparse maps with a large
 quotient, such as the pencil of lines, stay direct.  Where the chain
 reaches the top of the window, N is multiplied against the direct map
@@ -60,22 +60,30 @@ with chi(k) = (k+1)(k+2)/2 and h^0(E(m')) the kernel dimension of the
 degree-m' map.  For m >= 0, m' < k*, so that rank is one the Hilbert
 window already holds.
 
-Each degree's map is eliminated at most once, in ``_hilbert_window``, which
-returns the Hilbert table and the right kernels K_m over the syzygy window
-[a-1, a+b+1] (lift degree, window, twist above), whose row count is
-h^0(E(m-c)); on the chain it holds only the current N_m (stepped, or
-eliminated at its start) until the next step replaces it.  S is a domain,
-so x times a degree-m syzygy is a nonzero syzygy of degree m+1, and
-h^0(E(k)) never drops as k grows: below an injective degree every degree
-is injective.  The window is ranked from the top down, so of the injective
-degrees below the least syzygy degree r+c only r+c-1 is eliminated; the
-ones below it keep the empty K_m an elimination would give.  Below
-max(a-1, 0) the ideal is zero and the map has no columns, so those degrees
-have rank 0 and nothing is built there.  Every later value (the syzygy
-dimensions and r, the saturation, h^1 and the resolution check) is
-arithmetic on the table, reading the rank of the degree-m map as
-dim S_m - HF(m), and above k_max HF(m) = t, so nothing above k_max is
-eliminated; only ``quotient_hilbert`` ranks a lone degree.
+Each degree's map is eliminated at most once, in ``_hilbert_window``, and
+most are not eliminated at all.  S is a domain, so x^g times a
+degree-(m-g) syzygy is a syzygy of degree m, and nothing else is.  With
+the degree-T map's columns ordered by falling x-exponent (stable within
+each form's block), and as a monomial's position in its degree does not
+depend on its x-exponent, the columns of x-exponent >= g are x^g times the
+degree-(T-g) map and form a prefix.  One reduced row echelon form of the
+degree-T map therefore holds rank(T-g) for every g, as the pivot count in
+that prefix; and the rows of its free-variable kernel basis whose free
+column (the last nonzero entry) lies in the prefix, cut to it, are a basis
+of K_{T-g}, though not the canonical one.  So ``_hilbert_window``
+eliminates the degree-(a+b+1) map for every rank up to a+b+1 and the right
+kernels K_m over the syzygy window [a-1, a+b+1] (lift degree, window,
+twist above), whose row count is h^0(E(m-c)); one more map, just below
+the chain's start or at k_max when there is no chain, for the ranks
+between, with the zero forms' all-free blocks left out; and the chain,
+which holds only the current N_m (stepped, or eliminated at its start)
+until the next step replaces it.  Below max(a-1, 0) the ideal is zero and
+the map has no columns, so those degrees have rank 0.  Every later value
+(the syzygy dimensions and r, the saturation, h^1 and the resolution
+check) is arithmetic on the table, reading the rank of the degree-m map
+as dim S_m - HF(m), and above k_max HF(m) = t, so nothing above k_max is
+eliminated; only ``quotient_hilbert`` ranks a lone degree, with one plain
+rank.
 """
 
 from __future__ import annotations
@@ -89,6 +97,7 @@ from .linalg import PrimeField, kernel_basis, matmul, rank
 from .poly import (
     HomogPoly,
     dim_S,
+    monomial_basis,
     mult_matrix,
     shift_index,
 )
@@ -419,20 +428,31 @@ def graded_map_matrix(Q: QciInput, m: int) -> np.ndarray:
     return np.hstack([mult_matrix(f, m - f.degree) for f in Q.polys])
 
 
-def rank_at(Q: QciInput, m: int) -> int:
+def rank_at(Q: QciInput, m: int, low: int | None = None) -> int | dict[int, int]:
     """Rank of the degree-m map, one plain rank.
 
     Below degree max(a-1, 0) the map has no columns: its rank is 0, and
-    nothing is built.
+    nothing is built.  With ``low``, a dict of the ranks of the maps of
+    degrees low .. m instead, from one elimination of the degree-m map in
+    x-order (see ``_x_order``): the degree-k rank is the pivot count of the
+    first cols(k) columns, read off the kernel basis's free columns.  The
+    zero forms' blocks are left out of that map, as their columns are all
+    free and add to no rank.
     """
-    if m < max(Q.degrees[0] - 1, 0):
-        return 0
-    return rank(graded_map_matrix(Q, m), Q.field)
+    if low is None:
+        if m < max(Q.degrees[0] - 1, 0):
+            return 0
+        return rank(graded_map_matrix(Q, m), Q.field)
+    forms = [f for f in Q.polys if not f.is_zero]
+    degrees = [f.degree for f in forms]
+    M = np.hstack([mult_matrix(f, m - f.degree) for f in forms])[:, _x_order(degrees, m)]
+    K = kernel_basis(M, Q.field)
+    return _prefix_ranks(_free_columns(K), degrees, low, m)
 
 
 def kernel_at(Q: QciInput, m: int) -> np.ndarray:
-    # K_m, a basis of the degree-m map's kernel
-    return kernel_basis(graded_map_matrix(Q, m), Q.field)
+    # a basis of the degree-m map's kernel, its columns in x-order
+    return kernel_basis(graded_map_matrix(Q, m)[:, _x_order(Q.degrees, m)], Q.field)
 
 
 def left_null(Q: QciInput, m: int, prev: np.ndarray | None = None) -> np.ndarray:
@@ -442,6 +462,39 @@ def left_null(Q: QciInput, m: int, prev: np.ndarray | None = None) -> np.ndarray
         return kernel_basis(graded_map_matrix(Q, m).T, Q.field)
     C = kernel_basis(_contraction_system(prev, m - 1, Q.prime), Q.field)
     return _integrate(C, prev, m - 1, Q.prime)
+
+
+def _x_order(degrees, m: int) -> np.ndarray:
+    """The degree-m map's columns, for forms of these degrees, by falling
+    x-exponent of their monomial, stable within each form's block.
+
+    A monomial's position in its degree does not depend on its x-exponent,
+    so the columns of x-exponent >= g are x^g times the degree-(m-g) map:
+    the first cols(m-g) columns in this order, in that map's own x-order,
+    holding its matrix in the first dim_S(m-g) rows and zero below.
+    """
+    x = np.concatenate(
+        [np.array([mono[0] for mono in monomial_basis(m - d)], dtype=np.int64)
+         for d in degrees]
+    )
+    return np.argsort(-x, kind="stable")
+
+
+def _free_columns(K: np.ndarray) -> np.ndarray:
+    # the free column of each row of a kernel_basis with at least one
+    # column: its last nonzero entry
+    return K.shape[1] - 1 - np.argmax(K[:, ::-1] != 0, axis=1)
+
+
+def _prefix_ranks(free: np.ndarray, degrees, low: int, m: int) -> dict[int, int]:
+    # ranks of the maps of degrees low .. m from the free columns of the
+    # x-ordered degree-m map's kernel basis: the degree-k map is its first
+    # cols(k) columns, whose pivots are those that are not free
+    ranks = {}
+    for k in range(low, m + 1):
+        n = sum(dim_S(k - d) for d in degrees)
+        ranks[k] = n - int(np.count_nonzero(free < n))
+    return ranks
 
 
 def _cols(Q: QciInput, m: int) -> int:
@@ -510,8 +563,9 @@ def _switches_at(Q: QciInput, m: int, h: int, k_max: int) -> bool:
     pricing the step into m+1 against the direct map there.  The step
     eliminates a 3*dim_S(m) x 3h system, h = HF(m), taken here to cost
     18 h^2 dim_S(m); the direct map costs about
-    (dim_S(m+1) - h) * dim_S(m+1) * cols(m+1).  HF(m) is what degree m
-    is about to compute, so the caller passes h = HF(m-1) in its place.
+    (dim_S(m+1) - h) * dim_S(m+1) * cols(m+1).  Above the syzygy window
+    no HF is known before the chain's start is, so the caller passes
+    h = HF(a+b+1), the syzygy window's last value, for every m.
     The chain starts only where the step is estimated at under a quarter
     of that: direct maps are often sparse, which the estimate does not
     see, and with a smaller margin the pencil-of-lines maps (plateau
@@ -537,44 +591,50 @@ def _check_annihilation(Q: QciInput, N: np.ndarray, m: int) -> None:
 
 
 def _hilbert_window(Q: QciInput) -> tuple[HilbertTable, dict[int, np.ndarray]]:
-    """Every elimination of the Hilbert window, once per degree, in two loops.
+    """Every elimination of the Hilbert window: at most two maps and the chain.
 
-    The syzygy window a+b+1 .. max(a-1, 0) goes from the top down and keeps
-    each K_m; below the first injective degree every degree is injective
-    and keeps the empty K_m with no elimination.  The degrees a+b+2 ..
-    k_max go upward: plain ranks until ``_switches_at`` starts the chain,
-    whose first degree keeps the left null space N_m and whose later
-    degrees are steps.  A chain that reaches k_max is then checked against
-    the direct map there.  Returns the quotient Hilbert values on
-    0 .. k_max and the kept K_m, keyed by degree.
+    One kernel of the degree-(a+b+1) map in x-order gives every rank up to
+    a+b+1 and the K_m over the syzygy window max(a-1, 0) .. a+b+1: the rows
+    whose free column lies in the first cols(m) columns, cut to those
+    columns, are a basis of K_m (see ``_x_order``), though not the
+    canonical one.  The chain starts at the first degree that
+    ``_switches_at`` picks; its first degree keeps the left null space N_m
+    and its later degrees are steps, and a chain that reaches k_max is
+    checked against the direct map there.  One rank elimination of the map
+    just below the chain's start, or of the degree-k_max map when there is
+    no chain, gives the ranks between.  Returns the quotient Hilbert values
+    on 0 .. k_max and the kept K_m, keyed by degree.
     """
     a, b, c = Q.degrees
     k_star = a + b + c - 2
     k_max = max(k_star, 0) + _TAIL - 1
-    ranks: dict[int, int] = {}
+    top = a + b + 1
+    K = kernel_at(Q, top)
+    free = _free_columns(K)
+    # below max(a-1, 0) the map has no columns and rank 0
+    ranks = _prefix_ranks(free, Q.degrees, 0, top)
     kernels: dict[int, np.ndarray] = {}
-    K = None
-    for m in range(a + b + 1, max(a - 1, 0) - 1, -1):
-        if K is not None and K.shape[0] == 0:
-            # injective one degree up, so injective here: a syzygy of
-            # degree m times x would be one of degree m+1
-            K = np.zeros((0, _cols(Q, m)), dtype=np.int64)
-        else:
-            K = kernel_at(Q, m)
-        kernels[m] = K
-        ranks[m] = K.shape[1] - K.shape[0]
+    for m in range(max(a - 1, 0), top + 1):
+        n = _cols(Q, m)
+        rows = K[free < n, :n]
+        # K_m, put back from the degree-m map's x-order to its block order
+        kernels[m] = np.empty_like(rows)
+        kernels[m][:, _x_order(Q.degrees, m)] = rows
+    h = dim_S(top) - ranks[top]
+    start = next(
+        (m for m in range(top + 1, k_max + 1) if _switches_at(Q, m, h, k_max)),
+        k_max + 1,
+    )
+    if start - 1 > top:
+        ranks.update(rank_at(Q, start - 1, top + 1))
     N = None
-    for m in range(a + b + 2, k_max + 1):
-        if N is not None or _switches_at(Q, m, dim_S(m - 1) - ranks[m - 1], k_max):
-            N = left_null(Q, m, N)
-            ranks[m] = dim_S(m) - N.shape[0]
-        else:
-            ranks[m] = rank_at(Q, m)
+    for m in range(start, k_max + 1):
+        N = left_null(Q, m, N)
+        ranks[m] = dim_S(m) - N.shape[0]
     if N is not None:
         # the chain never starts at k_max, so this N was stepped
         _check_annihilation(Q, N, k_max)
-    # below max(a-1, 0) the map has no columns and rank 0
-    values = tuple(dim_S(k) - ranks.get(k, 0) for k in range(k_max + 1))
+    values = tuple(dim_S(k) - ranks[k] for k in range(k_max + 1))
     return HilbertTable(values=values, k_star=k_star, k_max=k_max), kernels
 
 

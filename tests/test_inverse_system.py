@@ -5,18 +5,20 @@ degree's map, and on monomial ideals with the counting oracle of
 conftest.py.  The step helpers are called directly, so these checks do not
 depend on where the window's cost rule starts the chain.
 
-Each degree's map is eliminated once: ``_hilbert_window`` returns the K_m
-of the syzygy window and carries N_m up the chain (the tests capture each
-N_m by wrapping ``core.left_null``), the generator lifts read the K_m it
-returned, the saturation reads only ranks of the Hilbert window, and
-nothing above k_max is ranked, as HF(m) = t there (``h1_E`` above the
-window is arithmetic); a lone ``rank_at`` outside the window, as
-``quotient_hilbert`` makes, is one plain rank.  The chain starts above the syzygy window, so it
-never holds a degree whose K_m the lifts need.  A window degree below an
-injective one is injective and is not eliminated at all; its empty K_m is
-compared byte for byte with a direct kernel.
-A stepped N is a basis of I_m^perp but not the canonical one, so it is
-compared with a direct kernel through the RREF of both.
+Each map is eliminated at most once, and most not at all:
+``_hilbert_window`` reads every rank up to a+b+1 and the K_m of the syzygy
+window off one kernel of the x-ordered degree-(a+b+1) map, the ranks up to
+the chain's start off one more x-ordered map, and carries N_m up the chain
+(the tests capture each N_m by wrapping ``core.left_null``).  The
+generator lifts read the K_m it returned, the saturation reads only ranks
+of the Hilbert window, and nothing above k_max is ranked, as HF(m) = t
+there (``h1_E`` above the window is arithmetic); a lone ``rank_at``
+outside the window, as ``quotient_hilbert`` makes, is one plain rank.  The
+chain starts above the syzygy window, so it never holds a degree whose K_m
+the lifts need.
+A stepped N_m, and a K_m read off a higher degree's kernel, is a basis but
+not the canonical one, so it is compared with a direct kernel through the
+RREF of both.
 The saturation, read off the window by Riemann-Roch and Serre duality, is
 compared in every degree with the common kernel of the shifted copies of
 a directly eliminated left null space.
@@ -298,23 +300,26 @@ def _analyze_recording(Q, monkeypatch):
     return report, eng, seen
 
 
+def _columns(A):
+    # a matrix's nonzero columns in sorted order: the same for any column
+    # order, and with the zero forms' all-zero blocks left out
+    C = A[:, A.any(axis=0)].T
+    return C[np.lexsort(C.T[::-1])] if C.size else C
+
+
 def _eliminations_per_degree(eng, seen):
+    # how often each degree's map, or its transpose, was eliminated, in any
+    # column order and with or without its zero forms' blocks
+    cols = [(_columns(A), _columns(A.T)) for A in seen]
     counts = {}
     for m in range(eng.table.k_max + 2):
-        M = core.graded_map_matrix(eng.Q, m)
+        M = _columns(core.graded_map_matrix(eng.Q, m))
         counts[m] = sum(
             (A.shape == M.shape and np.array_equal(A, M))
-            or (A.shape == M.T.shape and np.array_equal(A, M.T))
-            for A in seen
+            or (At.shape == M.shape and np.array_equal(At, M))
+            for A, At in cols
         )
     return counts
-
-
-def _skipped_window_degrees(eng):
-    # the syzygy window's degrees below its topmost injective one
-    window = range(max(eng.a - 1, 0), eng.a + eng.b + 2)
-    injective = [m for m in window if eng.kernels[m].shape[0] == 0]
-    return set(range(window.start, max(injective))) if injective else set()
 
 
 def _named_input(field, which):
@@ -327,21 +332,28 @@ def _named_input(field, which):
     return _case_input(field, which)
 
 
+# The degrees whose map is eliminated directly: the syzygy window's top
+# a+b+1, the one below the chain's start (k_max without a chain) and the
+# chain's first.  Every other degree is read off one of them or stepped.
+_DIRECT = {
+    # the chain starts at a+b+2 = 18, just above the syzygy window
+    "node9": {17, 18},
+    # the pencil of lines stays direct: a+b+1 = 11 and k_max = 16
+    "lines6": {11, 16},
+    # c = 1: no degree of [c, k_max) lies above the syzygy window [0, 3]
+    "x,y,x+y": {3, 4},
+    # c = 2: the chain starts at a+b+2 = 6
+    "nodal cubic": {5, 6},
+    "node7": {13, 14},
+    # all three: a+b+1 = 6, the ranks below the chain's start 8, and 8
+    "ci_qci(2, 4)": {6, 7, 8},
+}
+
+
 @pytest.mark.parametrize(
     "which, both",
-    [
-        # the chain starts above the syzygy window: no degree needs both
-        ("node9", set()),
-        # the pencil of lines stays direct: no degree keeps N_m
-        ("lines6", set()),
-        # c = 1: the top degrees 2, 3 lie in the syzygy window [0, 3], which
-        # keeps K_m there, and no degree keeps N_m
-        ("x,y,x+y", set()),
-        # c = 2: the first top degree a+b+1 is the syzygy window's last
-        ("nodal cubic", set()),
-        # the chain starts at a+b+2 = 14, just above the syzygy window
-        ("node7", set()),
-    ],
+    # no degree keeps two kernels, K_m and N_m, not even for c <= 2
+    [(which, set()) for which in _DIRECT],
 )
 def test_each_map_is_eliminated_once(which, both, field, monkeypatch):
     chains = _record_chains(monkeypatch)
@@ -349,16 +361,14 @@ def test_each_map_is_eliminated_once(which, both, field, monkeypatch):
     chain = chains[eng.Q]
     assert report.dimension_class == "dim0"
     counts = _eliminations_per_degree(eng, seen)
-    # no degree keeps two kernels, K_m and N_m, not even for c <= 2
     twice = {m for m, n in counts.items() if n > 1}
     assert twice == both
     assert all(n <= 1 for n in counts.values())
-    # every degree the window ranked without a step was eliminated, except
-    # the window degrees below the topmost injective one, none of which was
-    stepped = {m for m in chain if m - 1 in chain}
-    skipped = _skipped_window_degrees(eng)
-    assert all(counts[m] for m in eng.ranked if m not in stepped | skipped)
-    assert not any(counts[m] for m in skipped)
+    top, k_max = eng.a + eng.b + 1, eng.table.k_max
+    start = min(chain, default=k_max + 1)
+    direct = {m for m, n in counts.items() if n}
+    assert direct == _DIRECT[which]
+    assert direct == {top, start - 1, start} & set(range(top, k_max + 1))
     if which.startswith("node"):
         assert any(m - 1 in chain for m in chain)
     if which == "lines6":
@@ -402,8 +412,10 @@ def test_chain_starts_above_the_syzygy_window(which, field, monkeypatch):
 
 def test_eliminations_happen_only_where_kernels_are_kept(field, monkeypatch):
     # the Hilbert window makes its eliminations through rank_at, kernel_at
-    # and left_null; the generator lifts read the K_m it returned, and the
-    # saturation only reads ranks, so no other stage eliminates
+    # and left_null, each a kernel: the count-only rank_at reads its ranks
+    # off the free columns, and the plain rank is left to lone values.  The
+    # generator lifts read the K_m it returned, and the saturation only
+    # reads ranks, so no other stage eliminates
     calls = set()
 
     def recording(fn):
@@ -424,8 +436,13 @@ def test_eliminations_happen_only_where_kernels_are_kept(field, monkeypatch):
     for m in range(4):
         core.saturation_dim(inputs[2], m)
         core.h1_E(nodal, m - 2)
+    assert calls == {
+        ("kernel_basis", "kernel_at"),
+        ("kernel_basis", "rank_at"),
+        ("kernel_basis", "left_null"),
+        ("rank", "_generator_degrees"),
+    }
     callers = {caller for _, caller in calls}
-    assert callers == {"kernel_at", "left_null", "rank_at", "_generator_degrees"}
     # perfbench's trace files linalg time under its caller's stage
     spec = importlib.util.spec_from_file_location(
         "spans", Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
@@ -615,8 +632,9 @@ _SKIP_ONLY_LARGE = _ONLY_LARGE | {"node7", "node8", "node9", "zero-form"}
     + ["zero-form", *_MONOMIAL_IDEALS, "nodal cubic", "ci_qci(2, 4)"],
 )
 def test_skipped_window_kernels_match_direct_elimination(which):
-    # a window degree below an injective one keeps the empty K_m without
-    # elimination; it must be the kernel a direct elimination gives
+    # every window degree below a+b+1 keeps a K_m read off the kernel of
+    # the degree-(a+b+1) map without an elimination of its own; it must
+    # span the kernel a direct elimination gives
     for p in (32003,) if which in _SKIP_ONLY_LARGE else (13, 32003):
         field = PrimeField(p)
         Q = _skip_input(field, which)
@@ -626,19 +644,22 @@ def test_skipped_window_kernels_match_direct_elimination(which):
         for m in window:
             K, kept = kernel_basis(core.graded_map_matrix(Q, m), field), kernels[m]
             assert (kept.shape, kept.dtype) == (K.shape, K.dtype), (p, m)
-            assert kept.tobytes() == K.tobytes(), (p, m)
+            assert rref(kept, field)[0].tobytes() == rref(K, field)[0].tobytes(), (p, m)
         # x times a syzygy is a syzygy one degree up, so h^0(E(k)) never drops
         h0 = [core._h0E(Q, table.values, m - c) for m in window]
         assert h0 == sorted(h0), p
 
 
 def test_no_window_degree_below_the_least_syzygy_is_eliminated(field, monkeypatch):
+    # of the syzygy window only its top a+b+1 is eliminated, so neither the
+    # degrees below the least syzygy r+c nor those above it are
     report, eng, seen = _analyze_recording(_case_input(field, "node9"), monkeypatch)
     counts = _eliminations_per_degree(eng, seen)
     first = report.r + eng.c - 1  # the topmost injective degree
-    assert first > eng.a - 1
-    assert counts[first] == 1
-    assert not any(counts[m] for m in range(eng.a - 1, first))
+    top = eng.a + eng.b + 1
+    assert eng.a - 1 < first < top
+    assert counts[top] == 1
+    assert not any(counts[m] for m in range(eng.a - 1, top))
 
 
 def _pencil(field, seed):
@@ -695,7 +716,7 @@ def test_nothing_is_built_below_the_syzygy_window(which, field, monkeypatch):
 
 @pytest.mark.parametrize("which", ["node7", "nodal cubic", "ci_qci(2, 4)", "x,y,x+y"])
 def test_lone_window_value_eliminates_one_map(which, field, monkeypatch):
-    # the skip reads only degrees already ranked; it never ranks one above
+    # a lone value in the syzygy window is one plain rank of its own map
     Q = _named_input(field, which)
     a, b, _ = Q.degrees
     calls = _record_eliminations(monkeypatch)
@@ -723,11 +744,11 @@ def _pinned_analysis(field, which):
 @pytest.mark.parametrize(
     "which, calls, pivots",
     [
-        ("node7", 10, 385),
-        ("lines8", 25, 1634),
-        ("triangle", 8, 89),
-        ("x,y^2,y*z", 6, 58),
-        ("triple(2, 3, 4)", 7, 91),
+        ("node7", 8, 241),
+        ("lines8", 10, 481),
+        ("triangle", 5, 67),
+        ("x,y^2,y*z", 4, 44),
+        ("triple(2, 3, 4)", 5, 63),
     ],
 )
 def test_elimination_work_is_pinned(which, calls, pivots, field, monkeypatch):
