@@ -481,8 +481,11 @@ def _x_order(degrees, m: int) -> np.ndarray:
 
 
 def _free_columns(K: np.ndarray) -> np.ndarray:
-    # the free column of each row of a kernel_basis with at least one
-    # column: its last nonzero entry
+    # the free column of each row of a kernel_basis: its last nonzero
+    # entry.  A map with no columns, such as the count path's below its
+    # least nonzero form's degree, has a kernel with no rows.
+    if K.shape[1] == 0:
+        return np.zeros(0, dtype=np.intp)
     return K.shape[1] - 1 - np.argmax(K[:, ::-1] != 0, axis=1)
 
 

@@ -14,7 +14,8 @@ reading:
 - ``rank_at(Q, m, 0)``, the count-only reading, gives the direct rank of
   every degree 0 .. m, with the zero forms' blocks left out of its map.
 
-The inputs cover a unit ideal ``1, x, y``, zero forms tied in degree, a
+The inputs cover a unit ideal ``1, x, y``, zero forms tied in degree (also
+below a nonzero form of higher degree, which the guard accepts), a
 common factor, an empty scheme, monomial ideals, node and lines curves,
 and seeded random triples.
 """
@@ -91,13 +92,19 @@ def _input(which, field):
         # or two zero quadrics beside x^2 + yz
         if arg == "1":
             return QciInput.of(*parse_poly("x^4 + y^4", field).partials())
-        zero = HomogPoly.zero(2, field)
-        return QciInput.of(parse_poly("x^2 + y*z", field), zero, zero)
+        if arg == "2":
+            zero = HomogPoly.zero(2, field)
+            return QciInput.of(parse_poly("x^2 + y*z", field), zero, zero)
+        # two zero forms tied below a nonzero one of higher degree: the
+        # count path's map has no columns below that degree
+        e, c = {"3": (0, 4), "4": (1, 5)}[arg]
+        zero = HomogPoly.zero(e, field)
+        return QciInput.of(zero, zero, parse_poly(f"x^{c} + y^{c} + z^{c}", field))
     return QciInput.of(*(parse_poly(s, field) for s in _TEXTS[which].split(",")))
 
 
 _CASES = (
-    [*_TEXTS, "zeros-1", "zeros-2"]
+    [*_TEXTS, "zeros-1", "zeros-2", "zeros-3", "zeros-4"]
     + [f"random-{s}" for s in range(4)]
     + [f"factor-{s}" for s in range(3)]
     + ["empty-0", "empty-1"]
