@@ -23,27 +23,28 @@ dim S_k - dim S_{k-e} + HF_J(k-e), which strictly increases.  The four
 values k* .. k*+3 therefore decide the dimension class, and a tail that
 is neither constant nor strictly increasing is an InternalError.
 
-At the top of the Hilbert window the maps are the largest while the
-quotient is small, so there the window carries the inverse system
-(Macaulay) instead: from degree c on, I_{m+1} = S_1 * I_m, hence
+The Hilbert values come from the inverse system (Macaulay) instead of the
+maps, carried up by one x-step per degree.  Order the degree-T map's rows
+as usual, x times the degree-(T-1) monomials first and the T+1 x-free
+monomials last, and its columns with the multipliers that have x first,
+as x times the degree-(T-1) map.  Then
 
-    I_{m+1}^perp = { L : x_i -| L lies in I_m^perp for i = 0, 1, 2 },
+    M_T = [[M_{T-1}, A], [0, B]],
 
-and a basis N_m of I_m^perp (the left null space of the map) is stepped
-to N_{m+1} by the integration method (Mourrain, JPAA 1997): the unknowns
-are the coordinates of the three contractions x_i -| L in the basis N_m,
-bound by one compatibility equation per pair of variables and per
-degree-(m-1) monomial.  The system has 3*HF(m) unknowns, and its kernel
-has dimension HF(m+1).  The chain starts at the first degree
-m >= max(c, a+b+2), above the syzygy window, where a shape-only cost
-estimate puts the step into m+1 at under a quarter of the direct
-elimination of that degree's map (see ``_switches_at``); degree
-m eliminates its transposed map for N_m, so the chain's first new degree
-is already a step.  It never starts at k_max,
-whose N_m no stage would read.  Sparse maps with a large
-quotient, such as the pencil of lines, stay direct.  Where the chain
-reaches the top of the window, N is multiplied against the direct map
-there and must annihilate it exactly, or the run fails with InternalError.
+[A; B] the columns whose multiplier has no x.  A basis N_{T-1} of the
+left null space of M_{T-1} (the functionals vanishing on I_{T-1}) gives
+the one of M_T: (u, w) kills M_T exactly when u = lam N_{T-1} and
+lam (N_{T-1} A) + w B = 0, so N_T = [Lam N_{T-1} | W] for a basis (Lam | W)
+of the left kernel of the (HF(T-1) + T+1) x cols system [N_{T-1} A; B],
+and HF(T) is its row count.  The step needs only that x is a variable, not
+I_{T+1} = S_1 * I_T, so it runs from the least degree of a nonzero form,
+below which the ideal is zero and N is the identity, up to k_max.  Each
+step's system has at most 3(T+1) columns; only the first, with N the
+identity, is a graded map, the least degree's own.  The x-steps' pivots
+sum to dim S_{k_max} - HF(k_max), the rank of the degree-k_max map.
+N_{k_max} is multiplied against the degree-k_max map, built apart from
+the steps, and must annihilate it exactly, or the run fails with
+InternalError.
 
 The saturation of I needs no elimination of its own.  Sheafified, the
 syzygies give 0 -> E -> O(-a) + O(-b) + O(-c) -> I_T -> 0 with E of rank 2
@@ -61,29 +62,25 @@ degree-m' map.  For m >= 0, m' < k*, so that rank is one the Hilbert
 window already holds.
 
 Each degree's map is eliminated at most once, in ``_hilbert_window``, and
-most are not eliminated at all.  S is a domain, so x^g times a
-degree-(m-g) syzygy is a syzygy of degree m, and nothing else is.  With
-the degree-T map's columns ordered by falling x-exponent (stable within
-each form's block), and as a monomial's position in its degree does not
-depend on its x-exponent, the columns of x-exponent >= g are x^g times the
-degree-(T-g) map and form a prefix.  One reduced row echelon form of the
-degree-T map therefore holds rank(T-g) for every g, as the pivot count in
-that prefix; and the rows of its free-variable kernel basis whose free
-column (the last nonzero entry) lies in the prefix, cut to it, are a basis
-of K_{T-g}, though not the canonical one.  So ``_hilbert_window``
-eliminates the degree-(a+b+1) map for every rank up to a+b+1 and the right
+all but one are not eliminated as maps at all.  S is a domain, so x^g
+times a degree-(m-g) syzygy is a syzygy of degree m, and nothing else is.
+With the degree-T map's columns ordered by falling x-exponent (stable
+within each form's block), and as a monomial's position in its degree
+does not depend on its x-exponent, the columns of x-exponent >= g are x^g
+times the degree-(T-g) map and form a prefix.  One reduced row echelon
+form of the degree-T map therefore holds rank(T-g) for every g, as the
+pivot count in that prefix; and the rows of its free-variable kernel basis
+whose free column (the last nonzero entry) lies in the prefix, cut to it,
+are a basis of K_{T-g}, though not the canonical one.  So
+``_hilbert_window`` eliminates the degree-(a+b+1) map for the right
 kernels K_m over the syzygy window [a-1, a+b+1] (lift degree, window,
-twist above), whose row count is h^0(E(m-c)); one more map, just below
-the chain's start or at k_max when there is no chain, for the ranks
-between, with the zero forms' all-free blocks left out; and the chain,
-which holds only the current N_m (stepped, or eliminated at its start)
-until the next step replaces it.  Below max(a-1, 0) the ideal is zero and
-the map has no columns, so those degrees have rank 0.  Every later value
-(the syzygy dimensions and r, the saturation, h^1 and the resolution
-check) is arithmetic on the table, reading the rank of the degree-m map
-as dim S_m - HF(m), and above k_max HF(m) = t, so nothing above k_max is
-eliminated; only ``quotient_hilbert`` ranks a lone degree, with one plain
-rank.
+twist above), whose row count is h^0(E(m-c)), and its prefix ranks must
+equal the x-steps' HF(0 .. a+b+1), read off other matrices, or the run
+fails with InternalError.  Every later value (the syzygy dimensions and
+r, the saturation, h^1 and the resolution check) is arithmetic on the
+table, reading the rank of the degree-m map as dim S_m - HF(m), and above
+k_max HF(m) = t, so nothing above k_max is eliminated; only
+``quotient_hilbert`` ranks a lone degree, with one plain rank.
 """
 
 from __future__ import annotations
@@ -100,13 +97,11 @@ from .poly import (
     monomial_basis,
     mult_matrix,
     shift_index,
+    x_free_columns,
 )
 
 # the Hilbert window ends this many values past the anchor max(k*, 0)
 _TAIL = 4
-
-# pairs of variables whose contractions of one functional must commute
-_PAIRS = ((0, 1), (0, 2), (1, 2))
 
 
 def _chi(k: int) -> int:
@@ -378,44 +373,6 @@ def _classify(a: int, b: int, c: int, t: int, r: int, c2: int) -> Classification
     return Classification(tag="generic", case=None, e_type=None, resolution=None)
 
 
-def _contraction_system(N: np.ndarray, m: int, p: int) -> np.ndarray:
-    """Equations on the contractions of a degree-(m+1) functional.
-
-    The rows of N span the functionals on degree-m forms that vanish on
-    I_m.  A functional L of degree m+1 with x_i -| L = c_i N for
-    i = 0, 1, 2 exists exactly when (c_i N)[beta + e_j] = (c_j N)[beta + e_i]
-    for every pair i < j and every monomial beta of degree m-1.  Returns
-    the 3*dim_S(m-1) x 3*h matrix of these equations in the unknowns
-    (c_0, c_1, c_2), h = rows of N; its right kernel is I_{m+1}^perp.
-    """
-    h = N.shape[0]
-    D = dim_S(m - 1)
-    A = np.zeros((len(_PAIRS) * D, 3 * h), dtype=np.int64)
-    for q, (i, j) in enumerate(_PAIRS):
-        eqs = A[q * D : (q + 1) * D]
-        eqs[:, i * h : (i + 1) * h] = N[:, shift_index(m - 1, j)].T
-        eqs[:, j * h : (j + 1) * h] = (-N[:, shift_index(m - 1, i)].T) % p
-    return A
-
-
-def _integrate(C: np.ndarray, N: np.ndarray, m: int, p: int) -> np.ndarray:
-    """The degree-(m+1) functionals whose contractions are C's rows over N.
-
-    Each monomial of degree m+1 is read off one contraction: x times a
-    degree-m monomial keeps its position, which covers the first dim_S(m)
-    positions; the rest have no x and are y or z times one of the last
-    m+1 monomials of degree m (x-free, in order), z^(m+1) coming from z^m.
-    """
-    h = N.shape[0]
-    return np.hstack(
-        [
-            matmul(C[:, :h], N, p),
-            matmul(C[:, h : 2 * h], N[:, -(m + 1) :], p),
-            matmul(C[:, 2 * h :], N[:, -1:], p),
-        ]
-    )
-
-
 # -- eliminations ----------------------------------------------------------
 #
 # rank and kernel_basis are called from these frames alone: a linalg trace
@@ -428,26 +385,15 @@ def graded_map_matrix(Q: QciInput, m: int) -> np.ndarray:
     return np.hstack([mult_matrix(f, m - f.degree) for f in Q.polys])
 
 
-def rank_at(Q: QciInput, m: int, low: int | None = None) -> int | dict[int, int]:
+def rank_at(Q: QciInput, m: int) -> int:
     """Rank of the degree-m map, one plain rank.
 
     Below degree max(a-1, 0) the map has no columns: its rank is 0, and
-    nothing is built.  With ``low``, a dict of the ranks of the maps of
-    degrees low .. m instead, from one elimination of the degree-m map in
-    x-order (see ``_x_order``): the degree-k rank is the pivot count of the
-    first cols(k) columns, read off the kernel basis's free columns.  The
-    zero forms' blocks are left out of that map, as their columns are all
-    free and add to no rank.
+    nothing is built.
     """
-    if low is None:
-        if m < max(Q.degrees[0] - 1, 0):
-            return 0
-        return rank(graded_map_matrix(Q, m), Q.field)
-    forms = [f for f in Q.polys if not f.is_zero]
-    degrees = [f.degree for f in forms]
-    M = np.hstack([mult_matrix(f, m - f.degree) for f in forms])[:, _x_order(degrees, m)]
-    K = kernel_basis(M, Q.field)
-    return _prefix_ranks(_free_columns(K), degrees, low, m)
+    if m < max(Q.degrees[0] - 1, 0):
+        return 0
+    return rank(graded_map_matrix(Q, m), Q.field)
 
 
 def kernel_at(Q: QciInput, m: int) -> np.ndarray:
@@ -455,13 +401,20 @@ def kernel_at(Q: QciInput, m: int) -> np.ndarray:
     return kernel_basis(graded_map_matrix(Q, m)[:, _x_order(Q.degrees, m)], Q.field)
 
 
-def left_null(Q: QciInput, m: int, prev: np.ndarray | None = None) -> np.ndarray:
-    # N_m, a basis of the degree-m map's left null space: from the
-    # transposed map, or stepped from prev = N_{m-1}
-    if prev is None:
-        return kernel_basis(graded_map_matrix(Q, m).T, Q.field)
-    C = kernel_basis(_contraction_system(prev, m - 1, Q.prime), Q.field)
-    return _integrate(C, prev, m - 1, Q.prime)
+def left_null(Q: QciInput, T: int, N_prev: np.ndarray) -> np.ndarray:
+    """N_T, a basis of the degree-T map's left null space, from N_prev = N_{T-1}.
+
+    One x-step (see the module docstring): with [A; B] the x-free
+    multipliers' columns, split after the dim_S(T-1) rows that x times the
+    degree-(T-1) monomials fill, N_T = [Lam N_prev | W] for the rows
+    (Lam | W) of a basis of the left kernel of [N_prev A; B].
+    """
+    p = Q.prime
+    XF = x_free_columns([f for f in Q.polys if not f.is_zero], T)
+    h, n = N_prev.shape
+    S = np.vstack([matmul(N_prev, XF[:n], p), XF[n:]])
+    L = kernel_basis(S.T, Q.field)
+    return np.hstack([matmul(L[:, :h], N_prev, p), L[:, h:]])
 
 
 def _x_order(degrees, m: int) -> np.ndarray:
@@ -481,23 +434,8 @@ def _x_order(degrees, m: int) -> np.ndarray:
 
 
 def _free_columns(K: np.ndarray) -> np.ndarray:
-    # the free column of each row of a kernel_basis: its last nonzero
-    # entry.  A map with no columns, such as the count path's below its
-    # least nonzero form's degree, has a kernel with no rows.
-    if K.shape[1] == 0:
-        return np.zeros(0, dtype=np.intp)
+    # the free column of each row of a kernel_basis: its last nonzero entry
     return K.shape[1] - 1 - np.argmax(K[:, ::-1] != 0, axis=1)
-
-
-def _prefix_ranks(free: np.ndarray, degrees, low: int, m: int) -> dict[int, int]:
-    # ranks of the maps of degrees low .. m from the free columns of the
-    # x-ordered degree-m map's kernel basis: the degree-k map is its first
-    # cols(k) columns, whose pivots are those that are not free
-    ranks = {}
-    for k in range(low, m + 1):
-        n = sum(dim_S(k - d) for d in degrees)
-        ranks[k] = n - int(np.count_nonzero(free < n))
-    return ranks
 
 
 def _cols(Q: QciInput, m: int) -> int:
@@ -557,88 +495,69 @@ def _generator_degrees(
 # -- the Hilbert window ------------------------------------------------------
 
 
-def _switches_at(Q: QciInput, m: int, h: int, k_max: int) -> bool:
-    """Whether degree m, above the syzygy window, starts the chain.
-
-    Only a degree c <= m < k_max can: from c on the ideal in degree
-    m+1 is S_1 times its degree-m part, and no stage reads degree
-    k_max+1, the first step from N_{k_max}.  Shapes alone decide,
-    pricing the step into m+1 against the direct map there.  The step
-    eliminates a 3*dim_S(m) x 3h system, h = HF(m), taken here to cost
-    18 h^2 dim_S(m); the direct map costs about
-    (dim_S(m+1) - h) * dim_S(m+1) * cols(m+1).  Above the syzygy window
-    no HF is known before the chain's start is, so the caller passes
-    h = HF(a+b+1), the syzygy window's last value, for every m.
-    The chain starts only where the step is estimated at under a quarter
-    of that: direct maps are often sparse, which the estimate does not
-    see, and with a smaller margin the pencil-of-lines maps (plateau
-    (d-1)^2) ran slower stepped.
-    """
-    if not Q.degrees[2] <= m < k_max:
-        return False
-    step_cost = 18 * h * h * dim_S(m)
-    direct_cost = (dim_S(m + 1) - h) * dim_S(m + 1) * _cols(Q, m + 1)
-    return 4 * step_cost < direct_cost
-
-
 def _check_annihilation(Q: QciInput, N: np.ndarray, m: int) -> None:
-    # a stepped N_m must annihilate the direct map, checked by exact
-    # products one form's block at a time, so that only one block's
-    # float64 copy is live
-    p = Q.prime
-    if any(matmul(N, mult_matrix(f, m - f.degree), p).any() for f in Q.polys):
-        raise InternalError(
-            f"stepped inverse system in degree {m} does not annihilate "
-            "the ideal; the integration step is broken"
-        )
+    # the stepped N_m must annihilate the degree-m map, built by
+    # mult_matrix apart from the steps' columns and checked by exact
+    # products a run of columns at a time.  A run is as wide as the last
+    # x-step's block of x-free columns, so it holds no more than that
+    # block, and no narrower than N is tall, so that converting N for each
+    # run costs no more than the run
+    forms = [f for f in Q.polys if not f.is_zero]
+    width = max(N.shape[0], sum(m - f.degree + 1 for f in forms))
+    for f in forms:
+        for lo in range(0, dim_S(m - f.degree), width):
+            block = mult_matrix(f, m - f.degree, slice(lo, lo + width))
+            if matmul(N, block, Q.prime).any():
+                raise InternalError(
+                    f"stepped inverse system in degree {m} does not annihilate "
+                    "the ideal; the x-step is broken"
+                )
 
 
 def _hilbert_window(Q: QciInput) -> tuple[HilbertTable, dict[int, np.ndarray]]:
-    """Every elimination of the Hilbert window: at most two maps and the chain.
+    """Every elimination of the Hilbert window: one map and the x-steps.
 
-    One kernel of the degree-(a+b+1) map in x-order gives every rank up to
-    a+b+1 and the K_m over the syzygy window max(a-1, 0) .. a+b+1: the rows
-    whose free column lies in the first cols(m) columns, cut to those
+    The x-steps (``left_null``) carry N_T from the least degree of a
+    nonzero form up to k_max, N being the identity below it, where the
+    ideal is zero; HF(T) is the row count of N_T, and N_{k_max} is checked
+    against the degree-k_max map.  One kernel of the degree-(a+b+1) map in
+    x-order gives the K_m over the syzygy window max(a-1, 0) .. a+b+1: the
+    rows whose free column lies in the first cols(m) columns, cut to those
     columns, are a basis of K_m (see ``_x_order``), though not the
-    canonical one.  The chain starts at the first degree that
-    ``_switches_at`` picks; its first degree keeps the left null space N_m
-    and its later degrees are steps, and a chain that reaches k_max is
-    checked against the direct map there.  One rank elimination of the map
-    just below the chain's start, or of the degree-k_max map when there is
-    no chain, gives the ranks between.  Returns the quotient Hilbert values
+    canonical one.  Its prefix ranks, from other matrices than the steps',
+    must give the same HF(0 .. a+b+1).  Returns the quotient Hilbert values
     on 0 .. k_max and the kept K_m, keyed by degree.
     """
     a, b, c = Q.degrees
     k_star = a + b + c - 2
     k_max = max(k_star, 0) + _TAIL - 1
+    low = min(f.degree for f in Q.polys if not f.is_zero)
+    N = np.eye(dim_S(low - 1), dtype=np.int64)
+    values = [dim_S(T) for T in range(low)]
+    for T in range(low, k_max + 1):
+        N = left_null(Q, T, N)
+        values.append(N.shape[0])
+    _check_annihilation(Q, N, k_max)
     top = a + b + 1
     K = kernel_at(Q, top)
     free = _free_columns(K)
-    # below max(a-1, 0) the map has no columns and rank 0
-    ranks = _prefix_ranks(free, Q.degrees, 0, top)
     kernels: dict[int, np.ndarray] = {}
-    for m in range(max(a - 1, 0), top + 1):
+    for m in range(top + 1):
         n = _cols(Q, m)
-        rows = K[free < n, :n]
-        # K_m, put back from the degree-m map's x-order to its block order
-        kernels[m] = np.empty_like(rows)
-        kernels[m][:, _x_order(Q.degrees, m)] = rows
-    h = dim_S(top) - ranks[top]
-    start = next(
-        (m for m in range(top + 1, k_max + 1) if _switches_at(Q, m, h, k_max)),
-        k_max + 1,
-    )
-    if start - 1 > top:
-        ranks.update(rank_at(Q, start - 1, top + 1))
-    N = None
-    for m in range(start, k_max + 1):
-        N = left_null(Q, m, N)
-        ranks[m] = dim_S(m) - N.shape[0]
-    if N is not None:
-        # the chain never starts at k_max, so this N was stepped
-        _check_annihilation(Q, N, k_max)
-    values = tuple(dim_S(k) - ranks[k] for k in range(k_max + 1))
-    return HilbertTable(values=values, k_star=k_star, k_max=k_max), kernels
+        # the degree-m map is the first n columns, whose pivots are those
+        # that are not free
+        if values[m] != dim_S(m) - n + int(np.count_nonzero(free < n)):
+            raise InternalError(
+                f"x-steps give HF({m}) = {values[m]}, but the x-ordered "
+                f"degree-{top} map's prefix rank disagrees"
+            )
+        if m >= a - 1:
+            rows = K[free < n, :n]
+            # K_m, put back from the degree-m map's x-order to its block order
+            kernels[m] = np.empty_like(rows)
+            kernels[m][:, _x_order(Q.degrees, m)] = rows
+    table = HilbertTable(values=tuple(values), k_star=k_star, k_max=k_max)
+    return table, kernels
 
 
 def _dimension_tag(table: HilbertTable) -> tuple[str, int | None]:

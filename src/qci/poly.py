@@ -94,7 +94,7 @@ class HomogPoly:
     block of the right shape in every graded matrix.
     """
 
-    __slots__ = ("degree", "coeffs", "field")
+    __slots__ = ("degree", "coeffs", "field", "_terms")
 
     def __init__(self, degree: int, coeffs, field: PrimeField):
         if not isinstance(degree, int) or degree < 0:
@@ -110,6 +110,7 @@ class HomogPoly:
         self.degree = degree
         self.coeffs = dict(sorted(cleaned.items(), key=lambda item: _order_key(item[0])))
         self.field = field
+        self._terms = None
 
     @classmethod
     def zero(cls, degree: int, field: PrimeField) -> "HomogPoly":
@@ -122,6 +123,15 @@ class HomogPoly:
     @property
     def is_zero(self) -> bool:
         return not self.coeffs
+
+    def _term_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        # the x-free degree j+k and the z-exponent k of every term, and its
+        # coefficient, as int64 arrays: built once, for the matrix builders
+        if self._terms is None:
+            exps = np.array(list(self.coeffs), dtype=np.int64).reshape(-1, 3)
+            coeffs = np.fromiter(self.coeffs.values(), dtype=np.int64)
+            self._terms = (self.degree - exps[:, 0], exps[:, 2], coeffs)
+        return self._terms
 
     def _check_same_field(self, other: "HomogPoly"):
         if self.field != other.field:
@@ -349,21 +359,45 @@ def random_homog(degree: int, field: PrimeField, rng) -> HomogPoly:
     )
 
 
-def mult_matrix(g: HomogPoly, src_degree: int) -> np.ndarray:
-    """Matrix of multiplication by ``g`` from degree ``src_degree`` forms.
+def _multiply_into(M: np.ndarray, g: HomogPoly, s, k, first: int) -> None:
+    # write g times the source monomials at (s, k) (see _positions) into
+    # M's columns first, first+1, ...: a term with x-free degree j+l and
+    # z-exponent l takes j+k = s to s+j+l and k to k+l
+    if g.is_zero or not k.size:
+        return
+    g_s, g_k, coeffs = g._term_arrays()
+    t_s = s + g_s[:, None]
+    rows = t_s * (t_s + 1) // 2 + k + g_k[:, None]
+    M[rows, first + np.arange(k.size)] = coeffs[:, None]
 
-    Shape is (dim S_{src+deg g}, dim S_src); a zero polynomial or an empty
-    source degree gives the corresponding zero or empty block.
+
+def mult_matrix(g: HomogPoly, src_degree: int, cols: slice = slice(None)) -> np.ndarray:
+    """Matrix of multiplication by ``g`` from degree ``src_degree`` forms,
+    or only its columns ``cols``.
+
+    Shape is (dim S_{src+deg g}, dim S_src), or as many columns as ``cols``
+    selects; a zero polynomial or an empty source degree gives the
+    corresponding zero or empty block.
     """
-    tgt_degree = src_degree + g.degree
-    M = np.zeros((dim_S(tgt_degree), dim_S(src_degree)), dtype=np.int64)
-    if M.size == 0 or g.is_zero:
-        return M
-    cols = np.arange(M.shape[1])
     s, k = _positions(src_degree)
-    exps = np.array(list(g.coeffs), dtype=np.int64)
-    g_k = exps[:, 2:]
-    t_s = s + exps[:, 1:2] + g_k
-    coeffs = np.fromiter(g.coeffs.values(), dtype=np.int64, count=len(g.coeffs))
-    M[t_s * (t_s + 1) // 2 + k + g_k, cols] = coeffs[:, None]
+    s, k = s[cols], k[cols]
+    M = np.zeros((dim_S(src_degree + g.degree), k.size), dtype=np.int64)
+    _multiply_into(M, g, s, k, 0)
+    return M
+
+
+def x_free_columns(forms, degree: int) -> np.ndarray:
+    """The columns of the degree-``degree`` map (A_1, ...) |-> sum A_i g_i
+    whose multiplier has no x, as one block for all ``forms`` in turn.
+
+    The x-free monomials of a degree e are its last e+1, y^e .. z^e (s = e,
+    k = 0 .. e in ``_positions``), so a form of degree above ``degree``
+    gives no column.  Shape is (dim S_degree, sum_i max(degree - deg g_i + 1, 0)).
+    """
+    sizes = [max(degree - g.degree + 1, 0) for g in forms]
+    M = np.zeros((dim_S(degree), sum(sizes)), dtype=np.int64)
+    first = 0
+    for g, n in zip(forms, sizes):
+        _multiply_into(M, g, n - 1, np.arange(n), first)
+        first += n
     return M

@@ -208,8 +208,8 @@ def test_dimension_class_positive_dimensional(field):
     x, y, z = variables(field)
     Q = QciInput.of(x * z, y * z, (x + y) * z)
     assert dimension_class(Q) == ("dim_ge_1", None)
-    # two zero forms tied below a nonzero form of higher degree: the
-    # window's count-only map has no columns below that degree
+    # two zero forms tied below a nonzero form of higher degree: the ideal
+    # is zero below that degree, where the window's x-steps start
     zero = HomogPoly.zero(0, field)
     Q = QciInput.of(zero, zero, parse_poly("x^4 + y^4 + z^4", field))
     assert dimension_class(Q) == ("dim_ge_1", None)

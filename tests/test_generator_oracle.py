@@ -13,7 +13,7 @@ window.
 
 Where the window holds every generator the two agree.  Where it does not,
 the report is a truncation, and those cases are strict xfails until the
-generator count covers the whole module (ROADMAP item 2).
+generator count covers the whole module (ROADMAP item 3).
 """
 
 import random
@@ -86,8 +86,8 @@ def _through_point(degrees, seed):
 
 _TRUNCATED = pytest.mark.xfail(
     strict=True,
-    reason="the generator scan stops at twist a+b-c and misses generators "
-    "above it (ROADMAP item 2)",
+    reason="the generator scan stops at twist a+b-c+1 and misses generators "
+    "above it (ROADMAP item 3)",
 )
 
 _CASES = [

@@ -1,24 +1,25 @@
-"""The inverse-system chain that carries I_m^perp up the Hilbert window.
+"""The x-steps that carry I_T^perp up the Hilbert window.
 
-Every stepped Hilbert value is compared with the direct rank of the same
-degree's map, and on monomial ideals with the counting oracle of
-conftest.py.  The step helpers are called directly, so these checks do not
-depend on where the window's cost rule starts the chain.
+``_hilbert_window`` carries a basis N_T of the degree-T map's left null
+space from the least degree of a nonzero form up to k_max, one x-step
+(``core.left_null``) per degree, N being the identity below that degree;
+HF(T) is the row count of N_T.  Every N_T the window makes (the tests
+capture each by wrapping ``core.left_null``) is compared with a direct left
+null space through the RREF of both, as a stepped basis is not the
+canonical one, and the values also with the counting oracle of conftest.py
+on monomial ideals.
 
-Each map is eliminated at most once, and most not at all:
-``_hilbert_window`` reads every rank up to a+b+1 and the K_m of the syzygy
-window off one kernel of the x-ordered degree-(a+b+1) map, the ranks up to
-the chain's start off one more x-ordered map, and carries N_m up the chain
-(the tests capture each N_m by wrapping ``core.left_null``).  The
-generator lifts read the K_m it returned, the saturation reads only ranks
-of the Hilbert window, and nothing above k_max is ranked, as HF(m) = t
-there (``h1_E`` above the window is arithmetic); a lone ``rank_at``
-outside the window, as ``quotient_hilbert`` makes, is one plain rank.  The
-chain starts above the syzygy window, so it never holds a degree whose K_m
-the lifts need.
-A stepped N_m, and a K_m read off a higher degree's kernel, is a basis but
-not the canonical one, so it is compared with a direct kernel through the
-RREF of both.
+Each map is eliminated at most once, and most not at all: besides the
+x-steps, whose systems are not graded maps (the first one's, with N the
+identity, is the least degree's map itself), ``_hilbert_window`` builds and
+eliminates only the x-ordered degree-(a+b+1) map, for the K_m of the
+syzygy window, which the generator lifts read, and for a cross-check of
+HF(0 .. a+b+1).  The x-steps' pivots sum to the rank of the degree-k_max
+map.  The saturation reads only values of the Hilbert window, and nothing
+above k_max is ranked, as HF(m) = t there (``h1_E`` above the window is
+arithmetic); a lone ``rank_at`` outside the window, as ``quotient_hilbert``
+makes, is one plain rank.  A K_m read off a higher degree's kernel is a
+basis but not the canonical one, so it too is compared through the RREF.
 The saturation, read off the window by Riemann-Roch and Serre duality, is
 compared in every degree with the common kernel of the shifted copies of
 a directly eliminated left null space.
@@ -72,29 +73,30 @@ def _node_partials(d, field, seed):
     return HomogPoly(d, coeffs, field).partials()
 
 
-def _stepped_hilbert(Q):
-    """HF(m) for m in [m0, k_max] by stepping N_m0 up with the core helpers."""
-    p = Q.prime
-    m0 = max(Q.degrees[2], 1)
-    N = kernel_basis(core.graded_map_matrix(Q, m0).T, Q.field)
-    values = {m0: N.shape[0]}
-    for m in range(m0, sum(Q.degrees) + 1):
-        C = kernel_basis(core._contraction_system(N, m, p), Q.field)
-        N = core._integrate(C, N, m, p)
-        assert not (N @ core.graded_map_matrix(Q, m + 1) % p).any()
-        values[m + 1] = N.shape[0]
-    return values
-
-
 def _direct_hilbert(Q, m):
     return dim_S(m) - rank(core.graded_map_matrix(Q, m), Q.field)
 
 
-def _check_against_direct(Q):
-    stepped = _stepped_hilbert(Q)
-    assert len(stepped) > 1
-    for m, h in stepped.items():
-        assert h == _direct_hilbert(Q, m), m
+def _record_steps(monkeypatch):
+    """Each input's x-steps {T: N_T}, filled as its Hilbert window makes them.
+
+    The window keeps no N_T, so ``core.left_null`` is wrapped, and the
+    original still makes the elimination under its own caller name.
+    """
+    steps = defaultdict(dict)
+    left_null = core.left_null
+
+    def recording(Q, T, N_prev):
+        N = steps[Q][T] = left_null(Q, T, N_prev)
+        return N
+
+    monkeypatch.setattr(core, "left_null", recording)
+    return steps
+
+
+def _least_degree(Q):
+    # the least degree of a nonzero form, where the x-steps start
+    return min(f.degree for f in Q.polys if not f.is_zero)
 
 
 def _case_input(field, which):
@@ -133,11 +135,24 @@ _CASES = [f"node{d}" for d in range(4, 8)] + [
     [(w, p) for w in _CASES for p in ("small", *LARGE_PRIMES)]
     + [("node8", "small"), ("node9", "small")],
 )
-def test_stepped_hilbert_matches_direct_rank(which, prime):
+def test_stepped_hilbert_matches_direct_rank(which, prime, monkeypatch):
+    # every N_T of the window spans the direct left null space of the
+    # degree-T map, T = 0 .. k_max, and its row count is HF(T)
     if prime == "small":
         # the least prime the input guard admits for these degrees
         prime = _prime_above(sum(_case_input(PrimeField(32003), which).degrees))
-    _check_against_direct(_case_input(PrimeField(prime), which))
+    field = PrimeField(prime)
+    Q = _case_input(field, which)
+    steps = _record_steps(monkeypatch)
+    table, _ = core._hilbert_window(Q)
+    low = _least_degree(Q)
+    assert sorted(steps[Q]) == list(range(low, table.k_max + 1))
+    for T in range(table.k_max + 1):
+        direct = kernel_basis(core.graded_map_matrix(Q, T).T, field)
+        N = steps[Q].get(T, np.eye(dim_S(T), dtype=np.int64))
+        assert N.shape == direct.shape, T
+        assert rref(N, field)[0].tobytes() == rref(direct, field)[0].tobytes(), T
+        assert table.values[T] == N.shape[0], T
 
 
 @pytest.mark.parametrize(
@@ -154,63 +169,44 @@ def test_stepped_hilbert_matches_direct_rank(which, prime):
 def test_stepped_hilbert_matches_monomial_oracle(gens, p, monomial_oracle):
     field = PrimeField(p)
     Q = QciInput.of(*(HomogPoly.monomial(g, field) for g in gens))
-    for m, h in _stepped_hilbert(Q).items():
+    for m, h in enumerate(core._hilbert_window(Q)[0].values):
         assert h == monomial_oracle(gens, m), m
 
 
-def _record_chains(monkeypatch):
-    """Each input's chain {m: N_m}, filled as its Hilbert window makes it.
-
-    The window keeps no N_m, so ``core.left_null`` is wrapped, and the
-    original still makes the elimination under its own caller name.
-    """
-    chains = defaultdict(dict)
-    left_null = core.left_null
-
-    def recording(Q, m, prev=None):
-        N = chains[Q][m] = left_null(Q, m, prev)
-        return N
-
-    monkeypatch.setattr(core, "left_null", recording)
-    return chains
-
-
-def _chained_engine(field, monkeypatch):
+def _stepped_engine(field, monkeypatch):
     Q = QciInput.of(*_node_partials(7, field, seed=3))
-    chains = _record_chains(monkeypatch)
+    steps = _record_steps(monkeypatch)
     table, _ = core._hilbert_window(Q)
-    chain = chains[Q]
-    assert any(m - 1 in chain for m in chain), (
-        "the cost rule should start the chain on a dense node and step it"
-    )
-    return Q, table, chain
+    return Q, table, steps[Q]
 
 
 def test_chain_spans_the_direct_left_null_space(field, monkeypatch):
-    Q, _, chain = _chained_engine(field, monkeypatch)
-    for m, N in sorted(chain.items()):
+    # the x-steps' chain of N_T, from the least degree up to k_max
+    Q, table, steps = _stepped_engine(field, monkeypatch)
+    assert sorted(steps) == list(range(_least_degree(Q), table.k_max + 1))
+    for m, N in sorted(steps.items()):
         K = kernel_basis(core.graded_map_matrix(Q, m).T, field)
         assert rref(N, field)[0].tobytes() == rref(K, field)[0].tobytes(), m
 
 
 def test_lone_rank_above_the_window_is_direct(field, monkeypatch):
-    # after the chain, a degree above k_max (only a lone quotient_hilbert
+    # after the x-steps, a degree above k_max (only a lone quotient_hilbert
     # call ranks one) is one plain rank, not a step from N_{k_max}
-    Q, table, chain = _chained_engine(field, monkeypatch)
+    Q, table, steps = _stepped_engine(field, monkeypatch)
     top = table.k_max + 1
-    before = set(chain)
+    before = set(steps)
     calls = _record_eliminations(monkeypatch)
     v = core.rank_at(Q, top)
     assert calls == ["rank"]
-    assert set(chain) == before
+    assert set(steps) == before
     assert v == rank(core.graded_map_matrix(Q, top), field)
 
 
 def test_lone_hilbert_value_stays_direct(field, monkeypatch):
-    # a lone value on the chain's top degree is one plain rank, equal to
+    # a lone value on the x-steps' top degree is one plain rank, equal to
     # the stepped one
-    Q, table, chain = _chained_engine(field, monkeypatch)
-    top = max(chain)
+    Q, table, steps = _stepped_engine(field, monkeypatch)
+    top = max(steps)
     calls = _record_eliminations(monkeypatch)
     assert core.quotient_hilbert(Q, top) == table.values[top]
     assert calls == ["rank"]
@@ -225,25 +221,47 @@ def test_lone_syzygy_table_runs_the_plan(field):
     assert lifts == core.analyze_qci(Q).generator_degrees
 
 
+def _corrupt_step(monkeypatch, degree, corrupt):
+    # left_null, with its output at one degree passed through corrupt
+    left_null = core.left_null
+
+    def corrupted(Q, T, N_prev):
+        N = left_null(Q, T, N_prev)
+        return corrupt(N.copy(), Q.prime) if T == degree else N
+
+    monkeypatch.setattr(core, "left_null", corrupted)
+
+
+def _bump_entry(N, p):
+    N[0, 0] = (N[0, 0] + 1) % p
+    return N
+
+
 def test_corrupted_lift_fails_the_annihilation_check(field, monkeypatch):
-    Q, table, _ = _chained_engine(field, monkeypatch)
-    k_max = table.k_max
-    integrate = core._integrate
-
-    def corrupted(C, N, m, p):
-        out = integrate(C, N, m, p)
-        if m + 1 == k_max:
-            out = out.copy()
-            out[0, 0] = (out[0, 0] + 1) % p
-        return out
-
-    monkeypatch.setattr(core, "_integrate", corrupted)
+    # one wrong entry in the last step's N_{k_max}: it no longer annihilates
+    # the degree-k_max map, which the check builds apart from the steps
+    Q, table, _ = _stepped_engine(field, monkeypatch)
+    _corrupt_step(monkeypatch, table.k_max, _bump_entry)
     with pytest.raises(InternalError, match="does not annihilate"):
         analyze_qci(Q)
 
 
+@pytest.mark.parametrize("which", ["node7", "nodal cubic", "x,y,x+y", "ci_qci(2, 4)"])
+def test_corrupted_low_step_fails_the_prefix_rank_check(which, field, monkeypatch):
+    # a step at a degree <= a+b+1 that loses a row of N_T: every later N
+    # still annihilates its map, so only the top kernel's prefix ranks,
+    # read off other matrices, see the wrong HF
+    Q = _named_input(field, which)
+    a, b, _ = Q.degrees
+    for degree in (_least_degree(Q), a + b + 1):
+        with monkeypatch.context() as mp:
+            _corrupt_step(mp, degree, lambda N, p: N[1:])
+            with pytest.raises(InternalError, match="prefix rank"):
+                core._hilbert_window(Q)
+
+
 def test_engine_report_matches_direct_ranks(field, monkeypatch):
-    Q, _, _ = _chained_engine(field, monkeypatch)
+    Q, _, _ = _stepped_engine(field, monkeypatch)
     values = analyze_qci(Q).hilbert.values
     assert list(values) == [_direct_hilbert(Q, k) for k in range(len(values))]
 
@@ -332,47 +350,38 @@ def _named_input(field, which):
     return _case_input(field, which)
 
 
-# The degrees whose map is eliminated directly: the syzygy window's top
-# a+b+1, the one below the chain's start (k_max without a chain) and the
-# chain's first.  Every other degree is read off one of them or stepped.
-_DIRECT = {
-    # the chain starts at a+b+2 = 18, just above the syzygy window
-    "node9": {17, 18},
-    # the pencil of lines stays direct: a+b+1 = 11 and k_max = 16
-    "lines6": {11, 16},
-    # c = 1: no degree of [c, k_max) lies above the syzygy window [0, 3]
-    "x,y,x+y": {3, 4},
-    # c = 2: the chain starts at a+b+2 = 6
-    "nodal cubic": {5, 6},
-    "node7": {13, 14},
-    # all three: a+b+1 = 6, the ranks below the chain's start 8, and 8
-    "ci_qci(2, 4)": {6, 7, 8},
-}
-
-
 @pytest.mark.parametrize(
     "which, both",
-    # no degree keeps two kernels, K_m and N_m, not even for c <= 2
-    [(which, set()) for which in _DIRECT],
+    # no degree keeps two kernels, not even for c <= 2
+    [
+        (which, set())
+        for which in (
+            "node9", "lines6", "x,y,x+y", "nodal cubic", "node7", "ci_qci(2, 4)"
+        )
+    ],
 )
 def test_each_map_is_eliminated_once(which, both, field, monkeypatch):
-    chains = _record_chains(monkeypatch)
+    # the window builds one graded map, at a+b+1, and eliminates it and the
+    # x-steps' systems; the first step's system, with N the identity, is
+    # the least degree's map itself, and no later one is a graded map
+    built = []
+    graded_map_matrix = core.graded_map_matrix
+
+    def building(Q, m):
+        built.append(m)
+        return graded_map_matrix(Q, m)
+
+    monkeypatch.setattr(core, "graded_map_matrix", building)
     report, eng, seen = _analyze_recording(_named_input(field, which), monkeypatch)
-    chain = chains[eng.Q]
+    monkeypatch.setattr(core, "graded_map_matrix", graded_map_matrix)
     assert report.dimension_class == "dim0"
+    top = eng.a + eng.b + 1
+    assert built == [top]
     counts = _eliminations_per_degree(eng, seen)
     twice = {m for m, n in counts.items() if n > 1}
     assert twice == both
-    assert all(n <= 1 for n in counts.values())
-    top, k_max = eng.a + eng.b + 1, eng.table.k_max
-    start = min(chain, default=k_max + 1)
     direct = {m for m, n in counts.items() if n}
-    assert direct == _DIRECT[which]
-    assert direct == {top, start - 1, start} & set(range(top, k_max + 1))
-    if which.startswith("node"):
-        assert any(m - 1 in chain for m in chain)
-    if which == "lines6":
-        assert not chain
+    assert direct == {_least_degree(eng.Q), top}
 
 
 @pytest.mark.parametrize(
@@ -391,31 +400,11 @@ def _random_triple(field, degrees):
     return QciInput.of(*(random_homog(d, field, rng) for d in degrees))
 
 
-@pytest.mark.parametrize(
-    "which",
-    [f"node{d}" for d in range(5, 10)] + [(4, 4, 5), (5, 5, 5), (2, 2, 7), (3, 4, 6)],
-    ids=str,
-)
-def test_chain_starts_above_the_syzygy_window(which, field, monkeypatch):
-    # the syzygy stage reads K_m over [a-1, a+b+1]; a chain degree keeps
-    # only N_m, so the chain must start above that window and at c or later
-    if isinstance(which, str):
-        Q = _case_input(field, which)
-    else:
-        Q = _random_triple(field, which)
-    chains = _record_chains(monkeypatch)
-    core._hilbert_window(Q)
-    a, b, c = Q.degrees
-    assert chains[Q]
-    assert min(chains[Q]) >= max(c, a + b + 2)
-
-
 def test_eliminations_happen_only_where_kernels_are_kept(field, monkeypatch):
-    # the Hilbert window makes its eliminations through rank_at, kernel_at
-    # and left_null, each a kernel: the count-only rank_at reads its ranks
-    # off the free columns, and the plain rank is left to lone values.  The
-    # generator lifts read the K_m it returned, and the saturation only
-    # reads ranks, so no other stage eliminates
+    # the Hilbert window makes its eliminations through kernel_at and
+    # left_null, each a kernel, and the plain rank of rank_at is left to
+    # lone values.  The generator lifts read the K_m it returned, and the
+    # saturation only reads ranks, so no other stage eliminates
     calls = set()
 
     def recording(fn):
@@ -438,7 +427,6 @@ def test_eliminations_happen_only_where_kernels_are_kept(field, monkeypatch):
         core.h1_E(nodal, m - 2)
     assert calls == {
         ("kernel_basis", "kernel_at"),
-        ("kernel_basis", "rank_at"),
         ("kernel_basis", "left_null"),
         ("rank", "_generator_degrees"),
     }
@@ -651,43 +639,17 @@ def test_skipped_window_kernels_match_direct_elimination(which):
 
 
 def test_no_window_degree_below_the_least_syzygy_is_eliminated(field, monkeypatch):
-    # of the syzygy window only its top a+b+1 is eliminated, so neither the
-    # degrees below the least syzygy r+c nor those above it are
+    # of the syzygy window only its top a+b+1 is eliminated as a map, and
+    # its least degree a as the first x-step's whole system (N_{a-1} is the
+    # identity), so neither the degrees below the least syzygy r+c nor
+    # those above it are
     report, eng, seen = _analyze_recording(_case_input(field, "node9"), monkeypatch)
     counts = _eliminations_per_degree(eng, seen)
     first = report.r + eng.c - 1  # the topmost injective degree
     top = eng.a + eng.b + 1
-    assert eng.a - 1 < first < top
-    assert counts[top] == 1
-    assert not any(counts[m] for m in range(eng.a - 1, top))
-
-
-def _pencil(field, seed):
-    # three linear forms in x and y alone: the point [0:0:1]
-    rng = random.Random(seed)
-    return QciInput.of(
-        *(
-            HomogPoly(1, {(1, 0, 0): rng.randrange(1, field.p),
-                          (0, 1, 0): rng.randrange(1, field.p)}, field)
-            for _ in range(3)
-        )
-    )
-
-
-@pytest.mark.parametrize("which", ["x,y,x+y", "pencil-0", "pencil-1", "node7"])
-def test_chain_never_starts_at_k_max(which, field, monkeypatch):
-    # no stage reads degree k_max+1, so an N_{k_max} from a chain starting
-    # at k_max would be read by nothing
-    if which.startswith("pencil"):
-        Q = _pencil(field, int(which[7:]))
-    else:
-        Q = _named_input(field, which)
-    engines = _record_engines(monkeypatch)
-    chains = _record_chains(monkeypatch)
-    report = analyze_qci(Q)
-    (eng,) = engines
-    assert report.dimension_class == "dim0"
-    assert not chains[Q] or min(chains[Q]) < report.hilbert.k_max
+    assert eng.a - 1 < eng.a < first < top
+    assert counts[top] == 1 and counts[eng.a] == 1
+    assert not any(counts[m] for m in range(eng.a - 1, top) if m != eng.a)
 
 
 @pytest.mark.parametrize("which", ["node9", "lines6", "1,x,y", "x,y,x+y"])
@@ -700,9 +662,9 @@ def test_nothing_is_built_below_the_syzygy_window(which, field, monkeypatch):
     built = []
     mult_matrix = core.mult_matrix
 
-    def recording(g, src):
+    def recording(g, src, *cols):
         built.append(src)
-        return mult_matrix(g, src)
+        return mult_matrix(g, src, *cols)
 
     monkeypatch.setattr(core, "mult_matrix", recording)
     for k in range(lo):
@@ -744,11 +706,11 @@ def _pinned_analysis(field, which):
 @pytest.mark.parametrize(
     "which, calls, pivots",
     [
-        ("node7", 8, 241),
-        ("lines8", 10, 481),
-        ("triangle", 5, 67),
-        ("x,y^2,y*z", 4, 44),
-        ("triple(2, 3, 4)", 5, 63),
+        ("node7", 16, 317),
+        ("lines8", 25, 481),
+        ("triangle", 9, 69),
+        ("x,y^2,y*z", 8, 49),
+        ("triple(2, 3, 4)", 10, 93),
     ],
 )
 def test_elimination_work_is_pinned(which, calls, pivots, field, monkeypatch):
@@ -764,3 +726,30 @@ def test_elimination_work_is_pinned(which, calls, pivots, field, monkeypatch):
     monkeypatch.setattr(linalg, "_echelon", counting)
     analysis()
     assert (len(seen), sum(seen)) == (calls, pivots)
+
+
+@pytest.mark.parametrize(
+    "which",
+    ["node7", "lines6", "nodal cubic", "ci_qci(2, 4)", "x,y,x+y", "1,x,y", "zero-form"]
+    + ["x2g", "x,y^2,y*z"],
+)
+def test_step_pivots_sum_to_the_top_rank(which, field, monkeypatch):
+    # the step into T finds HF(T-1) + T + 1 - HF(T) pivots, so from N the
+    # identity below the least degree, the steps' pivots telescope to
+    # dim S_{k_max} - HF(k_max), the rank of the degree-k_max map
+    Q = _named_input(field, which)
+    pivots = []
+    kernel = core.kernel_basis
+
+    def counting(M, field):
+        K = kernel(M, field)
+        if sys._getframe(1).f_code.co_name == "left_null":
+            pivots.append(M.shape[1] - K.shape[0])
+        return K
+
+    monkeypatch.setattr(core, "kernel_basis", counting)
+    table, _ = core._hilbert_window(Q)
+    k_max = table.k_max
+    assert len(pivots) == k_max + 1 - _least_degree(Q)
+    assert sum(pivots) == dim_S(k_max) - table.values[k_max]
+    assert sum(pivots) == rank(core.graded_map_matrix(Q, k_max), field)

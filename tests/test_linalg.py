@@ -11,6 +11,7 @@ from qci import (
     InternalError,
     PRIME_MAX,
     PrimeField,
+    dim_S,
     kernel_basis,
     monomial_basis,
     rank,
@@ -220,27 +221,30 @@ def test_kernel_basis_is_canonical(p):
 # the panel kernel against the per-pivot reference
 
 
-def _node_chain_system(p):
-    """The contraction system of a degree-9 node curve's inverse-system
-    chain at its start: tall and at most one panel wide."""
+def _node_step_system(p):
+    """The system the last x-step of a degree-9 node curve eliminates, the
+    transposed [N_prev A; B] of ``core.left_null``: tall and at most one
+    panel wide."""
     field = PrimeField(p)
     rng = random.Random(9)
     skip = {(0, 0, 9), (1, 0, 8), (0, 1, 8)}
     coeffs = {m: rng.randrange(1, p) for m in monomial_basis(9) if m not in skip}
     Q = QciInput.of(*HomogPoly(9, coeffs, field).partials())
-    # the chain's first N_m, captured as the Hilbert window makes it
-    chain = {}
-    left_null = core.left_null
+    # every x-step from the least degree 8 up to k_max, capturing the
+    # matrix each one hands to kernel_basis
+    systems = []
+    kernel = core.kernel_basis
 
-    def recording(Q, m, prev=None):
-        N = chain[m] = left_null(Q, m, prev)
-        return N
+    def recording(M, field):
+        systems.append(np.array(M))
+        return kernel(M, field)
 
+    N = np.eye(dim_S(7), dtype=np.int64)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(core, "left_null", recording)
-        core._hilbert_window(Q)
-    m = min(chain)
-    A = core._contraction_system(chain[m], m, p)
+        mp.setattr(core, "kernel_basis", recording)
+        for T in range(8, 26):
+            N = core.left_null(Q, T, N)
+    A = systems[-1]
     assert A.shape[0] > A.shape[1] and 0 < A.shape[1] <= NB
     return A
 
@@ -276,7 +280,7 @@ def _test_matrices(p, rng):
         C = family("lines_through_point", PrimeField(p), d=8)
         yield graded_map_matrix(QciInput.of(*C.f.partials()), 18)
     if p > 24:
-        yield _node_chain_system(p)
+        yield _node_step_system(p)
 
 
 def _assert_matches_reference(A, p, reference, widths):

@@ -23,7 +23,7 @@ from qci import (
     random_homog,
     variables,
 )
-from qci.poly import product_positions, shift_index
+from qci.poly import product_positions, shift_index, x_free_columns
 
 
 def test_dim_S_values():
@@ -238,6 +238,40 @@ def test_mult_matrix_matches_product(seed, kind):
     assert M.shape == (dim_S(g.degree + k), dim_S(k))
     product = (M @ h.coeff_vector()) % F.p
     assert np.array_equal(product, (g * h).coeff_vector())
+
+
+@given(seed=st.integers(0, 10**9))
+@settings(max_examples=40, deadline=None)
+def test_column_builders_match_products(seed):
+    # x_free_columns, one block for all forms, holds g times y^(e-q) z^q
+    # for each form g in turn and q = 0 .. e, e = degree - deg g; a column
+    # run of mult_matrix is those columns of the whole block
+    F = PrimeField(32003)
+    rng = random.Random(seed)
+    forms = []
+    for _ in range(rng.randrange(1, 4)):
+        d = rng.randrange(0, 5)
+        kind = rng.choice(["dense", "sparse", "zero"])
+        if kind == "dense":
+            forms.append(random_homog(d, F, rng))
+        elif kind == "sparse":
+            monos = rng.sample(monomial_basis(d), min(2, dim_S(d)))
+            forms.append(HomogPoly(d, {m: rng.randrange(1, F.p) for m in monos}, F))
+        else:
+            forms.append(HomogPoly.zero(d, F))
+    degree = rng.randrange(0, 9)
+    expected = [
+        (g * HomogPoly.monomial((0, e - q, q), F)).coeff_vector()
+        for g in forms
+        for e in [degree - g.degree]
+        for q in range(e + 1)
+    ]
+    M = x_free_columns(forms, degree)
+    assert M.shape == (dim_S(degree), len(expected))
+    assert all(np.array_equal(M[:, i], v) for i, v in enumerate(expected))
+    g, k = forms[0], rng.randrange(0, 9)
+    lo, hi = sorted(rng.randrange(0, dim_S(k) + 2) for _ in range(2))
+    assert np.array_equal(mult_matrix(g, k, slice(lo, hi)), mult_matrix(g, k)[:, lo:hi])
 
 
 def test_coeff_vector_layout(field):

@@ -1,23 +1,21 @@
-"""The Hilbert window's lower degrees, read off one x-ordered elimination.
+"""The Hilbert window's values and kept kernels against direct eliminations.
 
-``_hilbert_window`` eliminates the degree-(a+b+1) map once, with its
-columns by falling x-exponent, and reads every lower rank and every K_m
-of the syzygy window off that one kernel; one more elimination, of the
-map below the chain's start (or at k_max), gives the ranks between.
-Each value here is checked against the direct elimination of its own
-degree's map, which shares no column order and no prefix with that
-reading:
+``_hilbert_window`` carries the left null space N_T up from the least
+degree of a nonzero form by x-steps, one small elimination per degree, and
+eliminates the degree-(a+b+1) map once, with its columns by falling
+x-exponent, for every K_m of the syzygy window and for a cross-check of
+HF(0 .. a+b+1).  Each value here is checked against the direct elimination
+of its own degree's map, which shares no column order, no prefix and no
+step with that reading:
 
 - every Hilbert value HF(m) equals dim S_m minus the direct rank;
 - every kept K_m spans the direct kernel (equal RREF) and is annihilated
-  by the map, by an exact product;
-- ``rank_at(Q, m, 0)``, the count-only reading, gives the direct rank of
-  every degree 0 .. m, with the zero forms' blocks left out of its map.
+  by the map, by an exact product.
 
 The inputs cover a unit ideal ``1, x, y``, zero forms tied in degree (also
-below a nonzero form of higher degree, which the guard accepts), a
-common factor, an empty scheme, monomial ideals, node and lines curves,
-and seeded random triples.
+below a nonzero form of higher degree, which the guard accepts, so that
+the first step lies above a), a common factor, an empty scheme, monomial
+ideals, node and lines curves, and seeded random triples.
 """
 
 import random
@@ -96,7 +94,7 @@ def _input(which, field):
             zero = HomogPoly.zero(2, field)
             return QciInput.of(parse_poly("x^2 + y*z", field), zero, zero)
         # two zero forms tied below a nonzero one of higher degree: the
-        # count path's map has no columns below that degree
+        # ideal is zero below that degree, where the x-steps start
         e, c = {"3": (0, 4), "4": (1, 5)}[arg]
         zero = HomogPoly.zero(e, field)
         return QciInput.of(zero, zero, parse_poly(f"x^{c} + y^{c} + z^{c}", field))
@@ -137,6 +135,3 @@ def test_window_reading_matches_direct_eliminations(which, p):
         assert (K.shape, K.dtype) == (direct.shape, direct.dtype), m
         assert rref(K, field)[0].tobytes() == rref(direct, field)[0].tobytes(), m
         assert not matmul(M, K.T, p).any(), m
-    top = table.k_max
-    counts = core.rank_at(Q, top, 0)
-    assert counts == {m: _direct_rank(Q, m) for m in range(top + 1)}
