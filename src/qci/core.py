@@ -42,9 +42,10 @@ below which the ideal is zero and N is the identity, up to k_max.  Each
 step's system has at most 3(T+1) columns; only the first, with N the
 identity, is a graded map, the least degree's own.  The x-steps' pivots
 sum to dim S_{k_max} - HF(k_max), the rank of the degree-k_max map.
-N_{k_max} is multiplied against the degree-k_max map, built apart from
-the steps, and must annihilate it exactly, or the run fails with
-InternalError.
+N_{k_max} must annihilate the degree-k_max map exactly, or the run fails
+with InternalError; the check contracts N_{k_max} with each form's terms,
+by the monomial positions the map's own columns use, apart from the
+steps, and builds no map.
 
 The saturation of I needs no elimination of its own.  Sheafified, the
 syzygies give 0 -> E -> O(-a) + O(-b) + O(-c) -> I_T -> 0 with E of rank 2
@@ -71,12 +72,16 @@ times the degree-(T-g) map and form a prefix.  One reduced row echelon
 form of the degree-T map therefore holds rank(T-g) for every g, as the
 pivot count in that prefix; and the rows of its free-variable kernel basis
 whose free column (the last nonzero entry) lies in the prefix, cut to it,
-are a basis of K_{T-g}, though not the canonical one.  So
-``_hilbert_window`` eliminates the degree-(a+b+1) map for the right
-kernels K_m over the syzygy window [a-1, a+b+1] (lift degree, window,
-twist above), whose row count is h^0(E(m-c)), and its prefix ranks must
-equal the x-steps' HF(0 .. a+b+1), read off other matrices, or the run
-fails with InternalError.  Every later value (the syzygy dimensions and
+are a basis of K_{T-g}, though not the canonical one.  Setting x = 0
+maps K_m onto V_m, its x-free coordinates, with kernel x K_{m-1}, so
+dim V_m = h^0(E(m-c)) - h^0(E(m-c-1)), and V_m is read off the same
+rows: the last columns of each prefix are x-free, and only the rows
+whose free column lies there are nonzero on them.  So
+``_hilbert_window`` eliminates the degree-(a+b+1) map for the tails V_m
+over the syzygy window [a-1, a+b+1] (lift degree, window, twist above),
+which the generator lifts read, and its prefix ranks must equal the
+x-steps' HF(0 .. a+b+1), read off other matrices, or the run fails with
+InternalError.  Every later value (the syzygy dimensions and
 r, the saturation, h^1 and the resolution check) is arithmetic on the
 table, reading the rank of the degree-m map as dim S_m - HF(m), and above
 k_max HF(m) = t, so nothing above k_max is eliminated; only
@@ -96,7 +101,7 @@ from .poly import (
     dim_S,
     monomial_basis,
     mult_matrix,
-    shift_index,
+    term_positions,
     x_free_columns,
 )
 
@@ -443,28 +448,38 @@ def _cols(Q: QciInput, m: int) -> int:
     return sum(dim_S(m - f.degree) for f in Q.polys)
 
 
-def _lift_index(Q: QciInput, m: int, axis: int) -> np.ndarray:
-    # column map of multiplication by the axis variable from the
-    # syzygy coordinate space at twist m - c into the one at m - c + 1
-    parts = []
-    tgt_off = 0
-    for f in Q.polys:
-        e = m - f.degree
-        parts.append(tgt_off + shift_index(e, axis))
-        tgt_off += dim_S(e + 1)
-    return np.concatenate(parts)
+def _lift_tails(degrees, V: np.ndarray, m: int) -> np.ndarray:
+    """[y V; z V] in the x-free coordinates of degree m, for V in those of
+    degree m-1.
+
+    Form i's x-free block holds y^(e-q) z^q at q = 0 .. e, e = m-1-a_i;
+    times y it is y^(e+1-q) z^q, at q in the block of degree m, one longer,
+    and times z it is y^(e-q) z^(q+1), at q+1.
+    """
+    h = V.shape[0]
+    lifted = np.zeros((2 * h, sum(max(m - d + 1, 0) for d in degrees)), dtype=np.int64)
+    src = tgt = 0
+    for d in degrees:
+        n = max(m - d, 0)
+        lifted[:h, tgt : tgt + n] = V[:, src : src + n]
+        lifted[h:, tgt + 1 : tgt + 1 + n] = V[:, src : src + n]
+        src += n
+        tgt += max(m - d + 1, 0)
+    return lifted
 
 
 def _generator_degrees(
-    Q: QciInput, values: tuple[int, ...], kernels: dict[int, np.ndarray]
+    Q: QciInput, values: tuple[int, ...], tails: dict[int, np.ndarray]
 ) -> tuple[int, ...]:
     """New minimal syzygy generators per twist, scanned over a-c .. a+b-c+1.
 
-    A twist-k syzygy already reachable as (variable) * (twist k-1
-    syzygy) is not new; the count of new ones is the kernel dimension
-    minus the rank of the lifted previous kernel, read from the window's
-    kernels.  Twists above the range are not scanned, so the multiset is a
-    truncation, not a Betti table.
+    A twist-k syzygy already reachable as (linear form) * (twist k-1
+    syzygy) is not new.  Setting x = 0 maps K_m onto V_m, the x-free
+    coordinates, with kernel x K_{m-1}, as S is a domain; it maps
+    S_1 K_{m-1} onto y V_{m-1} + z V_{m-1}.  So the count of new ones at
+    twist k = m - c is h^0(E(k)) - h^0(E(k-1)) - rank [y V_{m-1}; z V_{m-1}],
+    read from the window's tails.  Twists above the range are not scanned,
+    so the multiset is a truncation, not a Betti table.
     """
     a, b, c = Q.degrees
     gens: list[int] = []
@@ -473,16 +488,10 @@ def _generator_degrees(
         h0 = _h0E(Q, values, k)
         if h0 == 0:
             continue
-        prev = kernels[m - 1]
-        if prev.shape[0] == 0:
-            new = h0
-        else:
-            lifted = np.zeros((3 * prev.shape[0], _cols(Q, m)), dtype=np.int64)
-            for axis in range(3):
-                idx = _lift_index(Q, m - 1, axis)
-                block = lifted[axis * prev.shape[0] : (axis + 1) * prev.shape[0]]
-                block[:, idx] = prev
-            new = h0 - rank(lifted, Q.field)
+        V = tails[m - 1]
+        new = h0 - _h0E(Q, values, k - 1)
+        if V.shape[0]:
+            new -= rank(_lift_tails(Q.degrees, V, m), Q.field)
         if new < 0:
             raise InternalError(
                 "lifted syzygies exceed the kernel dimension at twist "
@@ -496,18 +505,40 @@ def _generator_degrees(
 
 
 def _check_annihilation(Q: QciInput, N: np.ndarray, m: int) -> None:
-    # the stepped N_m must annihilate the degree-m map, built by
-    # mult_matrix apart from the steps' columns and checked by exact
-    # products a run of columns at a time.  A run is as wide as the last
-    # x-step's block of x-free columns, so it holds no more than that
-    # block, and no narrower than N is tall, so that converting N for each
-    # run costs no more than the run
+    """The stepped N_m must annihilate the degree-m map, or InternalError.
+
+    N times form f's block, mult_matrix(f, m - deg f), is the sum over f's
+    terms of the coefficient times N's columns at the term's products
+    (``term_positions``), gathered apart from the steps' columns and
+    without building the block.  The gather takes a run of the block's
+    columns at a time, so that it holds no more entries than dim S_m times
+    the wider of N's height and the last x-step's block of x-free
+    columns.  A sum adds products below p**2 over at most
+    2**62 // (p-1)**2 terms before it is reduced, so it stays exact in
+    int64.
+    """
+    p = Q.prime
+    h = N.shape[0]
+    if not h:
+        # no functional: nothing to annihilate
+        return
     forms = [f for f in Q.polys if not f.is_zero]
-    width = max(N.shape[0], sum(m - f.degree + 1 for f in forms))
+    budget = dim_S(m) * max(h, sum(m - f.degree + 1 for f in forms))
+    # N's columns as rows, so that a gather reads contiguous rows
+    Nt = np.ascontiguousarray(N.T)
+    run = (1 << 62) // (p - 1) ** 2
     for f in forms:
-        for lo in range(0, dim_S(m - f.degree), width):
-            block = mult_matrix(f, m - f.degree, slice(lo, lo + width))
-            if matmul(N, block, Q.prime).any():
+        e = m - f.degree
+        coeffs = np.fromiter(f.coeffs.values(), dtype=np.int64)
+        # at least 1: f has at most dim S_m terms, and h <= budget / dim S_m
+        width = budget // (coeffs.size * h)
+        for lo in range(0, dim_S(e), width):
+            rows = term_positions(f, e, lo, lo + width)
+            acc = np.zeros(rows.shape[1] * h, dtype=np.int64)
+            for s in range(0, coeffs.size, run):
+                acc += coeffs[s : s + run] @ Nt[rows[s : s + run]].reshape(-1, acc.size)
+                acc %= p
+            if acc.any():
                 raise InternalError(
                     f"stepped inverse system in degree {m} does not annihilate "
                     "the ideal; the x-step is broken"
@@ -521,12 +552,14 @@ def _hilbert_window(Q: QciInput) -> tuple[HilbertTable, dict[int, np.ndarray]]:
     nonzero form up to k_max, N being the identity below it, where the
     ideal is zero; HF(T) is the row count of N_T, and N_{k_max} is checked
     against the degree-k_max map.  One kernel of the degree-(a+b+1) map in
-    x-order gives the K_m over the syzygy window max(a-1, 0) .. a+b+1: the
-    rows whose free column lies in the first cols(m) columns, cut to those
-    columns, are a basis of K_m (see ``_x_order``), though not the
-    canonical one.  Its prefix ranks, from other matrices than the steps',
-    must give the same HF(0 .. a+b+1).  Returns the quotient Hilbert values
-    on 0 .. k_max and the kept K_m, keyed by degree.
+    x-order gives, over the syzygy window max(a-1, 0) .. a+b+1, the x-free
+    tails V_m of K_m: its rows whose free column lies in the first cols(m)
+    columns, cut to them, are a basis of K_m (see ``_x_order``); the last
+    n_m = cols(m) - cols(m-1) of those columns are x-free, in block order,
+    and only the rows whose free column lies there are nonzero on them, a
+    basis of V_m.  The top kernel's prefix ranks, from other matrices than
+    the steps', must give the same HF(0 .. a+b+1).  Returns the quotient
+    Hilbert values on 0 .. k_max and the kept V_m, keyed by degree.
     """
     a, b, c = Q.degrees
     k_star = a + b + c - 2
@@ -541,7 +574,8 @@ def _hilbert_window(Q: QciInput) -> tuple[HilbertTable, dict[int, np.ndarray]]:
     top = a + b + 1
     K = kernel_at(Q, top)
     free = _free_columns(K)
-    kernels: dict[int, np.ndarray] = {}
+    tails: dict[int, np.ndarray] = {}
+    prev = 0
     for m in range(top + 1):
         n = _cols(Q, m)
         # the degree-m map is the first n columns, whose pivots are those
@@ -552,12 +586,10 @@ def _hilbert_window(Q: QciInput) -> tuple[HilbertTable, dict[int, np.ndarray]]:
                 f"degree-{top} map's prefix rank disagrees"
             )
         if m >= a - 1:
-            rows = K[free < n, :n]
-            # K_m, put back from the degree-m map's x-order to its block order
-            kernels[m] = np.empty_like(rows)
-            kernels[m][:, _x_order(Q.degrees, m)] = rows
+            tails[m] = K[(prev <= free) & (free < n), prev:n]
+        prev = n
     table = HilbertTable(values=tuple(values), k_star=k_star, k_max=k_max)
-    return table, kernels
+    return table, tails
 
 
 def _dimension_tag(table: HilbertTable) -> tuple[str, int | None]:
@@ -719,7 +751,7 @@ def analyze_qci(Q: QciInput) -> QciReport:
     every other value is arithmetic on its values and on (a, b, c, t, r),
     computed once, in the order below.
     """
-    table, kernels = _hilbert_window(Q)
+    table, tails = _hilbert_window(Q)
     tag, t = _dimension_tag(table)
     if tag != "dim0":
         refusal = (
@@ -770,7 +802,7 @@ def analyze_qci(Q: QciInput) -> QciReport:
         splits=split_flag,
         bounds_i=bi,
         bounds_ii=bii,
-        generator_degrees=_generator_degrees(Q, values, kernels),
+        generator_degrees=_generator_degrees(Q, values, tails),
         classification=cls,
         resolution_verified=verified,
         hilbert=table,

@@ -154,11 +154,12 @@ def _echelon(M: np.ndarray, p: int, nb: int = _NB):
             prow = tail[:, k] % p * inv % p
             tail[:, k] = prow
             col[k] = 0
-            hits = col.nonzero()[0]
-            if 2 * hits.size > col.size:
-                tail -= np.outer(prow, col)
-            elif hits.size:
-                tail[:, hits] -= np.outer(prow, col[hits])
+            nnz = np.count_nonzero(col)
+            if 2 * nnz > col.size:
+                tail -= prow[:, None] * col
+            elif nnz:
+                hits = col.nonzero()[0]
+                tail[:, hits] -= prow[:, None] * col[hits]
             pivots.append(c0 + jc)
             row += 1
         k = row - r0
@@ -207,11 +208,17 @@ def matmul(A, B, p: int) -> np.ndarray:
     The inner dimension is cut into runs of ``2**53 // (p-1)**2`` terms
     (2048 at the largest admitted prime): a run sums products below
     ``(p-1)**2``, so every float64 partial sum is an integer of at most
-    ``2**53`` and exact.  Each run's product is reduced in int64.
+    ``2**53`` and exact.  Each run's product is reduced in int64; an
+    inner dimension of one run is one product and one reduction.
     """
     A = _int_matrix(A)
     B = _int_matrix(B)
     run = (1 << 53) // (p - 1) ** 2
+    if A.shape[1] <= run:
+        # one run: a single product, cast and reduction
+        out = (A.astype(np.float64) @ B.astype(np.float64)).astype(np.int64)
+        out %= p
+        return out
     out = np.zeros((A.shape[0], B.shape[1]), dtype=np.int64)
     for s in range(0, A.shape[1], run):
         P = A[:, s : s + run].astype(np.float64) @ B[s : s + run].astype(np.float64)

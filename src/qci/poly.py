@@ -68,19 +68,6 @@ def product_positions(degree: int, e: int) -> np.ndarray:
     return t * (t + 1) // 2 + k_nu[:, None] + k
 
 
-@functools.cache
-def shift_index(degree: int, axis: int) -> np.ndarray:
-    """Positions of ``x_axis * mu`` for the degree-``degree`` monomials mu;
-    cached and read-only.
-
-    Read backwards it is a contraction: for a functional L on degree + 1
-    forms, ``L[shift_index(degree, i)]`` is ``x_i`` contracted into L.
-    """
-    idx = product_positions(degree, 1)[axis]
-    idx.setflags(write=False)
-    return idx
-
-
 def _order_key(mono: Monomial):
     # graded-lex position within a fixed degree: larger x, then larger y, first
     return (-mono[0], -mono[1])
@@ -359,31 +346,45 @@ def random_homog(degree: int, field: PrimeField, rng) -> HomogPoly:
     )
 
 
+def _term_rows(g: HomogPoly, s, k) -> np.ndarray:
+    # where each term of g takes the source monomials at (s, k) (see
+    # _positions), one row per term in g.coeffs order: a term with x-free
+    # degree j+l and z-exponent l takes j+k = s to s+j+l and k to k+l
+    g_s, g_k, _ = g._term_arrays()
+    t_s = s + g_s[:, None]
+    return t_s * (t_s + 1) // 2 + k + g_k[:, None]
+
+
 def _multiply_into(M: np.ndarray, g: HomogPoly, s, k, first: int) -> None:
-    # write g times the source monomials at (s, k) (see _positions) into
-    # M's columns first, first+1, ...: a term with x-free degree j+l and
-    # z-exponent l takes j+k = s to s+j+l and k to k+l
+    # write g times the source monomials at (s, k) into M's columns first,
+    # first+1, ...
     if g.is_zero or not k.size:
         return
-    g_s, g_k, coeffs = g._term_arrays()
-    t_s = s + g_s[:, None]
-    rows = t_s * (t_s + 1) // 2 + k + g_k[:, None]
-    M[rows, first + np.arange(k.size)] = coeffs[:, None]
+    M[_term_rows(g, s, k), first + np.arange(k.size)] = g._term_arrays()[2][:, None]
 
 
-def mult_matrix(g: HomogPoly, src_degree: int, cols: slice = slice(None)) -> np.ndarray:
-    """Matrix of multiplication by ``g`` from degree ``src_degree`` forms,
-    or only its columns ``cols``.
+def mult_matrix(g: HomogPoly, src_degree: int) -> np.ndarray:
+    """Matrix of multiplication by ``g`` from degree ``src_degree`` forms.
 
-    Shape is (dim S_{src+deg g}, dim S_src), or as many columns as ``cols``
-    selects; a zero polynomial or an empty source degree gives the
-    corresponding zero or empty block.
+    Shape is (dim S_{src+deg g}, dim S_src); a zero polynomial or an empty
+    source degree gives the corresponding zero or empty block.
     """
     s, k = _positions(src_degree)
-    s, k = s[cols], k[cols]
     M = np.zeros((dim_S(src_degree + g.degree), k.size), dtype=np.int64)
     _multiply_into(M, g, s, k, 0)
     return M
+
+
+def term_positions(g: HomogPoly, src_degree: int, lo: int, hi: int) -> np.ndarray:
+    """Where g's terms take the degree-``src_degree`` monomials lo .. hi-1.
+
+    Entry (t, c) is the position in ``monomial_basis(src_degree + deg g)``
+    of the t-th term of g, in ``g.coeffs`` order, times the (lo+c)-th
+    monomial: the row of that term's entry in column lo+c of
+    ``mult_matrix(g, src_degree)``, by the same arithmetic.
+    """
+    s, k = _positions(src_degree)
+    return _term_rows(g, s[lo:hi], k[lo:hi])
 
 
 def x_free_columns(forms, degree: int) -> np.ndarray:

@@ -4,7 +4,8 @@ The monomial oracle below recomputes quotient dimensions by pure
 counting, with no linear algebra, so the matrix pipeline is checked
 against something it cannot share a bug with.  The reference RREF is the
 plain per-pivot loop, reducing after every update, against which the
-engine's panel kernel is checked byte for byte.
+engine's panel kernel is checked byte for byte.  The x-free tails of a
+syzygy space are read off a direct kernel of their own degree's map.
 """
 
 import re
@@ -12,7 +13,7 @@ import re
 import numpy as np
 import pytest
 
-from qci import PrimeField
+from qci import PrimeField, graded_map_matrix, kernel_basis, monomial_basis, rref
 
 # ---------------------------------------------------------------------------
 # fields
@@ -102,6 +103,40 @@ def reference_rref(M, p):
 @pytest.fixture(scope="session")
 def rref_reference():
     return reference_rref
+
+
+# ---------------------------------------------------------------------------
+# oracle: the x-free tails of the degree-m syzygies
+
+
+def direct_tails(Q, m):
+    """The canonical basis of V_m, the syzygies of degree m at x = 0.
+
+    V_m is spanned by the direct kernel basis of the degree-m map cut to
+    the coordinates whose monomial has no x, in block order; the nonzero
+    rows of that cut's RREF are its canonical basis.
+    """
+    K = kernel_basis(graded_map_matrix(Q, m), Q.field)
+    x_free = np.array(
+        [mono[0] == 0 for f in Q.polys for mono in monomial_basis(m - f.degree)],
+        dtype=bool,
+    )
+    R, pivots = rref(K[:, x_free], Q.field)
+    return R[: len(pivots)]
+
+
+def assert_tails_match(Q, m, kept):
+    """``kept`` is a basis of V_m: independent rows spanning the direct one."""
+    R, pivots = rref(kept, Q.field)
+    assert len(pivots) == kept.shape[0], m
+    direct = direct_tails(Q, m)
+    assert (R.shape, R.dtype) == (direct.shape, direct.dtype), m
+    assert R.tobytes() == direct.tobytes(), m
+
+
+@pytest.fixture(scope="session")
+def tails_oracle():
+    return assert_tails_match
 
 
 # ---------------------------------------------------------------------------

@@ -4,10 +4,10 @@ Each case's ``document_json`` text and its ``render_text`` rendering are
 pinned by their sha256, and each lone engine value by the integer itself.
 The inputs cover finite triples at a small and a large prime, the
 ``c <= 2`` triples whose top degrees lie in the syzygy window, dense
-one-node curves (whose inverse-system chain starts near that window), both
-witness families, an empty and a positive-dimensional triple, and lone
-``quotient_hilbert`` / ``saturation_dim`` / ``h1_E`` calls on fresh
-engines.  A reduced row echelon form is unique, so no change to
+one-node curves (whose x-steps run on above that window to k_max, where
+N has one row), both witness families, an empty and a positive-dimensional
+triple, and lone ``quotient_hilbert`` / ``saturation_dim`` / ``h1_E``
+calls on fresh engines.  A reduced row echelon form is unique, so no change to
 the elimination internals may move any of these; a failure names the input.
 
 To re-record after a deliberate output change, print ``_digest(*case)``

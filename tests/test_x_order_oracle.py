@@ -3,14 +3,14 @@
 ``_hilbert_window`` carries the left null space N_T up from the least
 degree of a nonzero form by x-steps, one small elimination per degree, and
 eliminates the degree-(a+b+1) map once, with its columns by falling
-x-exponent, for every K_m of the syzygy window and for a cross-check of
-HF(0 .. a+b+1).  Each value here is checked against the direct elimination
-of its own degree's map, which shares no column order, no prefix and no
-step with that reading:
+x-exponent, for the x-free tail V_m of every K_m of the syzygy window and
+for a cross-check of HF(0 .. a+b+1).  Each value here is checked against
+the direct elimination of its own degree's map, which shares no column
+order, no prefix and no step with that reading:
 
 - every Hilbert value HF(m) equals dim S_m minus the direct rank;
-- every kept K_m spans the direct kernel (equal RREF) and is annihilated
-  by the map, by an exact product.
+- every kept V_m has independent rows spanning the direct kernel's x-free
+  coordinates (equal RREF, the ``tails_oracle`` of conftest.py).
 
 The inputs cover a unit ideal ``1, x, y``, zero forms tied in degree (also
 below a nonzero form of higher degree, which the guard accepts, so that
@@ -28,15 +28,12 @@ from qci import (
     QciInput,
     dim_S,
     family,
-    kernel_basis,
     monomial_basis,
     parse_poly,
     random_homog,
     rank,
-    rref,
 )
 from qci import core
-from qci.linalg import matmul
 
 PRIMES = (13, 32003, 2097143)
 
@@ -121,17 +118,13 @@ def _direct_rank(Q, m):
     [(w, p) for w in _CASES for p in PRIMES]
     + [(w, p) for w in _LARGE_ONLY for p in PRIMES[1:]],
 )
-def test_window_reading_matches_direct_eliminations(which, p):
+def test_window_reading_matches_direct_eliminations(which, p, tails_oracle):
     field = PrimeField(p)
     Q = _input(which, field)
-    table, kernels = core._hilbert_window(Q)
+    table, tails = core._hilbert_window(Q)
     for m, h in enumerate(table.values):
         assert h == dim_S(m) - _direct_rank(Q, m), m
     a, b, _ = Q.degrees
-    assert sorted(kernels) == list(range(max(a - 1, 0), a + b + 2))
-    for m, K in kernels.items():
-        M = core.graded_map_matrix(Q, m)
-        direct = kernel_basis(M, field)
-        assert (K.shape, K.dtype) == (direct.shape, direct.dtype), m
-        assert rref(K, field)[0].tobytes() == rref(direct, field)[0].tobytes(), m
-        assert not matmul(M, K.T, p).any(), m
+    assert sorted(tails) == list(range(max(a - 1, 0), a + b + 2))
+    for m, V in tails.items():
+        tails_oracle(Q, m, V)
