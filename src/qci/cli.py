@@ -8,28 +8,15 @@ error, 3 guard violation, 4 internal invariant failure.
 from __future__ import annotations
 
 import argparse
-import multiprocessing
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from pathlib import Path
 
-from .core import QciInput, analyze_qci
-from .curve import CurveInput, analyze_curve, family
 from .errors import GuardError, InternalError, PolyParseError
-from .linalg import PrimeField
-from .poly import parse_poly
-from .report import (
-    curve_csv_row,
-    curve_document,
-    document_json,
-    empty_csv_row,
-    hilbert_document,
-    qci_document,
-    render_text,
-    sweep_csv,
-)
+
+# The engine, and so numpy, is imported inside the commands, and the process
+# pool only by a pooled sweep: ``import qci.cli`` loads neither.
 
 _FAMILY_MAP = {
     "lines": "lines_through_point",
@@ -40,7 +27,7 @@ _FAMILY_MAP = {
 _INTERNAL_STATUS = "internal error: "
 
 # Each sweep worker already has a core to itself, so its BLAS must not
-# start threads of its own; spawned workers read these at numpy import.
+# start threads of its own.  numpy reads these when it is first loaded.
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
@@ -128,6 +115,10 @@ def _emit(payload: str, out: str | None) -> None:
 
 
 def _sweep_worker(task: tuple[str, int, int]) -> list[str]:
+    from .curve import analyze_curve, family
+    from .linalg import PrimeField
+    from .report import curve_csv_row, empty_csv_row
+
     family_name, d, prime = task
     try:
         field = PrimeField(prime)
@@ -154,18 +145,56 @@ def _single_threaded_blas_children():
                 os.environ[name] = value
 
 
+def _check_prime(prime: int) -> None:
+    # a bad prime refuses the whole sweep; per-row guards are row statuses
+    from .linalg import PrimeField
+
+    PrimeField(prime)
+
+
+def _pooled_rows(tasks: list[tuple[str, int, int]], workers: int) -> list[list[str]]:
+    """The sweep's rows from a pool of ``workers`` processes, in task order.
+
+    Forked workers inherit the loaded engine rather than importing it again,
+    and with it the BLAS thread count that numpy was first loaded under.  So
+    numpy is loaded here, single-threaded, and the pool takes the platform's
+    default start method (fork on Linux).  A caller that loaded numpy before,
+    as an in-process ``main`` call does, keeps its own BLAS threads, which a
+    fork would hand on; its workers are spawned, and each reads the
+    single-threaded setting when it loads numpy.  They are spawned too when
+    another thread runs: a fork copies only the calling thread, and a lock
+    that another thread holds would stay held in the workers.
+    """
+    import multiprocessing
+    import threading
+    from concurrent.futures import ProcessPoolExecutor
+
+    fresh = "numpy" not in sys.modules and threading.active_count() == 1
+    start = None if fresh else "spawn"
+    with _single_threaded_blas_children():
+        _check_prime(tasks[0][2])
+        from . import curve, report  # noqa: F401  (loaded once, before the fork)
+
+        ctx = multiprocessing.get_context(start)
+        with ProcessPoolExecutor(max_workers=workers, mp_context=ctx) as pool:
+            # a row costs more the higher its degree: the pool takes the
+            # highest first, so that no long row starts last
+            rows = list(pool.map(_sweep_worker, tasks[::-1]))
+    return rows[::-1]
+
+
 def _run_sweep(args) -> int:
     lo, hi = args.d_range
     tasks = [(args.family, d, args.prime) for d in range(lo, hi + 1)]
     workers = min(args.jobs, len(tasks), os.cpu_count() or 1)
     if workers > 1:
-        ctx = multiprocessing.get_context("spawn")
-        with _single_threaded_blas_children(), ProcessPoolExecutor(
-            max_workers=workers, mp_context=ctx
-        ) as pool:
-            rows = list(pool.map(_sweep_worker, tasks))
+        rows = _pooled_rows(tasks, workers)
     else:
+        _check_prime(args.prime)
         rows = [_sweep_worker(t) for t in tasks]
+    # not at the top: a pooled sweep must load numpy in _pooled_rows first
+    from .report import sweep_csv
+
     _emit(sweep_csv(rows), args.out)
     # Rows that hit an internal error are in the CSV; the exit code says so.
     failed = sum(row[-1].startswith(_INTERNAL_STATUS) for row in rows)
@@ -176,25 +205,40 @@ def _run_sweep(args) -> int:
     return 0
 
 
+def _run_single(args) -> None:
+    from .core import QciInput, analyze_qci
+    from .curve import CurveInput, analyze_curve
+    from .linalg import PrimeField
+    from .poly import parse_poly
+    from .report import (
+        curve_document,
+        document_json,
+        hilbert_document,
+        qci_document,
+        render_text,
+    )
+
+    field = PrimeField(args.prime)
+    if args.command == "analyze-curve":
+        f = parse_poly(args.f, field)
+        rep = analyze_curve(CurveInput(f))
+        doc = curve_document(rep, args.f)
+    else:
+        texts = (args.fa, args.fb, args.fc)
+        polys = [parse_poly(text, field) for text in texts]
+        rep = analyze_qci(QciInput.of(*polys))
+        build = qci_document if args.command == "analyze-qci" else hilbert_document
+        doc = build(rep, *texts, tuple(f.degree for f in polys))
+    payload = document_json(doc) if args.json else render_text(doc)
+    _emit(payload, args.out)
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        # a bad prime refuses the whole sweep; per-row guards are row statuses
-        field = PrimeField(args.prime)
         if args.command == "sweep":
             return _run_sweep(args)
-        if args.command == "analyze-curve":
-            f = parse_poly(args.f, field)
-            rep = analyze_curve(CurveInput(f))
-            doc = curve_document(rep, args.f)
-        else:
-            texts = (args.fa, args.fb, args.fc)
-            polys = [parse_poly(text, field) for text in texts]
-            rep = analyze_qci(QciInput.of(*polys))
-            build = qci_document if args.command == "analyze-qci" else hilbert_document
-            doc = build(rep, *texts, tuple(f.degree for f in polys))
-        payload = document_json(doc) if getattr(args, "json", False) else render_text(doc)
-        _emit(payload, args.out)
+        _run_single(args)
     except PolyParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -78,14 +78,14 @@ dim V_m = h^0(E(m-c)) - h^0(E(m-c-1)), and V_m is read off the same
 rows: the last columns of each prefix are x-free, and only the rows
 whose free column lies there are nonzero on them.  So
 ``_hilbert_window`` eliminates the degree-(a+b+1) map for the tails V_m
-over the syzygy window [a-1, a+b+1] (lift degree, window, twist above),
-which the generator lifts read, and its prefix ranks must equal the
-x-steps' HF(0 .. a+b+1), read off other matrices, or the run fails with
-InternalError.  Every later value (the syzygy dimensions and
-r, the saturation, h^1 and the resolution check) is arithmetic on the
-table, reading the rank of the degree-m map as dim S_m - HF(m), and above
-k_max HF(m) = t, so nothing above k_max is eliminated; only
-``quotient_hilbert`` ranks a lone degree, with one plain rank.
+over [a-1, a+b], the degrees the generator lifts read, and its prefix
+ranks must equal the x-steps' HF(0 .. a+b+1), read off other matrices,
+or the run fails with InternalError.  Every later value (the syzygy
+dimensions and r, the saturation, h^1 and the resolution check) is
+arithmetic on the table, reading the rank of the degree-m map as
+dim S_m - HF(m), and above k_max HF(m) = t, so nothing above k_max is
+eliminated; only ``quotient_hilbert`` ranks a lone degree, with one plain
+rank.
 """
 
 from __future__ import annotations
@@ -552,14 +552,16 @@ def _hilbert_window(Q: QciInput) -> tuple[HilbertTable, dict[int, np.ndarray]]:
     nonzero form up to k_max, N being the identity below it, where the
     ideal is zero; HF(T) is the row count of N_T, and N_{k_max} is checked
     against the degree-k_max map.  One kernel of the degree-(a+b+1) map in
-    x-order gives, over the syzygy window max(a-1, 0) .. a+b+1, the x-free
-    tails V_m of K_m: its rows whose free column lies in the first cols(m)
-    columns, cut to them, are a basis of K_m (see ``_x_order``); the last
-    n_m = cols(m) - cols(m-1) of those columns are x-free, in block order,
-    and only the rows whose free column lies there are nonzero on them, a
-    basis of V_m.  The top kernel's prefix ranks, from other matrices than
-    the steps', must give the same HF(0 .. a+b+1).  Returns the quotient
-    Hilbert values on 0 .. k_max and the kept V_m, keyed by degree.
+    x-order gives, over max(a-1, 0) .. a+b, the x-free tails V_m of K_m
+    that the generator lifts read: its rows whose free column lies in the
+    first cols(m) columns, cut to them, are a basis of K_m (see
+    ``_x_order``); the last n_m = cols(m) - cols(m-1) of those columns are
+    x-free, in block order, and only the rows whose free column lies there
+    are nonzero on them, a basis of V_m.  The top kernel's prefix ranks,
+    from other matrices than the steps', must give the same
+    HF(0 .. a+b+1); the elimination is made at a+b+1, one degree above the
+    last tail, for that check of HF(a+b+1).  Returns the quotient Hilbert
+    values on 0 .. k_max and the kept V_m, keyed by degree.
     """
     a, b, c = Q.degrees
     k_star = a + b + c - 2
@@ -585,7 +587,7 @@ def _hilbert_window(Q: QciInput) -> tuple[HilbertTable, dict[int, np.ndarray]]:
                 f"x-steps give HF({m}) = {values[m]}, but the x-ordered "
                 f"degree-{top} map's prefix rank disagrees"
             )
-        if m >= a - 1:
+        if a - 1 <= m < top:
             tails[m] = K[(prev <= free) & (free < n), prev:n]
         prev = n
     table = HilbertTable(values=tuple(values), k_star=k_star, k_max=k_max)

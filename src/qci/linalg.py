@@ -93,20 +93,25 @@ def _echelon(M: np.ndarray, p: int, nb: int = _NB):
     One kernel serves every width: the columns are taken one panel of
     ``nb`` at a time, and a matrix of at most ``nb`` columns is one panel.
 
-    The panel is held transposed, one C-contiguous block whose columns are
-    the rows from the panel's first pivot row ``r0`` down, so the rank-one
+    The panel is built from the live rows: those from the panel's first
+    pivot row ``r0`` down that are nonzero in its columns.  A stable row
+    permutation first moves them ahead of the others, which are zero in
+    the panel's columns, take no update in it and hold no pivot; the rows
+    from ``r0`` down are zero left of the panel, so the permutation moves
+    only the columns from the panel on.  The panel is held transposed, one
+    C-contiguous block whose columns are the live rows, so the rank-one
     update of each pivot writes contiguous rows.  When columns lie right of
-    the panel, the panel also carries a block E that writes every row from
-    ``r0`` down as a combination of the panel's pivot rows as they stood
-    before it.  The columns right of the panel then receive the whole
-    panel's row operations as one float64 product of E with the pivot
-    rows' trailing parts, restricted to the rows it changes and the
-    columns where a pivot row is nonzero, so sparse maps stay cheap.  Row
-    swaps are two-row swaps of the trailing columns, made per pivot.  The
-    rows above ``r0``, pivot rows of earlier panels, take no per-pivot
-    work: with ``X`` their entries in the panel's new pivot columns, they
-    lose ``X`` times the finished pivot rows, from column ``c0`` on, in
-    one product after the trailing one.
+    the panel, the panel also carries a block E that writes every live row
+    as a combination of the panel's pivot rows as they stood before it.
+    The columns right of the panel then receive the whole panel's row
+    operations as one float64 product of E with the pivot rows' trailing
+    parts, restricted to the rows it changes and the columns where a pivot
+    row is nonzero, so sparse maps stay cheap.  Row swaps are two-row swaps
+    of the trailing columns, made per pivot.  The rows above ``r0``, pivot
+    rows of earlier panels, take no per-pivot work: with ``X`` their
+    entries in the panel's new pivot columns, they lose ``X`` times the
+    finished pivot rows, from column ``c0`` on, in one product after the
+    trailing one.
 
     Inside a panel, entries are reduced mod p only where a value is read:
     the pivot column and the pivot row.  Every other entry takes at most
@@ -125,14 +130,24 @@ def _echelon(M: np.ndarray, p: int, nb: int = _NB):
         c1 = min(c0 + nb, n)
         w = c1 - c0
         r0 = row
+        alive = R[r0:, c0:c1].any(axis=1)
+        n_live = int(np.count_nonzero(alive))
+        if n_live == 0:
+            continue
+        end = r0 + n_live
+        if not alive[:n_live].all():
+            # live rows first, by a stable sort from the first zero row on
+            z = int(np.argmin(alive))
+            order = r0 + z + np.argsort(~alive[z:], kind="stable")
+            R[r0 + z :, c0:] = R[order, c0:]
         # E is needed only where columns lie right of the panel.
-        e = min(w, m - r0) if c1 < n else 0
-        P = np.zeros((w + e, m - r0), dtype=np.int64)
-        P[:w] = R[r0:, c0:c1].T
+        e = min(w, n_live) if c1 < n else 0
+        P = np.zeros((w + e, n_live), dtype=np.int64)
+        P[:w] = R[r0:end, c0:c1].T
         # A column that is zero from row r0 down stays so through the
         # panel (its pivot rows are zero there), so it holds no pivot.
         for jc in np.flatnonzero(P[:w].any(axis=1)).tolist():
-            if row == m:
+            if row == end:
                 break
             k = row - r0
             col = P[jc] % p
@@ -166,7 +181,7 @@ def _echelon(M: np.ndarray, p: int, nb: int = _NB):
         # E rows past the panel's pivot count were never written.
         P = P[: w + k]
         P %= p
-        R[r0:, c0:c1] = P[:w].T
+        R[r0:end, c0:c1] = P[:w].T
         if k == 0:
             continue
         if e:

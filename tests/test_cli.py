@@ -1,11 +1,16 @@
 """Command line interface: exit codes, JSON shape, CSV sweeps."""
 
+import ast
+import concurrent.futures
 import contextlib
 import csv
 import io
 import json
 import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -19,6 +24,7 @@ from qci import (
     PrimeField,
     analyze_curve,
     cli,
+    curve,
     parse_poly,
 )
 from qci.cli import build_parser, main
@@ -328,14 +334,15 @@ def test_sweep_out_file(capsys, tmp_path):
 
 
 def test_sweep_reports_internal_error_per_row(capsys, monkeypatch):
-    real = cli.analyze_curve
+    # a sweep row reads the engine's analyze_curve when it runs
+    real = curve.analyze_curve
 
     def fails_at_degree_4(C):
         if C.f.degree == 4:
             raise InternalError("injected failure")
         return real(C)
 
-    monkeypatch.setattr(cli, "analyze_curve", fails_at_degree_4)
+    monkeypatch.setattr(curve, "analyze_curve", fails_at_degree_4)
     rc, out, err = run_cli(capsys, ["sweep", "--family", "lines", "--d-range", "3..5"])
     assert rc == 4 and "internal error in 1 sweep row" in err
     rows = read_csv(out)
@@ -354,7 +361,7 @@ def test_every_sweep_row_fills_every_column(capsys, monkeypatch):
     def fails(C):
         raise InternalError("injected failure")
 
-    monkeypatch.setattr(cli, "analyze_curve", fails)
+    monkeypatch.setattr(curve, "analyze_curve", fails)
     argv = ["sweep", "--family", "lines", "--d-range", "3..3"]
     _, internal, _ = run_cli(capsys, argv)
     field = PrimeField(32003)
@@ -387,7 +394,9 @@ def test_sweep_pool_size_and_blas_threads(capsys, monkeypatch, cpus, workers):
             seen["blas"] = os.environ.get("OPENBLAS_NUM_THREADS")
             return map(fn, tasks)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    # the pooled branch imports the pool when it runs; numpy is loaded in
+    # this process, so the workers are spawned
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "7")
     argv = ["sweep", "--family", "lines", "--d-range", "3..5", "--jobs", "16"]
@@ -395,6 +404,83 @@ def test_sweep_pool_size_and_blas_threads(capsys, monkeypatch, cpus, workers):
     assert rc == 0 and len(read_csv(out)) == 4
     assert seen == {"workers": workers, "start": "spawn", "blas": "1"}
     assert os.environ["OPENBLAS_NUM_THREADS"] == "7"
+
+
+# ---------------------------------------------------------------------------
+# fresh processes: what the CLI loads, and forked sweep workers
+
+_SRC = str(Path(cli.__file__).resolve().parent.parent)
+
+
+def run_fresh(args, **env):
+    """``python`` on ``args`` in a fresh interpreter that imports qci from
+    this tree, with ``env`` added to the environment."""
+    path = os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": path, **env},
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_importing_the_cli_loads_neither_numpy_nor_the_pool():
+    # modules the interpreter loads at start-up do not count
+    code = (
+        "import sys; before = set(sys.modules); import qci.cli; "
+        "print(sorted(set(sys.modules) - before))"
+    )
+    loaded = set(ast.literal_eval(run_fresh(["-c", code])))
+    assert "qci.cli" in loaded
+    assert not loaded & {"numpy", "multiprocessing", "concurrent.futures"}
+
+
+_START_METHOD = """
+import concurrent.futures, multiprocessing, os, sys, threading
+from qci import cli
+
+class RecordingPool:
+    def __init__(self, max_workers, mp_context):
+        print(mp_context.get_start_method(), multiprocessing.get_start_method())
+    def __enter__(self):
+        return self
+    def __exit__(self, *exc):
+        return False
+    def map(self, fn, tasks):
+        return map(fn, tasks)
+
+concurrent.futures.ProcessPoolExecutor = RecordingPool
+os.cpu_count = lambda: 2
+done = threading.Event()
+if sys.argv[1] == "numpy":
+    import numpy
+elif sys.argv[1] == "thread":
+    threading.Thread(target=done.wait).start()
+try:
+    cli.main(["sweep", "--family", "lines", "--d-range", "3..4", "--jobs", "2",
+              "--out", os.devnull])
+finally:
+    done.set()
+"""
+
+
+@pytest.mark.parametrize("before", ["nothing", "numpy", "thread"])
+def test_pool_start_method(before):
+    # the platform's default (fork on Linux) only from a process of one
+    # thread that loads numpy for the sweep; spawn otherwise
+    used, default = run_fresh(["-c", _START_METHOD, before]).split()
+    assert used == (default if before == "nothing" else "spawn")
+
+
+@pytest.mark.parametrize("family", ["lines", "smooth-plus-line"])
+def test_fresh_pooled_sweep_writes_the_serial_bytes(capsys, family):
+    # a fresh CLI process loads numpy single-threaded before its pool
+    # starts; a multithreaded BLAS setting in the environment changes nothing
+    argv = ["sweep", "--family", family, "--d-range", "4..9"]
+    rc, serial, _ = run_cli(capsys, argv)
+    assert rc == 0
+    pooled = run_fresh(["-m", "qci.cli", *argv, "--jobs", "2"], OPENBLAS_NUM_THREADS="7")
+    assert pooled == serial
 
 
 # ---------------------------------------------------------------------------

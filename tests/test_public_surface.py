@@ -62,3 +62,8 @@ def test_every_exported_name_resolves():
 
 def test_exported_names_are_pinned():
     assert set(qci.__all__) == _PUBLIC
+
+
+def test_dir_lists_every_exported_name():
+    # the names load on first use, and dir() shows them before that
+    assert set(qci.__all__) <= set(dir(qci))
