@@ -24,6 +24,7 @@ from qci import (
     PrimeField,
     analyze_curve,
     cli,
+    core,
     curve,
     parse_poly,
 )
@@ -60,6 +61,15 @@ def test_exit_two_on_parse_error(capsys):
 def test_exit_three_on_guard_error(capsys):
     rc, _, err = run_cli(capsys, ["analyze-curve", "--f", "x*y*z", "--prime", "15"])
     assert rc == 3 and "not prime" in err
+
+
+def test_exit_four_on_internal_error(capsys, monkeypatch):
+    # a generator lift rank one too high trips the engine's cross-check
+    real = core.rank
+    monkeypatch.setattr(core, "rank", lambda M, field: real(M, field) + 1)
+    rc, out, err = run_cli(capsys, ["analyze-curve", "--f", "x*y*z"])
+    assert rc == 4 and out == ""
+    assert err.startswith("internal error: lifted syzygies exceed the kernel dimension")
 
 
 def test_sweep_with_bad_prime_exits_three(capsys):

@@ -5,6 +5,7 @@ counting oracle in conftest.py, checked by hand against textbook facts
 (Bezout degrees, ideals of coordinate points), or both.
 """
 
+import dataclasses
 import random
 
 import numpy as np
@@ -32,6 +33,7 @@ from qci import (
     variables,
     verify_resolution,
 )
+from qci import core
 from qci.core import _c2, _classify, _gamma, _split_flag
 
 
@@ -495,6 +497,50 @@ def test_verify_resolution_for_split_case(field, triangle):
     # only the low degrees (here m = 1, where it predicts a linear form)
     # tell it apart
     assert not verify_resolution(triangle, ((4,), (1, 3)))
+
+
+# ---------------------------------------------------------------------------
+# the engine's cross-checks fail loudly on an inconsistent table or rank
+
+
+def test_generator_lift_of_excess_rank_raises(triangle, monkeypatch):
+    # a lift rank one too high leaves fewer syzygies than the kernel holds
+    table, tails = core._hilbert_window(triangle)
+    real = core.rank
+    monkeypatch.setattr(core, "rank", lambda M, field: real(M, field) + 1)
+    with pytest.raises(InternalError, match="lifted syzygies exceed the kernel dimension"):
+        core._generator_degrees(triangle, table.values, tails)
+
+
+def test_syzygy_window_without_a_syzygy_raises(triangle):
+    # lower each degree of the window by its kernel dimension: no twist of
+    # a-c .. a+b-c then has a syzygy
+    a, b, c = triangle.degrees
+    values = core._hilbert_window(triangle)[0].values
+    bad = list(values)
+    for k in range(a - c, a + b - c + 1):
+        bad[k + c] -= core._h0E(triangle, values, k)
+    with pytest.raises(InternalError, match="no syzygy found in the guaranteed window"):
+        core._syzygy_table(triangle, tuple(bad))
+
+
+def test_ideal_larger_than_its_saturation_raises(triangle):
+    # HF(2) one lower makes the degree-2 ideal one larger than its saturation
+    values = core._hilbert_window(triangle)[0].values
+    assert core._h1E(triangle, values, 0) == 0
+    bad = values[:2] + (values[2] - 1,) + values[3:]
+    with pytest.raises(InternalError, match="saturation lost ideal elements in degree 2"):
+        core._h1E(triangle, bad, 0)
+
+
+def test_resolution_that_fails_verification_raises(triangle, monkeypatch):
+    # HF(0) = 0 leaves t, r and the class (aci-split) as they are, but the
+    # saturation it implies in degree 3 no longer matches the resolution
+    table, tails = core._hilbert_window(triangle)
+    bad = dataclasses.replace(table, values=(0,) + table.values[1:])
+    monkeypatch.setattr(core, "_hilbert_window", lambda Q: (bad, tails))
+    with pytest.raises(InternalError, match="predicted resolution for tag aci-split failed"):
+        analyze_qci(triangle)
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,8 @@ pinned by their sha256, and each lone engine value by the integer itself.
 The inputs cover finite triples at a small and a large prime, the
 ``c <= 2`` triples whose top degrees lie in the syzygy window, dense
 one-node curves (whose x-steps run on above that window to k_max, where
-N has one row), both witness families, an empty and a positive-dimensional
-triple, and lone ``quotient_hilbert`` / ``saturation_dim`` / ``h1_E``
+N has one row), a smooth, a non-reduced and a plus-one curve, both witness
+families, an empty and a positive-dimensional triple, and lone ``quotient_hilbert`` / ``saturation_dim`` / ``h1_E``
 calls on fresh engines.  A reduced row echelon form is unique, so no change to
 the elimination internals may move any of these; a failure names the input.
 
@@ -79,6 +79,13 @@ def _document(kind, spec, p):
 def _digest(kind, spec, p):
     return hashlib.sha256(_document(kind, spec, p).encode()).hexdigest()
 
+
+# z * (x - y)(x - 2y)...(x - 7y) over F_32003: tau = 43 at degree 8, the
+# plus-one signature's case 1
+_PLUS_ONE = (
+    "x^7*z + 31975*x^6*y*z + 322*x^5*y^2*z + 30043*x^4*y^3*z + 6769*x^3*y^4*z"
+    " + 18871*x^2*y^5*z + 13068*x*y^6*z + 26963*y^7*z"
+)
 
 _DOCUMENTS = {
     ("qci", "x*y, y*z, z*x", 13):
@@ -157,6 +164,14 @@ _DOCUMENTS = {
         "c23db484f93a55d165e8cb4fce24ccc2dd3ef951aa8a0b256db0e24630e8b3c0",
     ("family", "smooth_plus_line:7", 32003):
         "f18cffd1ba9128d0202337a2b7f851a829ad35bd9af70c508668bb3b2943ebde",
+    # the three curve-only branches of render_text: a smooth curve, a
+    # non-reduced one (a refusal) and a plus-one witness
+    ("curve", "x^3+y^3+z^3", 32003):
+        "a07ca0f2e9be64a7e13928432b209289b1b203e861756548a475e023485493b8",
+    ("curve", "x^2*y+x^2*z", 32003):
+        "6c27449f729533c8bb7ba3803069c9343f131c00af2b8108b6dfbfa2b9cc6dc1",
+    ("curve", _PLUS_ONE, 32003):
+        "0cc8b307d13298da9a6a210e826e75b022e7b464b3b1b582524f51f482303045",
 }
 
 
@@ -247,6 +262,12 @@ _TEXTS = {
         "2d254182ce6ff94283e3f0bfff1a75c07fe60455d3fbcbb942ba4079dea7e8ff",
     ("family", "smooth_plus_line:7", 32003):
         "3923c69e2fb3d5da59f33a4f67ca263c3f8a800fd9d44f76fdea6a0077a014c0",
+    ("curve", "x^3+y^3+z^3", 32003):
+        "3758aa98b47c3762fbc4cd305673270ce664ff0608b2941a09e207d369825bd2",
+    ("curve", "x^2*y+x^2*z", 32003):
+        "a1b1e057fd20f3e57a13f9393166252671becc2fdad09d3a8b8005e582a638f4",
+    ("curve", _PLUS_ONE, 32003):
+        "6f6c36bdc17669498ae349095bf937dd0b36f4e54a7d3195c81ad4acda83410b",
 }
 
 
