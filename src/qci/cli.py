@@ -2,7 +2,8 @@
 
 Subcommands: analyze-curve, analyze-qci, hilbert, sweep.  Exit codes are a
 contract: 0 success (refusals and smooth verdicts included), 2 input parse
-error, 3 guard violation, 4 internal invariant failure.
+error, 3 guard violation or an input too large for the memory at hand, 4
+internal invariant failure.
 """
 
 from __future__ import annotations
@@ -114,6 +115,11 @@ def _emit(payload: str, out: str | None) -> None:
         raise GuardError(f"cannot write {out}: {exc.strerror or exc}") from None
 
 
+def _out_of_memory(exc: MemoryError) -> str:
+    # numpy names the allocation that failed; a bare MemoryError names none
+    return f"out of memory: {exc}" if str(exc) else "out of memory"
+
+
 def _sweep_worker(task: tuple[str, int, int]) -> list[str]:
     from .curve import analyze_curve, family
     from .linalg import PrimeField
@@ -128,6 +134,9 @@ def _sweep_worker(task: tuple[str, int, int]) -> list[str]:
         return empty_csv_row(family_name, d, prime, f"error: {exc}")
     except InternalError as exc:
         return empty_csv_row(family_name, d, prime, f"{_INTERNAL_STATUS}{exc}")
+    except MemoryError as exc:
+        # a row too large for memory is refused like a guarded one
+        return empty_csv_row(family_name, d, prime, f"error: {_out_of_memory(exc)}")
     return curve_csv_row(family_name, d, prime, rep)
 
 
@@ -244,6 +253,10 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except GuardError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:
+        # an input whose matrices do not fit is refused, not a crash
+        print(f"error: {_out_of_memory(exc)}", file=sys.stderr)
         return 3
     except InternalError as exc:
         print(f"internal error: {exc}", file=sys.stderr)

@@ -38,10 +38,29 @@ lam (N_{T-1} A) + w B = 0, so N_T = [Lam N_{T-1} | W] for a basis (Lam | W)
 of the left kernel of the (HF(T-1) + T+1) x cols system [N_{T-1} A; B],
 and HF(T) is its row count.  The step needs only that x is a variable, not
 I_{T+1} = S_1 * I_T, so it runs from the least degree of a nonzero form,
-below which the ideal is zero and N is the identity, up to k_max.  Each
-step's system has at most 3(T+1) columns; only the first, with N the
-identity, is a graded map, the least degree's own.  The x-steps' pivots
-sum to dim S_{k_max} - HF(k_max), the rank of the degree-k_max map.
+below which the ideal is zero and N is the identity, up to k_max.
+
+B = B_T is the Sylvester matrix of the binary forms g_i = f_i(0, y, z),
+one column per x-free multiplier y^(e-q) z^q, and the steps carry the
+echelon form of [B^T | I] instead of eliminating B again.  Raising T
+multiplies every old multiplier by y, which keeps its binary row, with one
+more zero, and adds one multiplier z^(T-a_i) per form with a_i <= T, whose
+row is z^(T-a_i) g_i: the old rows stay valid, and each degree adds at
+most three.  The carried state is the pivot rows (b_k | e_k), each b_k
+reduced on the pivot columns, and the syzygy rows (0 | z_j), a basis of
+ker B.  With E = [E_p; Z] their units, which are invertible,
+
+    [N_{T-1} A; B] E^T = [[X, Y], [B_p^T, 0]],   X = N_{T-1} A E_p^T,
+                                                  Y = N_{T-1} A Z^T,
+
+so the left kernel is (lam | w) for lam in Lam, the left kernel of Y (the
+identity where Y is 0), w = -lam X at the pivot columns and 0 at the free
+binary columns, and (0 | w) for each free binary column j, w = 1 at j, 0
+at the other free columns and -b_k[j] at each pivot column; HF(T) is
+rows(Lam) + T + 1 - rank B.  A step eliminates only Y^T, syzygies of B by
+HF(T-1), and its at most three new binary rows; no step's system is a
+graded map.  The step into T has rank rank Y_T + rank B_T, and these sum
+to dim S_{k_max} - HF(k_max), the rank of the degree-k_max map.
 N_{k_max} must annihilate the degree-k_max map exactly, or the run fails
 with InternalError; the check contracts N_{k_max} with each form's terms,
 by the monomial positions the map's own columns use, apart from the
@@ -95,7 +114,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GuardError, InternalError
-from .linalg import PrimeField, kernel_basis, matmul, rank
+from .linalg import PrimeField, kernel_basis, matmul, rank, rref
 from .poly import (
     HomogPoly,
     dim_S,
@@ -406,20 +425,102 @@ def kernel_at(Q: QciInput, m: int) -> np.ndarray:
     return kernel_basis(graded_map_matrix(Q, m)[:, _x_order(Q.degrees, m)], Q.field)
 
 
-def left_null(Q: QciInput, T: int, N_prev: np.ndarray) -> np.ndarray:
+def _carry(field: PrimeField, B: np.ndarray, sizes, carried):
+    """The echelon form of [B_T^T | I] from the carried one of degree T-1.
+
+    B = B_T is the degree-T binary block, its columns the x-free
+    multipliers y^(e-q) z^q of each form in turn (``sizes`` of them per
+    form), its rows the binary columns z^0 .. z^T.  ``carried`` is (C, piv):
+    C's rows are (b | e) with b = e B^T, the pivot rows first, each b 1 at
+    its pivot column ``piv[k]`` and 0 at the others, then the syzygy rows
+    (0 | z), a basis of ker B.  Raising T multiplies every old multiplier by
+    y: its binary row keeps its entries and gains a 0 at z^T, and its unit
+    moves to its place in the longer blocks.  Each form with a_i <= T adds
+    the multiplier z^(T-a_i), the last of its block, whose row
+    (z^q g_i | unit) is reduced against the pivot rows by one product; the
+    new rows, at most three, are then eliminated among themselves, and
+    their new pivot columns cleared from the old pivot rows.  Returns the
+    state of degree T.
+
+    Every product here is exact in int64: its factors are residues and it
+    sums at most T+1 terms, with T+1 <= k_max+1 = a+b+c+2 <= p+1 (or
+    T+1 <= 4 for a+b+c < 2), so a sum stays below p**3 < 2**63.
+    """
+    p = field.p
+    C, piv = carried
+    T1, n = B.shape
+    r = piv.size
+    # the multipliers' places in the blocks of degree T: the old ones first
+    # in each block, the new one last
+    old, new, at = [], [], 0
+    for size in sizes:
+        old += range(at, at + size - 1)
+        at += size
+        if size:
+            new.append(at - 1)
+    k = len(new)
+    units = T1 + np.array(old, dtype=np.intp)
+    # old pivot rows, the new rows, then the old syzygy rows
+    rows = np.zeros((n, T1 + n), dtype=np.int64)
+    rows[:r, : T1 - 1] = C[:r, : T1 - 1]
+    rows[:r, units] = C[:r, T1 - 1 :]
+    rows[r + k :, units] = C[r:, T1 - 1 :]
+    G = rows[r : r + k]
+    G[:, :T1] = B[:, new].T
+    G[np.arange(k), T1 + np.array(new, dtype=np.intp)] = 1
+    if r:
+        G -= G[:, piv] @ rows[:r]
+        G %= p
+    # reduced, the new rows are 0 at the old pivot columns; they are
+    # independent by their units, so one whose binary part takes no pivot is
+    # 0 there, a syzygy, and where that part is 0 already each row is one
+    found = np.zeros(0, dtype=np.intp)
+    if G[:, :T1].any():
+        G[:], found = rref(G, field)
+        found = np.array([c for c in found if c < T1], dtype=np.intp)
+    if r and found.size:
+        rows[:r] -= rows[:r, found] @ G[: found.size]
+        rows[:r] %= p
+    return rows, np.concatenate([piv, found])
+
+
+def left_null(Q: QciInput, T: int, N_prev: np.ndarray, carried):
     """N_T, a basis of the degree-T map's left null space, from N_prev = N_{T-1}.
 
-    One x-step (see the module docstring): with [A; B] the x-free
-    multipliers' columns, split after the dim_S(T-1) rows that x times the
-    degree-(T-1) monomials fill, N_T = [Lam N_prev | W] for the rows
-    (Lam | W) of a basis of the left kernel of [N_prev A; B].
+    One x-step (see the module docstring), with the echelon form of the
+    binary block carried from degree T-1 (see ``_carry``): with [A; B] the
+    x-free multipliers' columns, split after the dim_S(T-1) rows that x
+    times the degree-(T-1) monomials fill, and E = [E_p; Z] the carried
+    rows' units, [N_prev A; B] E^T = [[X, Y], [B_p^T, 0]].  Its left kernel
+    is (lam | w) for lam in Lam = kernel_basis(Y^T), w = -lam X at the pivot
+    columns and 0 at the free binary columns, and (0 | w) for each free
+    binary column j, w = 1 at j, 0 at the other free columns and -b_k[j] at
+    the pivot columns.  Returns N_T = [Lam N_prev | W] and the carried state
+    of degree T.
     """
     p = Q.prime
-    XF = x_free_columns([f for f in Q.polys if not f.is_zero], T)
-    h, n = N_prev.shape
-    S = np.vstack([matmul(N_prev, XF[:n], p), XF[n:]])
-    L = kernel_basis(S.T, Q.field)
-    return np.hstack([matmul(L[:, :h], N_prev, p), L[:, h:]])
+    forms = [f for f in Q.polys if not f.is_zero]
+    XF = x_free_columns(forms, T)
+    D = N_prev.shape[1]
+    sizes = [max(T - f.degree + 1, 0) for f in forms]
+    C, piv = carried = _carry(Q.field, XF[D:], sizes, carried)
+    r = piv.size
+    XY = matmul(matmul(N_prev, XF[:D], p), C[:, T + 1 :].T, p)
+    # where Y is 0, or has no entry, Lam is the identity
+    if XY[:, r:].any():
+        L = kernel_basis(XY[:, r:].T, Q.field)
+        N_prev = matmul(L, N_prev, p)
+        XY = matmul(L, XY[:, :r], p)
+    h = N_prev.shape[0]
+    free = np.ones(T + 1, dtype=bool)
+    free[piv] = False
+    free = np.flatnonzero(free)
+    N = np.zeros((h + free.size, D + T + 1), dtype=np.int64)
+    N[:h, :D] = N_prev
+    N[:h, D + piv] = -XY[:, :r] % p
+    N[h + np.arange(free.size), D + free] = 1
+    N[h:, D + piv] = -C[:r, free].T % p
+    return N, carried
 
 
 def _x_order(degrees, m: int) -> np.ndarray:
@@ -550,8 +651,10 @@ def _hilbert_window(Q: QciInput) -> tuple[HilbertTable, dict[int, np.ndarray]]:
 
     The x-steps (``left_null``) carry N_T from the least degree of a
     nonzero form up to k_max, N being the identity below it, where the
-    ideal is zero; HF(T) is the row count of N_T, and N_{k_max} is checked
-    against the degree-k_max map.  One kernel of the degree-(a+b+1) map in
+    ideal is zero, and with it the echelon form of [B_T^T | I] for the
+    binary block B_T (``_carry``), which starts with no multiplier; HF(T)
+    is the row count of N_T, and N_{k_max} is checked against the
+    degree-k_max map.  One kernel of the degree-(a+b+1) map in
     x-order gives, over max(a-1, 0) .. a+b, the x-free tails V_m of K_m
     that the generator lifts read: its rows whose free column lies in the
     first cols(m) columns, cut to them, are a basis of K_m (see
@@ -568,9 +671,11 @@ def _hilbert_window(Q: QciInput) -> tuple[HilbertTable, dict[int, np.ndarray]]:
     k_max = max(k_star, 0) + _TAIL - 1
     low = min(f.degree for f in Q.polys if not f.is_zero)
     N = np.eye(dim_S(low - 1), dtype=np.int64)
+    # no multiplier yet: a binary block with no column
+    carried = (np.zeros((0, low), dtype=np.int64), np.zeros(0, dtype=np.intp))
     values = [dim_S(T) for T in range(low)]
     for T in range(low, k_max + 1):
-        N = left_null(Q, T, N)
+        N, carried = left_null(Q, T, N, carried)
         values.append(N.shape[0])
     _check_annihilation(Q, N, k_max)
     top = a + b + 1

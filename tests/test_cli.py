@@ -72,6 +72,51 @@ def test_exit_four_on_internal_error(capsys, monkeypatch):
     assert err.startswith("internal error: lifted syzygies exceed the kernel dimension")
 
 
+def _runs_out_of_memory(monkeypatch, degree=None):
+    # the engine's analyze_curve raising numpy's MemoryError, as an
+    # allocation too large for the machine does, at one degree or at all;
+    # nothing large is allocated
+    real = curve.analyze_curve
+
+    def exhausted(C):
+        if degree is None or C.f.degree == degree:
+            raise MemoryError("Unable to allocate 3.64 TiB for an array")
+        return real(C)
+
+    monkeypatch.setattr(curve, "analyze_curve", exhausted)
+
+
+def test_exit_three_when_memory_runs_out(capsys, monkeypatch):
+    _runs_out_of_memory(monkeypatch)
+    rc, out, err = run_cli(capsys, ["analyze-curve", "--f", "x^1000"])
+    assert rc == 3 and out == ""
+    assert err == "error: out of memory: Unable to allocate 3.64 TiB for an array\n"
+
+
+def test_exit_three_on_a_bare_memory_error(capsys, monkeypatch):
+    def exhausted(Q):
+        raise MemoryError
+
+    monkeypatch.setattr(core, "analyze_qci", exhausted)
+    rc, _, err = run_cli(capsys, ["analyze-qci", "--fa", "x", "--fb", "y", "--fc", "z"])
+    assert rc == 3 and err == "error: out of memory\n"
+
+
+def test_sweep_row_out_of_memory_is_a_row_status(capsys, monkeypatch):
+    # the row reads error: like a guarded one, the other rows are computed,
+    # and the sweep exits 0
+    _runs_out_of_memory(monkeypatch, degree=4)
+    rc, out, err = run_cli(capsys, ["sweep", "--family", "lines", "--d-range", "3..5"])
+    assert rc == 0 and err == ""
+    rows = read_csv(out)
+    assert [row[9] for row in rows[1:]] == [
+        "ok",
+        "error: out of memory: Unable to allocate 3.64 TiB for an array",
+        "ok",
+    ]
+    assert rows[2][3:9] == [""] * 6
+
+
 def test_sweep_with_bad_prime_exits_three(capsys):
     rc, out, err = run_cli(
         capsys, ["sweep", "--family", "lines", "--d-range", "3..4", "--prime", "4"]

@@ -9,23 +9,29 @@ null space through the RREF of both, as a stepped basis is not the
 canonical one, and the values also with the counting oracle of conftest.py
 on monomial ideals.
 
+The x-steps carry the echelon form of the binary block B_T, the x-free
+multipliers' columns on the x-free monomials; at every degree its pivot
+count, syzygy rows and units are compared with a direct elimination of
+B_T, and losing one of its syzygy rows must trip a cross-check.
+
 Each map is eliminated at most once, and most not at all: besides the
-x-steps, whose systems are not graded maps (the first one's, with N the
-identity, is the least degree's map itself), ``_hilbert_window`` builds and
-eliminates only the x-ordered degree-(a+b+1) map, for the x-free tails
-V_m of the K_m of the syzygy window, which the generator lifts read, and
-for a cross-check of HF(0 .. a+b+1).  The x-steps' pivots sum to the rank
-of the degree-k_max map.  The saturation reads only values of the Hilbert
-window, and nothing above k_max is ranked, as HF(m) = t there (``h1_E``
-above the window is arithmetic); a lone ``rank_at`` outside the window,
-as ``quotient_hilbert`` makes, is one plain rank.  A V_m read off a higher
-degree's kernel is a basis but not the canonical one, so it is compared
-through the RREF with the x-free coordinates of a direct kernel.  The
-annihilation check of N_{k_max}, a contraction with each form's terms,
-must agree with the product of N and the built map on corrupted N.  The
-saturation, read off the window by Riemann-Roch and Serre duality, is
-compared in every degree with the common kernel of the shifted copies of
-a directly eliminated left null space.
+x-steps, whose eliminations (a block Y^T and the new binary rows) are not
+graded maps, ``_hilbert_window`` builds and eliminates only the x-ordered
+degree-(a+b+1) map, for the x-free tails V_m of the K_m of the syzygy
+window, which the generator lifts read, and for a cross-check of
+HF(0 .. a+b+1).  The ranks of the x-steps' systems, rank Y_T + rank B_T,
+sum to the rank of the degree-k_max map.  The saturation reads only
+values of the Hilbert window, and nothing above k_max is ranked, as
+HF(m) = t there (``h1_E`` above the window is arithmetic); a lone
+``rank_at`` outside the window, as ``quotient_hilbert`` makes, is one
+plain rank.  A V_m read off a higher degree's kernel is a basis but not
+the canonical one, so it is compared through the RREF with the x-free
+coordinates of a direct kernel.  The annihilation check of N_{k_max}, a
+contraction with each form's terms, must agree with the product of N and
+the built map on corrupted N.  The saturation, read off the window by
+Riemann-Roch and Serre duality, is compared in every degree with the
+common kernel of the shifted copies of a directly eliminated left null
+space.
 """
 
 import importlib.util
@@ -56,7 +62,7 @@ from qci import (
     rref,
 )
 from qci import core, linalg
-from qci.poly import product_positions
+from qci.poly import product_positions, x_free_columns
 
 LARGE_PRIMES = (32003, 2097143)
 
@@ -80,8 +86,9 @@ def _direct_hilbert(Q, m):
     return dim_S(m) - rank(core.graded_map_matrix(Q, m), Q.field)
 
 
-def _record_steps(monkeypatch):
-    """Each input's x-steps {T: N_T}, filled as its Hilbert window makes them.
+def _record_steps(monkeypatch, part=0):
+    """Each input's x-steps {T: N_T}, filled as its Hilbert window makes them;
+    with ``part=1``, {T: the carried binary state (C, piv)} instead.
 
     The window keeps no N_T, so ``core.left_null`` is wrapped, and the
     original still makes the elimination under its own caller name.
@@ -89,9 +96,10 @@ def _record_steps(monkeypatch):
     steps = defaultdict(dict)
     left_null = core.left_null
 
-    def recording(Q, T, N_prev):
-        N = steps[Q][T] = left_null(Q, T, N_prev)
-        return N
+    def recording(Q, T, N_prev, carried):
+        out = left_null(Q, T, N_prev, carried)
+        steps[Q][T] = out[part]
+        return out
 
     monkeypatch.setattr(core, "left_null", recording)
     return steps
@@ -224,13 +232,16 @@ def test_lone_syzygy_table_runs_the_plan(field):
     assert lifts == core.analyze_qci(Q).generator_degrees
 
 
-def _corrupt_step(monkeypatch, degree, corrupt):
-    # left_null, with its output at one degree passed through corrupt
+def _corrupt_step(monkeypatch, degree, corrupt, part=0):
+    # left_null, with its N_T (or, with part=1, the binary state it carries
+    # up) at one degree passed through corrupt; each call makes both afresh
     left_null = core.left_null
 
-    def corrupted(Q, T, N_prev):
-        N = left_null(Q, T, N_prev)
-        return corrupt(N.copy(), Q.prime) if T == degree else N
+    def corrupted(Q, T, N_prev, carried):
+        out = list(left_null(Q, T, N_prev, carried))
+        if T == degree:
+            out[part] = corrupt(out[part], Q.prime)
+        return tuple(out)
 
     monkeypatch.setattr(core, "left_null", corrupted)
 
@@ -294,6 +305,75 @@ def test_corrupted_low_step_fails_the_prefix_rank_check(which, field, monkeypatc
             _corrupt_step(mp, degree, lambda N, p: N[1:])
             with pytest.raises(InternalError, match="prefix rank"):
                 core._hilbert_window(Q)
+
+
+def _binary_input(field, which):
+    if which == "a<b<c":
+        return _random_triple(field, (2, 3, 4))
+    return _named_input(field, which)
+
+
+# the x-step cases, a form divisible by x (x*y, x*z, x^2 have g_i = 0), a
+# binary block x^2*y, x*y^2, z^3 that gains its rank late, and forms that
+# enter at three different degrees
+_BINARY_CASES = _CASES + ["x*y,x*z,x^2", "x^2*y,x*y^2,z^3", "a<b<c"]
+
+
+@pytest.mark.parametrize("which", _BINARY_CASES)
+@pytest.mark.parametrize("prime", [13, *LARGE_PRIMES])
+def test_carried_binary_echelon_matches_direct_elimination(which, prime, monkeypatch):
+    # at every degree T of the window, the carried rows (b | e) against the
+    # binary block B_T of the x-free multipliers, eliminated directly: as
+    # many pivot rows as rank(B_T), each 1 at its pivot column and 0 at the
+    # others; syzygy rows spanning ker B_T (equal RREF); E B_T^T = [B_p; 0]
+    # for the units E, which are invertible.  Where the guard refuses 13,
+    # the least prime it admits stands in for it
+    degrees = _binary_input(PrimeField(32003), which).degrees
+    field = PrimeField(max(prime, _prime_above(sum(degrees))))
+    Q = _binary_input(field, which)
+    states = _record_steps(monkeypatch, part=1)
+    table, _ = core._hilbert_window(Q)
+    forms = [f for f in Q.polys if not f.is_zero]
+    assert sorted(states[Q]) == list(range(_least_degree(Q), table.k_max + 1))
+    for T, (C, piv) in states[Q].items():
+        B = x_free_columns(forms, T)[dim_S(T - 1) :]
+        n, r = B.shape[1], piv.size
+        assert C.shape == (n, T + 1 + n), T
+        assert r == rank(B, field), T
+        assert np.array_equal(C[:r, piv], np.eye(r, dtype=np.int64)), T
+        E = C[:, T + 1 :]
+        assert rank(E, field) == n, T
+        assert np.array_equal(linalg.matmul(E, B.T, field.p), C[:, : T + 1]), T
+        assert not C[r:, : T + 1].any(), T
+        Z, direct = E[r:], kernel_basis(B, field)
+        assert Z.shape == direct.shape, T
+        assert rref(Z, field)[0].tobytes() == rref(direct, field)[0].tobytes(), T
+
+
+def _lose_first_syzygy(carried, p):
+    # the first carried syzygy row set to 0: the steps above no longer
+    # impose that syzygy
+    C, piv = carried
+    C[piv.size] = 0
+    return carried
+
+
+@pytest.mark.parametrize(
+    "which, degree, check",
+    # node7 has a+b+1 = 13, lines6 a+b+1 = 11
+    [("node7", d, "prefix rank") for d in (8, 9, 10)]
+    + [("lines6", d, "does not annihilate") for d in (12, 13, 14, 15)],
+)
+def test_lost_carried_syzygy_fails_a_check(which, degree, check, field, monkeypatch):
+    # a syzygy row lost from the carried state adds functionals that do not
+    # kill the ideal: at a degree <= a+b+1 the top kernel's prefix ranks see
+    # the wrong HF, above it the annihilation check of N_{k_max} fails
+    Q = _named_input(field, which)
+    a, b, _ = Q.degrees
+    assert (degree <= a + b + 1) == (check == "prefix rank")
+    _corrupt_step(monkeypatch, degree, _lose_first_syzygy, part=1)
+    with pytest.raises(InternalError, match=check):
+        core._hilbert_window(Q)
 
 
 def test_engine_report_matches_direct_ranks(field, monkeypatch):
@@ -398,8 +478,8 @@ def _named_input(field, which):
 )
 def test_each_map_is_eliminated_once(which, both, field, monkeypatch):
     # the window builds one graded map, at a+b+1, and eliminates it and the
-    # x-steps' systems; the first step's system, with N the identity, is
-    # the least degree's map itself, and no later one is a graded map
+    # x-steps' blocks Y^T and new binary rows, none of which is a graded
+    # map, not even the first step's, with N the identity
     built = []
     graded_map_matrix = core.graded_map_matrix
 
@@ -417,7 +497,7 @@ def test_each_map_is_eliminated_once(which, both, field, monkeypatch):
     twice = {m for m, n in counts.items() if n > 1}
     assert twice == both
     direct = {m for m, n in counts.items() if n}
-    assert direct == {_least_degree(eng.Q), top}
+    assert direct == {top}
 
 
 @pytest.mark.parametrize(
@@ -675,17 +755,17 @@ def test_skipped_window_kernels_match_direct_elimination(which, tails_oracle):
 
 
 def test_no_window_degree_below_the_least_syzygy_is_eliminated(field, monkeypatch):
-    # of the syzygy window only its top a+b+1 is eliminated as a map, and
-    # its least degree a as the first x-step's whole system (N_{a-1} is the
-    # identity), so neither the degrees below the least syzygy r+c nor
-    # those above it are
+    # of the syzygy window only its top a+b+1 is eliminated as a map; the
+    # first x-step, at a with N_{a-1} the identity, eliminates only the
+    # binary rows of the forms, so neither the degrees below the least
+    # syzygy r+c nor those above it are
     report, eng, seen = _analyze_recording(_case_input(field, "node9"), monkeypatch)
     counts = _eliminations_per_degree(eng, seen)
     first = report.r + eng.c - 1  # the topmost injective degree
     top = eng.a + eng.b + 1
     assert eng.a - 1 < eng.a < first < top
-    assert counts[top] == 1 and counts[eng.a] == 1
-    assert not any(counts[m] for m in range(eng.a - 1, top) if m != eng.a)
+    assert counts[top] == 1
+    assert not any(counts[m] for m in range(eng.a - 1, top))
 
 
 @pytest.mark.parametrize("which", ["node9", "lines6", "1,x,y", "x,y,x+y"])
@@ -742,11 +822,11 @@ def _pinned_analysis(field, which):
 @pytest.mark.parametrize(
     "which, calls, pivots",
     [
-        ("node7", 16, 314),
-        ("lines8", 25, 360),
-        ("triangle", 9, 61),
-        ("x,y^2,y*z", 8, 46),
-        ("triple(2, 3, 4)", 10, 93),
+        ("node7", 28, 185),
+        ("lines8", 41, 256),
+        ("triangle", 15, 58),
+        ("x,y^2,y*z", 13, 41),
+        ("triple(2, 3, 4)", 14, 57),
     ],
 )
 def test_elimination_work_is_pinned(which, calls, pivots, field, monkeypatch):
@@ -770,22 +850,26 @@ def test_elimination_work_is_pinned(which, calls, pivots, field, monkeypatch):
     + ["x2g", "x,y^2,y*z"],
 )
 def test_step_pivots_sum_to_the_top_rank(which, field, monkeypatch):
-    # the step into T finds HF(T-1) + T + 1 - HF(T) pivots, so from N the
-    # identity below the least degree, the steps' pivots telescope to
+    # the step into T has the system [N_{T-1} A; B_T], of rank
+    # rank(Y_T) + rank(B_T) = HF(T-1) + T + 1 - HF(T); it eliminates Y_T^T
+    # (skipped where Y_T is 0) and carries rank(B_T) as its pivot count, so
+    # from N the identity below the least degree these telescope to
     # dim S_{k_max} - HF(k_max), the rank of the degree-k_max map
     Q = _named_input(field, which)
-    pivots = []
+    y_ranks = []
     kernel = core.kernel_basis
 
     def counting(M, field):
         K = kernel(M, field)
         if sys._getframe(1).f_code.co_name == "left_null":
-            pivots.append(M.shape[1] - K.shape[0])
+            y_ranks.append(M.shape[1] - K.shape[0])
         return K
 
     monkeypatch.setattr(core, "kernel_basis", counting)
+    states = _record_steps(monkeypatch, part=1)
     table, _ = core._hilbert_window(Q)
     k_max = table.k_max
-    assert len(pivots) == k_max + 1 - _least_degree(Q)
-    assert sum(pivots) == dim_S(k_max) - table.values[k_max]
-    assert sum(pivots) == rank(core.graded_map_matrix(Q, k_max), field)
+    assert sorted(states[Q]) == list(range(_least_degree(Q), k_max + 1))
+    total = sum(y_ranks) + sum(piv.size for _, piv in states[Q].values())
+    assert total == dim_S(k_max) - table.values[k_max]
+    assert total == rank(core.graded_map_matrix(Q, k_max), field)

@@ -222,9 +222,9 @@ def test_kernel_basis_is_canonical(p):
 
 
 def _node_step_system(p):
-    """The system the last x-step of a degree-9 node curve eliminates, the
-    transposed [N_prev A; B] of ``core.left_null``: tall and at most one
-    panel wide."""
+    """The widest tall system the x-steps of a degree-9 node curve
+    eliminate, a transposed block Y of ``core.left_null``: at most one panel
+    wide."""
     field = PrimeField(p)
     rng = random.Random(9)
     skip = {(0, 0, 9), (1, 0, 8), (0, 1, 8)}
@@ -240,12 +240,13 @@ def _node_step_system(p):
         return kernel(M, field)
 
     N = np.eye(dim_S(7), dtype=np.int64)
+    carried = (np.zeros((0, 8), dtype=np.int64), np.zeros(0, dtype=np.intp))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(core, "kernel_basis", recording)
         for T in range(8, 26):
-            N = core.left_null(Q, T, N)
-    A = systems[-1]
-    assert A.shape[0] > A.shape[1] and 0 < A.shape[1] <= NB
+            N, carried = core.left_null(Q, T, N, carried)
+    A = max((M for M in systems if M.shape[0] > M.shape[1]), key=lambda M: M.shape[1])
+    assert 1 < A.shape[1] <= NB
     return A
 
 
