@@ -106,7 +106,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _emit(payload: str, out: str | None) -> None:
     if out is None:
-        sys.stdout.write(payload)
+        try:
+            if sys.stdout is None:
+                # the interpreter started with file descriptor 1 closed
+                raise OSError("standard output is closed")
+            sys.stdout.write(payload)
+            sys.stdout.flush()
+        except OSError as exc:
+            # a full disk or a closed pipe is refused like an unwritable
+            # --out; what stays buffered goes to the null device, so that
+            # the interpreter's flush at exit does not fail again
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, 1)
+            os.close(devnull)
+            raise GuardError(f"cannot write output: {exc.strerror or exc}") from None
         return
     try:
         Path(out).write_text(payload, encoding="utf-8")

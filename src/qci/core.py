@@ -43,12 +43,14 @@ below which the ideal is zero and N is the identity, up to k_max.
 B = B_T is the Sylvester matrix of the binary forms g_i = f_i(0, y, z),
 one column per x-free multiplier y^(e-q) z^q, and the steps carry the
 echelon form of [B^T | I] instead of eliminating B again.  Raising T
-multiplies every old multiplier by y, which keeps its binary row, with one
-more zero, and adds one multiplier z^(T-a_i) per form with a_i <= T, whose
-row is z^(T-a_i) g_i: the old rows stay valid, and each degree adds at
-most three.  The carried state is the pivot rows (b_k | e_k), each b_k
-reduced on the pivot columns, and the syzygy rows (0 | z_j), a basis of
-ker B.  With E = [E_p; Z] their units, which are invertible,
+multiplies every old multiplier by y, which keeps its q and its binary
+row, with one more zero, and adds z^(T-a_i) at the end of each nonempty
+block, whose row is z^(T-a_i) g_i: the old rows stay valid, and each
+degree adds at most three.  With z moving q to q+1, this raise rule is
+also the generator lifts' (``_raise_columns``).  The carried state is the
+pivot rows (b_k | e_k), each b_k reduced on the pivot columns, and the
+syzygy rows (0 | z_j), a basis of ker B.  With E = [E_p; Z] their units,
+which are invertible,
 
     [N_{T-1} A; B] E^T = [[X, Y], [B_p^T, 0]],   X = N_{T-1} A E_p^T,
                                                   Y = N_{T-1} A Z^T,
@@ -425,17 +427,36 @@ def kernel_at(Q: QciInput, m: int) -> np.ndarray:
     return kernel_basis(graded_map_matrix(Q, m)[:, _x_order(Q.degrees, m)], Q.field)
 
 
-def _carry(field: PrimeField, B: np.ndarray, sizes, carried):
+def _raise_columns(degrees, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The columns of degree m that y sends the x-free multipliers of
+    degree m-1 to, and those of the new multipliers z^(m-a_i).
+
+    Form i's multipliers y^(e-q) z^q, q = 0 .. e, fill one block per form
+    of these degrees, in turn.  One degree up, y keeps q, z moves it to q+1
+    (one column on), and each nonempty block gains z^(m-a_i) at its end.
+    """
+    up, new, at = [], [], 0
+    for d in degrees:
+        size = m - d + 1
+        if size > 0:
+            up += range(at, at + size - 1)
+            at += size
+            new.append(at - 1)
+    return np.array(up, dtype=np.intp), np.array(new, dtype=np.intp)
+
+
+def _carry(field: PrimeField, B: np.ndarray, degrees, carried):
     """The echelon form of [B_T^T | I] from the carried one of degree T-1.
 
     B = B_T is the degree-T binary block, its columns the x-free
-    multipliers y^(e-q) z^q of each form in turn (``sizes`` of them per
-    form), its rows the binary columns z^0 .. z^T.  ``carried`` is (C, piv):
+    multipliers y^(e-q) z^q of each form in turn (of these ``degrees``),
+    its rows the binary columns z^0 .. z^T.  ``carried`` is (C, piv):
     C's rows are (b | e) with b = e B^T, the pivot rows first, each b 1 at
     its pivot column ``piv[k]`` and 0 at the others, then the syzygy rows
     (0 | z), a basis of ker B.  Raising T multiplies every old multiplier by
     y: its binary row keeps its entries and gains a 0 at z^T, and its unit
-    moves to its place in the longer blocks.  Each form with a_i <= T adds
+    moves to its place in the longer blocks, by the raise rule that the
+    generator lifts share (``_raise_columns``).  Each form with a_i <= T adds
     the multiplier z^(T-a_i), the last of its block, whose row
     (z^q g_i | unit) is reduced against the pivot rows by one product; the
     new rows, at most three, are then eliminated among themselves, and
@@ -450,16 +471,9 @@ def _carry(field: PrimeField, B: np.ndarray, sizes, carried):
     C, piv = carried
     T1, n = B.shape
     r = piv.size
-    # the multipliers' places in the blocks of degree T: the old ones first
-    # in each block, the new one last
-    old, new, at = [], [], 0
-    for size in sizes:
-        old += range(at, at + size - 1)
-        at += size
-        if size:
-            new.append(at - 1)
-    k = len(new)
-    units = T1 + np.array(old, dtype=np.intp)
+    up, new = _raise_columns(degrees, T1 - 1)
+    k = new.size
+    units = T1 + up
     # old pivot rows, the new rows, then the old syzygy rows
     rows = np.zeros((n, T1 + n), dtype=np.int64)
     rows[:r, : T1 - 1] = C[:r, : T1 - 1]
@@ -467,10 +481,9 @@ def _carry(field: PrimeField, B: np.ndarray, sizes, carried):
     rows[r + k :, units] = C[r:, T1 - 1 :]
     G = rows[r : r + k]
     G[:, :T1] = B[:, new].T
-    G[np.arange(k), T1 + np.array(new, dtype=np.intp)] = 1
-    if r:
-        G -= G[:, piv] @ rows[:r]
-        G %= p
+    G[np.arange(k), T1 + new] = 1
+    G -= G[:, piv] @ rows[:r]
+    G %= p
     # reduced, the new rows are 0 at the old pivot columns; they are
     # independent by their units, so one whose binary part takes no pivot is
     # 0 there, a syzygy, and where that part is 0 already each row is one
@@ -478,7 +491,7 @@ def _carry(field: PrimeField, B: np.ndarray, sizes, carried):
     if G[:, :T1].any():
         G[:], found = rref(G, field)
         found = np.array([c for c in found if c < T1], dtype=np.intp)
-    if r and found.size:
+    if found.size:
         rows[:r] -= rows[:r, found] @ G[: found.size]
         rows[:r] %= p
     return rows, np.concatenate([piv, found])
@@ -502,8 +515,7 @@ def left_null(Q: QciInput, T: int, N_prev: np.ndarray, carried):
     forms = [f for f in Q.polys if not f.is_zero]
     XF = x_free_columns(forms, T)
     D = N_prev.shape[1]
-    sizes = [max(T - f.degree + 1, 0) for f in forms]
-    C, piv = carried = _carry(Q.field, XF[D:], sizes, carried)
+    C, piv = carried = _carry(Q.field, XF[D:], [f.degree for f in forms], carried)
     r = piv.size
     XY = matmul(matmul(N_prev, XF[:D], p), C[:, T + 1 :].T, p)
     # where Y is 0, or has no entry, Lam is the identity
@@ -549,26 +561,6 @@ def _cols(Q: QciInput, m: int) -> int:
     return sum(dim_S(m - f.degree) for f in Q.polys)
 
 
-def _lift_tails(degrees, V: np.ndarray, m: int) -> np.ndarray:
-    """[y V; z V] in the x-free coordinates of degree m, for V in those of
-    degree m-1.
-
-    Form i's x-free block holds y^(e-q) z^q at q = 0 .. e, e = m-1-a_i;
-    times y it is y^(e+1-q) z^q, at q in the block of degree m, one longer,
-    and times z it is y^(e-q) z^(q+1), at q+1.
-    """
-    h = V.shape[0]
-    lifted = np.zeros((2 * h, sum(max(m - d + 1, 0) for d in degrees)), dtype=np.int64)
-    src = tgt = 0
-    for d in degrees:
-        n = max(m - d, 0)
-        lifted[:h, tgt : tgt + n] = V[:, src : src + n]
-        lifted[h:, tgt + 1 : tgt + 1 + n] = V[:, src : src + n]
-        src += n
-        tgt += max(m - d + 1, 0)
-    return lifted
-
-
 def _generator_degrees(
     Q: QciInput, values: tuple[int, ...], tails: dict[int, np.ndarray]
 ) -> tuple[int, ...]:
@@ -579,20 +571,24 @@ def _generator_degrees(
     coordinates, with kernel x K_{m-1}, as S is a domain; it maps
     S_1 K_{m-1} onto y V_{m-1} + z V_{m-1}.  So the count of new ones at
     twist k = m - c is h^0(E(k)) - h^0(E(k-1)) - rank [y V_{m-1}; z V_{m-1}],
-    read from the window's tails.  Twists above the range are not scanned,
-    so the multiset is a truncation, not a Betti table.
+    read from the window's tails and placed by the raise rule that the
+    carried echelon form shares (``_raise_columns``).  Twists above the
+    range are not scanned, so the multiset is a truncation, not a Betti
+    table.
     """
     a, b, c = Q.degrees
     gens: list[int] = []
     for k in range(a - c, a + b - c + 2):
         m = k + c
-        h0 = _h0E(Q, values, k)
-        if h0 == 0:
-            continue
         V = tails[m - 1]
-        new = h0 - _h0E(Q, values, k - 1)
-        if V.shape[0]:
-            new -= rank(_lift_tails(Q.degrees, V, m), Q.field)
+        new = _h0E(Q, values, k) - _h0E(Q, values, k - 1)
+        h = V.shape[0]
+        if h:
+            up, ends = _raise_columns(Q.degrees, m)
+            lifted = np.zeros((2 * h, up.size + ends.size), dtype=np.int64)
+            lifted[:h, up] = V
+            lifted[h:, up + 1] = V
+            new -= rank(lifted, Q.field)
         if new < 0:
             raise InternalError(
                 "lifted syzygies exceed the kernel dimension at twist "
@@ -815,10 +811,10 @@ def _verify_resolution(
 
 # -- public operations ----------------------------------------------------
 #
-# The entry points that take a degree, or stop at the dimension stage, do
-# only that work; every other invariant is a field of ``analyze_qci``'s
-# report.  All but quotient_hilbert run the Hilbert window, and those that
-# need t refuse a scheme that is not finite with a GuardError.
+# quotient_hilbert ranks one degree; every other entry point runs the whole
+# Hilbert window, as ``analyze_qci`` does, and skips only the arithmetic and
+# the lifts it does not read.  Those that need t refuse a scheme that is not
+# finite with a GuardError.
 
 
 def quotient_hilbert(Q: QciInput, k: int) -> int:

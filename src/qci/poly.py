@@ -15,7 +15,7 @@ import warnings
 import numpy as np
 
 from .errors import GuardError, NonHomogeneousError, PolyParseError
-from .linalg import PrimeField
+from .linalg import PRIME_MAX, PrimeField
 
 Monomial = tuple[int, int, int]
 
@@ -232,14 +232,26 @@ _VAR_AXIS = {"x": 0, "y": 1, "z": 2}
 _DIGITS = frozenset("0123456789")
 
 
+def _digits_value(digits: str) -> int:
+    # the integer a run of decimal digits spells, whatever its length: int()
+    # refuses more digits than sys.get_int_max_str_digits(), which is never
+    # set below 640, so a longer run is read in halves
+    if len(digits) <= 640:
+        return int(digits)
+    low = len(digits) // 2
+    return _digits_value(digits[:-low]) * 10**low + _digits_value(digits[-low:])
+
+
 def parse_poly(text: str, field: PrimeField) -> HomogPoly:
     """Parse polynomial text like ``2*x^2*y - z^3``.
 
     Terms are separated by ``+`` or ``-``; a term is an optional integer
     followed by variable factors, with ``*`` separators optional and
     whitespace ignored.  Integers may be arbitrarily large and are reduced
-    mod p.  Raises :class:`PolyParseError` on malformed input and
-    :class:`NonHomogeneousError` when the written terms mix degrees.  If
+    mod p.  Raises :class:`PolyParseError` on malformed input,
+    :class:`NonHomogeneousError` when the written terms mix degrees and
+    :class:`GuardError` on an exponent of ``PRIME_MAX`` or more, a degree
+    that no admissible prime exceeds.  If
     every coefficient vanishes mod p but not over the integers, the zero
     polynomial of the written degree is returned under a
     :class:`ZeroModPWarning`.
@@ -257,7 +269,7 @@ def parse_poly(text: str, field: PrimeField) -> HomogPoly:
         start = pos
         while pos < n and text[pos] in _DIGITS:
             pos += 1
-        return int(text[start:pos])
+        return _digits_value(text[start:pos])
 
     terms: list[tuple[int, Monomial]] = []
     skip_ws()
@@ -294,9 +306,17 @@ def parse_poly(text: str, field: PrimeField) -> HomogPoly:
                     skip_ws()
                     if pos >= n or text[pos] not in _DIGITS:
                         raise PolyParseError("expected an exponent after '^'", pos)
+                    at = pos
                     exp = read_int()
                     if exp < 1:
                         raise PolyParseError("exponent must be positive", pos)
+                    if exp >= PRIME_MAX:
+                        # the number itself is not printed: it may run to
+                        # more digits than str() writes
+                        raise GuardError(
+                            f"exponent at position {at} is 2**21 or more; no "
+                            "admissible prime exceeds such a degree"
+                        )
                 exps[axis] += exp
                 saw_factor = True
             else:

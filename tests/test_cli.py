@@ -140,6 +140,17 @@ def test_unwritable_out_exits_three(capsys, tmp_path, argv):
     assert len(err.splitlines()) == 1
 
 
+def test_long_coefficient_exits_zero_and_huge_exponent_exits_three(capsys):
+    long = "1" + "0" * 5000
+    rc, out, _ = run_cli(capsys, ["analyze-curve", "--f", f"{long}*x^2+y^2+z^2"])
+    assert rc == 0 and out
+    for exponent in ("2097152", "9" * 5000):
+        rc, out, err = run_cli(capsys, ["analyze-curve", "--f", f"x^{exponent}"])
+        assert rc == 3 and out == ""
+        assert err.startswith("error: exponent at position 2 is 2**21 or more")
+        assert len(err.splitlines()) == 1
+
+
 def test_refusals_exit_zero(capsys):
     rc, out, _ = run_cli(
         capsys,
@@ -488,6 +499,40 @@ def test_importing_the_cli_loads_neither_numpy_nor_the_pool():
     loaded = set(ast.literal_eval(run_fresh(["-c", code])))
     assert "qci.cli" in loaded
     assert not loaded & {"numpy", "multiprocessing", "concurrent.futures"}
+
+
+def _refused_write(**popen):
+    # the CLI on a good curve, its standard output set up by ``popen``: it
+    # must refuse the write with exit 3 and one error line, no traceback
+    path = os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "qci.cli", "analyze-curve", "--f", "x*y*z", "--json"],
+        stderr=subprocess.PIPE, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": path}, **popen,
+    )
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr.startswith("error: cannot write output: ")
+    assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr
+    assert len(proc.stderr.splitlines()) == 1
+
+
+def test_closed_standard_output_exits_three():
+    _refused_write(stdout=subprocess.DEVNULL, preexec_fn=lambda: os.close(1))
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+def test_full_standard_output_exits_three():
+    with open("/dev/full", "w") as full:
+        _refused_write(stdout=full)
+
+
+def test_closed_pipe_on_standard_output_exits_three():
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        _refused_write(stdout=write)
+    finally:
+        os.close(write)
 
 
 _START_METHOD = """

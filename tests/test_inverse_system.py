@@ -350,6 +350,35 @@ def test_carried_binary_echelon_matches_direct_elimination(which, prime, monkeyp
         assert rref(Z, field)[0].tobytes() == rref(direct, field)[0].tobytes(), T
 
 
+@pytest.mark.parametrize(
+    "degrees",
+    [(1, 1, 1), (1, 2, 2), (2, 2, 5), (2, 4, 4), (0, 3, 3), (1, 3, 6), (3, 3, 3)],
+)
+def test_raise_columns_follow_the_monomials(degrees):
+    # the x-free multipliers of degree e, one block per form, as (form,
+    # exponent triple) in monomial_basis order; one degree up, y and z
+    # times each must land at the raise rule's columns and one column on,
+    # and z^(m-a_i) at its new column.  m runs over blocks of size 0 and 1
+    # (a form entering exactly at m) and longer ones
+    def layout(m):
+        return [
+            (i, mono)
+            for i, d in enumerate(degrees)
+            for mono in monomial_basis(m - d)
+            if mono[0] == 0
+        ]
+
+    for m in range(degrees[0] - 1, degrees[-1] + 4):
+        up, new = core._raise_columns(degrees, m)
+        old, place = layout(m - 1), {entry: j for j, entry in enumerate(layout(m))}
+        assert up.tolist() == [place[(i, (0, y + 1, z))] for i, (_, y, z) in old]
+        assert (up + 1).tolist() == [place[(i, (0, y, z + 1))] for i, (_, y, z) in old]
+        assert new.tolist() == [
+            place[(i, (0, 0, m - d))] for i, d in enumerate(degrees) if d <= m
+        ]
+        assert sorted(up.tolist() + new.tolist()) == list(range(len(place)))
+
+
 def _lose_first_syzygy(carried, p):
     # the first carried syzygy row set to 0: the steps above no longer
     # impose that syzygy

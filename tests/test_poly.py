@@ -87,6 +87,39 @@ def test_parse_reduces_large_integers(field):
     assert f.coeffs == {(1, 0, 0): 3}
 
 
+def test_parse_reads_a_coefficient_of_any_length(field):
+    # int() alone refuses a run of more than 4300 digits
+    f = parse_poly("1" + "0" * 5000 + "*x^2 + y^2", field)
+    assert f.coeffs == {(2, 0, 0): pow(10, 5000, field.p), (0, 2, 0): 1}
+
+
+def test_parse_keeps_a_long_coefficient_exact_until_reduced(field):
+    # p times a power of ten is zero mod p but not over the integers
+    p, zeros = field.p, "0" * 4999
+    with warnings.catch_warnings(record=True) as rec:
+        warnings.simplefilter("always")
+        f = parse_poly(f"{p}{zeros}*x - 1{zeros}*x", field)
+    assert f.coeffs == {(1, 0, 0): (-pow(10, 4999, p)) % p} and not rec
+    with pytest.warns(ZeroModPWarning):
+        assert parse_poly(f"{p}{zeros}*x", field).is_zero
+
+
+@pytest.mark.parametrize(
+    "exponent",
+    ["2097152", "9" * 5000, "0" * 4999 + "2097152"],
+    ids=["prime-max", "5000-nines", "leading-zeros"],
+)
+def test_parse_refuses_an_exponent_no_prime_exceeds(field, exponent):
+    with pytest.raises(GuardError, match="2\\*\\*21 or more") as err:
+        parse_poly(f"y + x^{exponent}", field)
+    assert "position 6" in str(err.value) and exponent not in str(err.value)
+
+
+def test_parse_accepts_an_exponent_below_the_prime_bound(field):
+    assert parse_poly("x^2097151", field).degree == 2097151
+    assert parse_poly("x^" + "0" * 5000 + "7", field).degree == 7
+
+
 def test_parse_constant(field):
     c = parse_poly("7", field)
     assert c.degree == 0 and c.coeffs == {(0, 0, 0): 7}
