@@ -310,9 +310,10 @@ def _c2(a: int, b: int, c: int, t: int, r: int) -> int:
 
 
 def _gamma(a: int, c: int, t: int) -> int:
-    # degree of the scheme linked to T by the pencil of the two outer forms
+    # degree of the scheme linked to T by the pencil of the two outer forms;
+    # t counts rows, so g <= ac
     g = a * c - t
-    if g < 0 or g > a * c:
+    if g < 0:
         raise InternalError(
             f"residual degree {g} outside [0, {a * c}]; "
             "the scheme degree exceeds the pencil degree product"

@@ -4,9 +4,12 @@ For a reduced curve of degree d the three partials of its equation form a
 triple of degree d-1 forms; the finite scheme they cut out is the curve's
 singular locus, and its degree is tau, the global Tjurina number.  This
 module wraps the generic engine, reports the bounds on tau, and classifies
-the curve (smooth, lines through a point, free, nearly free, generic) with
-hard cross-checks between the independent freeness tests.  The tau bounds
-are the Theorem's bounds on t at a = b = c = d-1, du Plessis and Wall's.
+the curve (smooth, lines through a point, free, nearly free, generic).
+The class is read off r, then c2: at a = b = c = d-1, c2 is the free
+value (d-1)(d-1-r) + r^2 less tau, so r >= 1 is free at c2 = 0 and nearly
+free at c2 = 1.  The freeness cross-check, h^1 against c2, lives in core.
+The tau bounds are the Theorem's bounds on t at a = b = c = d-1, du
+Plessis and Wall's.
 """
 
 from __future__ import annotations
@@ -120,23 +123,13 @@ def free_lower_bound_check(d: int, tau: int) -> bool:
     return 4 * tau >= 4 + 3 * d * (d - 2)
 
 
-def _classify(d: int, tau: int, r: int, c2: int, split_flag: bool):
-    free_value = (d - 1) * (d - 1 - r) + r * r
+def _classify(d: int, tau: int, r: int, c2: int):
+    # at a = b = c = d-1, c2 = (d-1)(d-1-r) + r^2 - tau, the free value less
+    # tau, and core has checked r = 0 against tau and c2 = 0 against h^1
+    exponents = None
     if r == 0:
-        if tau != (d - 1) * (d - 1):
-            raise InternalError(
-                f"degree-0 syzygy forces tau = {(d - 1) * (d - 1)}, got {tau}"
-            )
-        if not split_flag:
-            raise InternalError("degree-0 syzygy forces a split bundle")
         curve_class = "lines-through-point"
-        exponents = None
-    elif tau == free_value:
-        if not split_flag or c2 != 0:
-            raise InternalError(
-                "freeness tests disagree: tau equality holds but "
-                f"split={split_flag}, c2={c2}"
-            )
+    elif c2 == 0:
         if 2 * r + 1 > d:
             raise InternalError(
                 f"free curve with syzygy degree {r} violates 2r+1 <= d"
@@ -145,21 +138,10 @@ def _classify(d: int, tau: int, r: int, c2: int, split_flag: bool):
         # of free_lower_bound_check at the largest r, so it always holds
         curve_class = "free"
         exponents = (r, d - 1 - r)
-    elif tau == free_value - 1:
-        if split_flag or c2 != 1:
-            raise InternalError(
-                "nearly-free tests disagree: tau is one below the free value "
-                f"but split={split_flag}, c2={c2}"
-            )
+    elif c2 == 1:
         curve_class = "nearly-free"
-        exponents = None
     else:
-        if split_flag or c2 == 0:
-            raise InternalError(
-                f"split bundle with tau {tau} away from the free value {free_value}"
-            )
         curve_class = "generic"
-        exponents = None
 
     if r >= 1 and tau > d * d - 3 * d + 3:
         raise InternalError(
@@ -168,17 +150,19 @@ def _classify(d: int, tau: int, r: int, c2: int, split_flag: bool):
         )
     plus_one_case = None
     if r >= 1 and d > 7 and tau > d * d - 4 * d + 5:
+        # each (tau, r) fixes c2, so the class: free, nearly free, free,
+        # nearly free
         signatures = {
-            (d * d - 3 * d + 3, 1, "free"): 1,
-            (d * d - 3 * d + 2, 1, "nearly-free"): 2,
-            (d * d - 4 * d + 7, 2, "free"): 3,
-            (d * d - 4 * d + 6, 2, "nearly-free"): 4,
+            (d * d - 3 * d + 3, 1): 1,
+            (d * d - 3 * d + 2, 1): 2,
+            (d * d - 4 * d + 7, 2): 3,
+            (d * d - 4 * d + 6, 2): 4,
         }
-        plus_one_case = signatures.get((tau, r, curve_class))
+        plus_one_case = signatures.get((tau, r))
         if plus_one_case is None:
             raise InternalError(
                 f"high tau {tau} at degree {d} matches none of the four "
-                "admissible (tau, r, class) signatures"
+                "admissible (tau, r) signatures"
             )
     return curve_class, exponents, plus_one_case
 
@@ -199,9 +183,7 @@ def analyze_curve(C: CurveInput) -> CurveReport:
             qci=rep,
         )
     tau, r = rep.t, rep.r
-    curve_class, exponents, plus_one_case = _classify(
-        d, tau, r, rep.c2_at_r, rep.splits
-    )
+    curve_class, exponents, plus_one_case = _classify(d, tau, r, rep.c2_at_r)
     return CurveReport(
         d=d,
         curve_class=curve_class,

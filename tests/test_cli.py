@@ -439,6 +439,10 @@ def test_every_sweep_row_fills_every_column(capsys, monkeypatch):
     statuses = [row[-1].partition(":")[0] for row in rows]
     assert statuses == ["ok"] * 2 + ["error"] * 3 + ["internal error", "refused"]
     assert all(row[3:-1] == [""] * (len(CSV_COLUMNS) - 4) for row in rows[2:])
+    smooth = analyze_curve(CurveInput(parse_poly("x^3+y^3+z^3", field)))
+    assert curve_csv_row("lines", 3, 32003, smooth) == [
+        "lines", "3", "32003", "0", "", "", "smooth", "na", "na", "ok"
+    ]
 
 
 @pytest.mark.parametrize("cpus, workers", [(64, 3), (2, 2)])
@@ -533,6 +537,34 @@ def test_closed_pipe_on_standard_output_exits_three():
         _refused_write(stdout=write)
     finally:
         os.close(write)
+
+
+_LIMITED_RUN = """
+import resource, sys
+limit = 3 << 30
+resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+from qci.cli import main
+sys.exit(main(["analyze-curve", "--f", "x^224+y^224+z^224"]))
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="Linux RLIMIT_AS")
+def test_refused_allocation_exits_three():
+    # a real refusal, not a patched engine: under a 3 GiB address-space
+    # limit the first x-step's identity N (24976^2 int64, 4.65 GiB) cannot
+    # be allocated. The child sets the limit itself, before numpy loads;
+    # one BLAS thread keeps the loader's own reservations small.
+    path = os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _LIMITED_RUN], capture_output=True, text=True,
+        timeout=120,
+        env={**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": "1"},
+    )
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: out of memory: Unable to allocate 4.65 GiB")
+    assert "Traceback" not in proc.stderr
+    assert len(proc.stderr.splitlines()) == 1
 
 
 _START_METHOD = """

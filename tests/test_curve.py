@@ -19,6 +19,7 @@ from qci import (
     random_homog,
     variables,
 )
+from qci.core import _c2
 from qci.curve import _classify
 
 
@@ -222,23 +223,59 @@ def test_free_values_meet_the_parity_bound():
 
 
 @pytest.mark.parametrize(
-    "d, tau, r, c2, split, match",
+    "d, tau, r, c2, match",
     [
-        (4, 8, 0, 0, True, "degree-0 syzygy forces tau = 9, got 8"),
-        (4, 9, 0, 0, False, "degree-0 syzygy forces a split bundle"),
-        (4, 7, 1, 0, False, "freeness tests disagree: .* split=False, c2=0"),
-        (4, 7, 1, 1, True, "freeness tests disagree: .* split=True, c2=1"),
-        (4, 7, 2, 0, True, "free curve with syzygy degree 2 violates 2r\\+1 <= d"),
-        (4, 6, 1, 1, True, "nearly-free tests disagree: .* split=True, c2=1"),
-        (4, 6, 1, 0, False, "nearly-free tests disagree: .* split=False, c2=0"),
-        (4, 5, 1, 0, True, "split bundle with tau 5 away from the free value 7"),
-        (4, 9, 1, 2, False, "tau 9 exceeds the cap 7"),
-        (8, 40, 3, 2, False, "high tau 40 at degree 8 matches none"),
+        (4, 7, 2, 0, "free curve with syzygy degree 2 violates 2r\\+1 <= d"),
+        (4, 9, 1, 2, "tau 9 exceeds the cap 7"),
+        (8, 40, 3, 2, "high tau 40 at degree 8 matches none"),
     ],
 )
-def test_classify_faults_raise_internal_errors(d, tau, r, c2, split, match):
+def test_classify_faults_raise_internal_errors(d, tau, r, c2, match):
     with pytest.raises(InternalError, match=match):
-        _classify(d, tau, r, c2, split)
+        _classify(d, tau, r, c2)
+
+
+def test_c2_of_the_partials_is_the_free_value_less_tau():
+    # at a = b = c = d-1, c2 = 0 and c2 = 1 are the free and nearly-free
+    # tau equalities, so _classify reads the class off c2 alone
+    for d in range(2, 30):
+        for r in range(d):
+            free_value = (d - 1) * (d - 1 - r) + r * r
+            for tau in range(free_value + 1):
+                assert _c2(d - 1, d - 1, d - 1, tau, r) == free_value - tau
+
+
+def _seeded_curves(field):
+    for spec in ("x*y*z", "x^3 - y^2*z", "x^2*y + x*y^2", "y^2*z - x^3 - x^2*z",
+                 "x^5 + y^5 + x^2*y^2*z", "x^4*z - y^4*z + x^5"):
+        yield CurveInput(parse_poly(spec, field))
+    for d in (4, 8):
+        yield CurveInput(lines_product(field, d))
+    for d in range(2, 9):
+        yield family("lines_through_point", field, d=d)
+    for d in range(3, 9):
+        yield family("smooth_plus_line", field, d=d)
+    rng = random.Random(4201)
+    for _ in range(12):
+        f = random_homog(rng.randrange(1, 3), field, rng)
+        f = f * random_homog(rng.randrange(1, 4), field, rng)
+        if not f.is_zero and f.degree >= 2:
+            yield CurveInput(f)
+
+
+def test_split_flag_is_c2_zero_and_r_zero_forces_tau(field):
+    # core's split flag is c2 = 0, cross-checked against h^1, and r = 0
+    # forces tau = (d-1)^2 there, so _classify needs neither
+    seen = set()
+    for C in _seeded_curves(field):
+        rep = analyze_curve(C)
+        if rep.r is None:
+            continue
+        assert rep.qci.splits == (rep.qci.c2_at_r == 0)
+        if rep.r == 0:
+            assert rep.tau == (rep.d - 1) ** 2
+        seen.add(rep.curve_class)
+    assert seen >= {"lines-through-point", "free", "nearly-free", "generic"}
 
 
 # ---------------------------------------------------------------------------
@@ -266,6 +303,8 @@ def test_family_guards(field):
         family("smooth_plus_line", field, d=2)
     with pytest.raises(GuardError):
         family("smooth_plus_line", PrimeField(5), d=6)
+    with pytest.raises(GuardError, match="needs both degrees"):
+        family("ci_qci", field, a=2)
     with pytest.raises(GuardError):
         family("ci_qci", field, a=5, c=6)
     with pytest.raises(GuardError):

@@ -143,6 +143,7 @@ def test_non_homogeneous_is_a_parse_error(field):
         ("2*", "variable"),
         ("w + x", "term"),
         ("x^0", "positive"),
+        ("x +", "dangling sign"),
     ],
 )
 def test_parse_error_positions(field, text, fragment):
