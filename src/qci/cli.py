@@ -2,8 +2,8 @@
 
 Subcommands: analyze-curve, analyze-qci, hilbert, sweep.  Exit codes are a
 contract: 0 success (refusals and smooth verdicts included), 2 input parse
-error, 3 guard violation or an input too large for the memory at hand, 4
-internal invariant failure.
+error, 3 guard violation, an input too large for the memory at hand or a
+killed sweep worker, 4 internal invariant failure.
 """
 
 from __future__ import annotations
@@ -186,10 +186,14 @@ def _pooled_rows(tasks: list[tuple[str, int, int]], workers: int) -> list[list[s
     single-threaded setting when it loads numpy.  They are spawned too when
     another thread runs: a fork copies only the calling thread, and a lock
     that another thread holds would stay held in the workers.
+
+    A worker that dies (killed by a signal, as the OOM killer does) takes
+    its row with it, and the sweep is refused whole with a GuardError.
     """
     import multiprocessing
     import threading
     from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
 
     fresh = "numpy" not in sys.modules and threading.active_count() == 1
     start = None if fresh else "spawn"
@@ -198,10 +202,16 @@ def _pooled_rows(tasks: list[tuple[str, int, int]], workers: int) -> list[list[s
         from . import curve, report  # noqa: F401  (loaded once, before the fork)
 
         ctx = multiprocessing.get_context(start)
-        with ProcessPoolExecutor(max_workers=workers, mp_context=ctx) as pool:
-            # a row costs more the higher its degree: the pool takes the
-            # highest first, so that no long row starts last
-            rows = list(pool.map(_sweep_worker, tasks[::-1]))
+        try:
+            with ProcessPoolExecutor(max_workers=workers, mp_context=ctx) as pool:
+                # a row costs more the higher its degree: the pool takes the
+                # highest first, so that no long row starts last
+                rows = list(pool.map(_sweep_worker, tasks[::-1]))
+        except BrokenProcessPool:
+            raise GuardError(
+                "a sweep worker was terminated abruptly (killed by a signal, "
+                "perhaps for lack of memory); no rows written"
+            ) from None
     return rows[::-1]
 
 

@@ -1,8 +1,9 @@
 """Invariants of a triple of forms cutting out a finite plane scheme.
 
 All invariants are obtained by degreewise linear algebra over the prime
-field.  For a triple with sorted degrees a <= b <= c the central object is
-the evaluation map
+field; a report only holds their values, and ``qci.report`` writes it out.
+For a triple with sorted degrees a <= b <= c the central object is the
+evaluation map
 
     S_{m-a} + S_{m-b} + S_{m-c}  ->  S_m,   (A, B, C) |-> A*Fa + B*Fb + C*Fc
 
@@ -222,20 +223,6 @@ class Classification:
     resolution: tuple[tuple[int, ...], tuple[int, ...]] | None
 
 
-def _plain(value, drop=()):
-    """A report value as plain data: a dataclass becomes a dict of its fields
-    in declaration order, less the names in ``drop``, and a tuple a list."""
-    if type(value) is tuple:
-        if all(type(v) is int for v in value):
-            return list(value)
-        return [_plain(v) for v in value]
-    # the field mapping that dataclasses.fields reads, in declaration order
-    names = getattr(value, "__dataclass_fields__", None)
-    if names is None:
-        return value
-    return {n: _plain(getattr(value, n)) for n in names if n not in drop}
-
-
 @dataclass(frozen=True, kw_only=True)
 class QciReport:
     prime: int
@@ -256,30 +243,6 @@ class QciReport:
     resolution_verified: bool | None = None
     hilbert: HilbertTable
     syzygies: SyzygyTable | None = None
-
-    def to_dict(self) -> dict:
-        """Plain-data view, safe to serialize: field order is key order.
-
-        The three edits below are schema 1's quirks, each with its reason.
-        """
-        # the document envelope carries the prime and the degrees
-        out = _plain(self, drop=("prime", "degrees"))
-        cls = out["classification"]
-        if cls and cls["resolution"]:
-            # schema 1 names the two sides of a resolution
-            u, v = cls["resolution"]
-            cls["resolution"] = {"u": u, "v": v}
-        h = out["hilbert"]
-        # schema 1's key order, with the fixed window's extensions count
-        # and the plateau, which is t
-        out["hilbert"] = {
-            "k_star": h["k_star"],
-            "k_max": h["k_max"],
-            "extensions": 0,
-            "plateau": self.t,
-            "values": h["values"],
-        }
-        return out
 
 
 def theorem_bounds(a: int, b: int, c: int, r: int, t: int) -> tuple[BoundsI, BoundsII]:
@@ -403,7 +366,8 @@ def _classify(a: int, b: int, c: int, t: int, r: int, c2: int) -> Classification
 # -- eliminations ----------------------------------------------------------
 #
 # rank and kernel_basis are called from these frames alone: a linalg trace
-# names an elimination's stage by its caller.
+# names an elimination's stage by its caller.  ``_carry``'s rref is not
+# traced, so its time counts as core's own.
 
 
 def graded_map_matrix(Q: QciInput, m: int) -> np.ndarray:

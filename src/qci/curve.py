@@ -3,8 +3,9 @@
 For a reduced curve of degree d the three partials of its equation form a
 triple of degree d-1 forms; the finite scheme they cut out is the curve's
 singular locus, and its degree is tau, the global Tjurina number.  This
-module wraps the generic engine, reports the bounds on tau, and classifies
-the curve (smooth, lines through a point, free, nearly free, generic).
+module wraps the generic engine, computes the bounds on tau and classifies
+the curve (smooth, lines through a point, free, nearly free, generic); its
+report holds values only, and ``qci.report`` writes it out.
 The class is read off r, then c2: at a = b = c = d-1, c2 is the free
 value (d-1)(d-1-r) + r^2 less tau, so r >= 1 is free at c2 = 0 and nearly
 free at c2 = 1.  The freeness cross-check, h^1 against c2, lives in core.
@@ -21,7 +22,6 @@ from .core import (
     BoundsII,
     QciInput,
     QciReport,
-    _plain,
     analyze_qci,
     theorem_bounds,
 )
@@ -85,16 +85,6 @@ class CurveReport:
     plus_one_case: int | None = None
     tau_bounds: TauBounds | None = None
     qci: QciReport
-
-    def to_dict(self) -> dict:
-        """Plain-data view, safe to serialize: field order is key order.
-
-        Schema 1 writes the triple's report under "qci" in its own layout;
-        the document envelope carries the prime, ``qci.prime``.
-        """
-        out = _plain(self, drop=("qci",))
-        out["qci"] = self.qci.to_dict()  # the last field, so the last key
-        return out
 
 
 def _tau_bounds(bi: BoundsI, bii: BoundsII) -> TauBounds:

@@ -1,9 +1,10 @@
 """Report documents: canonical JSON, text rendering, CSV sweep rows.
 
 Documents are plain dicts with a fixed key order so serialized output is
-byte-stable across runs.  Text renderers read values back out of the
-document rather than out of live report objects, which forces the two
-output modes to agree on every number.
+byte-stable across runs; schema 1 is written here alone, by ``results``
+and ``_document``, and checked by ``REPORT_SCHEMA``.  Text renderers read
+values back out of the document rather than out of live report objects,
+which forces the two output modes to agree on every number.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import csv
 import io
 import json
 
-from .core import QciReport
+from .core import HilbertTable, QciReport
 from .curve import CurveReport
 
 SCHEMA_VERSION = "1"
@@ -33,18 +34,63 @@ CSV_COLUMNS = (
 _BOUND_FLAG = {True: "pass", False: "fail", None: "na"}
 
 
-def _document(command: str, rep: QciReport, inp: dict, results: dict) -> dict:
+def _plain(value, drop=()):
+    """A report value as plain data: a dataclass becomes a dict of its fields
+    in declaration order, less the names in ``drop``, and a tuple a list."""
+    if type(value) is tuple:
+        if all(type(v) is int for v in value):
+            return list(value)
+        return [_plain(v) for v in value]
+    # the field mapping that dataclasses.fields reads, in declaration order
+    names = getattr(value, "__dataclass_fields__", None)
+    if names is None:
+        return value
+    return {n: _plain(getattr(value, n)) for n in names if n not in drop}
+
+
+def results(rep: QciReport | CurveReport) -> dict:
+    """A report's ``results`` block as plain data, field order as key order;
+    the envelope carries the prime and the degrees, and a curve's block ends
+    with its triple's, under "qci"."""
+    out = _plain(rep, drop=("prime", "degrees", "qci"))
+    if type(rep) is CurveReport:
+        out["qci"] = results(rep.qci)
+        return out
+    cls = out["classification"]
+    if cls and cls["resolution"]:
+        # schema 1 names the two sides of a resolution
+        u, v = cls["resolution"]
+        cls["resolution"] = {"u": u, "v": v}
+    out["hilbert"] = _hilbert_block(rep.hilbert, rep.t)
+    return out
+
+
+# Schema 1's three constant fields, which schema 2 drops: the fixed Hilbert
+# window's extension counts, 0 in the "hilbert" block and the diagnostics,
+# and the plateau, which is t.
+
+
+def _hilbert_block(table: HilbertTable, t: int | None) -> dict:
+    return {
+        "k_star": table.k_star,
+        "k_max": table.k_max,
+        "extensions": 0,
+        "plateau": t,
+        "values": list(table.values),
+    }
+
+
+def _document(command: str, rep: QciReport, inp: dict, block: dict) -> dict:
     # the envelope every command's document shares; rep is the triple's report
     return {
         "schema_version": SCHEMA_VERSION,
         "command": command,
         "prime": rep.prime,
         "input": inp,
-        "results": results,
+        "results": block,
         "diagnostics": {
             "k_star": rep.hilbert.k_star,
             "k_max": rep.hilbert.k_max,
-            # schema 1 keeps the key; the Hilbert window is fixed
             "window_extensions": 0,
         },
     }
@@ -66,17 +112,17 @@ def qci_document(
     rep: QciReport, fa: str, fb: str, fc: str, degrees: tuple[int, int, int]
 ) -> dict:
     inp = _triple_input(rep, fa, fb, fc, degrees)
-    return _document("analyze-qci", rep, inp, rep.to_dict())
+    return _document("analyze-qci", rep, inp, results(rep))
 
 
 def curve_document(rep: CurveReport, f: str) -> dict:
-    return _document("analyze-curve", rep.qci, {"f": f, "d": rep.d}, rep.to_dict())
+    return _document("analyze-curve", rep.qci, {"f": f, "d": rep.d}, results(rep))
 
 
 def hilbert_document(
     rep: QciReport, fa: str, fb: str, fc: str, degrees: tuple[int, int, int]
 ) -> dict:
-    full = rep.to_dict()
+    full = results(rep)
     keys = ("dimension_class", "refusal", "t", "hilbert", "syzygies")
     inp = _triple_input(rep, fa, fb, fc, degrees)
     return _document("hilbert", rep, inp, {key: full[key] for key in keys})
@@ -245,29 +291,6 @@ def curve_csv_row(family: str, d: int, prime: int, rep: CurveReport) -> list[str
     ]
 
 
-_BOUNDS_I_SCHEMA = {
-    "type": ["object", "null"],
-    "properties": {
-        "lower": {"type": "integer"},
-        "upper": {"type": "integer"},
-        "lower_ok": {"type": "boolean"},
-        "upper_ok": {"type": "boolean"},
-    },
-    "required": ["lower", "upper", "lower_ok", "upper_ok"],
-}
-
-_HILBERT_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "k_star": {"type": "integer"},
-        "k_max": {"type": "integer"},
-        "extensions": {"const": 0},
-        "plateau": {"type": ["integer", "null"]},
-        "values": {"type": "array", "items": {"type": "integer"}},
-    },
-    "required": ["k_star", "k_max", "extensions", "plateau", "values"],
-}
-
 REPORT_SCHEMA = {
     "$schema": "http://json-schema.org/draft-07/schema#",
     "type": "object",
@@ -300,8 +323,27 @@ REPORT_SCHEMA = {
         "results": {
             "type": "object",
             "properties": {
-                "bounds_i": _BOUNDS_I_SCHEMA,
-                "hilbert": _HILBERT_SCHEMA,
+                "bounds_i": {
+                    "type": ["object", "null"],
+                    "properties": {
+                        "lower": {"type": "integer"},
+                        "upper": {"type": "integer"},
+                        "lower_ok": {"type": "boolean"},
+                        "upper_ok": {"type": "boolean"},
+                    },
+                    "required": ["lower", "upper", "lower_ok", "upper_ok"],
+                },
+                "hilbert": {
+                    "type": "object",
+                    "properties": {
+                        "k_star": {"type": "integer"},
+                        "k_max": {"type": "integer"},
+                        "extensions": {"const": 0},
+                        "plateau": {"type": ["integer", "null"]},
+                        "values": {"type": "array", "items": {"type": "integer"}},
+                    },
+                    "required": ["k_star", "k_max", "extensions", "plateau", "values"],
+                },
                 "qci": {"$ref": "#/definitions/results"},
             },
         },

@@ -615,6 +615,41 @@ def test_fresh_pooled_sweep_writes_the_serial_bytes(capsys, family):
     assert pooled == serial
 
 
+_KILLED_WORKER = """
+import os, signal, sys
+os.cpu_count = lambda: 2
+from qci import cli
+
+row = cli._sweep_worker
+
+def killed_at_five(task):
+    # as the OOM killer ends a worker: no exception, no row
+    if task[1] == 5:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return row(task)
+
+cli._sweep_worker = killed_at_five
+sys.exit(cli.main(["sweep", "--family", "lines", "--d-range", "3..6", "--jobs", "2"]))
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="Linux fork, SIGKILL")
+def test_killed_sweep_worker_exits_three():
+    # the child claims two CPUs, so that a one-CPU runner takes the pool
+    # path too (a serial sweep would kill the child itself); its forked
+    # workers inherit the killing row function
+    path = os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _KILLED_WORKER], capture_output=True, text=True,
+        timeout=120, env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert len(proc.stderr.splitlines()) == 1
+    assert proc.stderr.startswith("error: ")
+
+
 # ---------------------------------------------------------------------------
 # parser shape
 

@@ -35,6 +35,7 @@ from qci import (
 )
 from qci import core
 from qci.core import _c2, _classify, _gamma, _split_flag
+from qci.report import results
 
 
 @pytest.fixture()
@@ -127,8 +128,8 @@ def test_input_rejects_small_prime():
 )
 def test_direct_construction_sorts_like_of(texts, field):
     polys = tuple(parse_poly(s, field) for s in texts)
-    direct = analyze_qci(QciInput(polys)).to_dict()
-    assert direct == analyze_qci(QciInput.of(*polys)).to_dict()
+    direct = results(analyze_qci(QciInput(polys)))
+    assert direct == results(analyze_qci(QciInput.of(*polys)))
 
 
 def test_direct_construction_applies_the_guards(field, alt_field):
@@ -257,7 +258,7 @@ def test_triangle_invariants(field, triangle):
     assert (rep.m0, rep.h1_at_m0, rep.splits) == (0, 0, True)
     assert rep.hilbert.values == (1, 3, 3, 3, 3, 3, 3, 3)
     assert (rep.hilbert.k_star, rep.hilbert.k_max) == (4, 7)
-    hilbert = rep.to_dict()["hilbert"]
+    hilbert = results(rep)["hilbert"]
     assert hilbert["plateau"] == 3 and hilbert["extensions"] == 0
     assert rep.syzygies.window == (0, 2)
     assert rep.syzygies.dims == ((0, 0), (1, 2), (2, 6))
@@ -605,6 +606,6 @@ def test_random_dependent_triples_have_bezout_degree(field):
 
 
 def test_analysis_is_deterministic(field, point_ideal):
-    one = analyze_qci(point_ideal).to_dict()
-    two = analyze_qci(point_ideal).to_dict()
+    one = results(analyze_qci(point_ideal))
+    two = results(analyze_qci(point_ideal))
     assert one == two

@@ -21,6 +21,7 @@ from qci import (
 )
 from qci.core import _c2
 from qci.curve import _classify
+from qci.report import results
 
 
 def lines_product(field, d, shift=0):
@@ -328,7 +329,7 @@ def test_curve_report_embeds_partials_analysis(field):
     f = parse_poly("x*y*z", field)
     rep = analyze_curve(CurveInput(f))
     direct = analyze_qci(QciInput.of(*f.partials()))
-    assert rep.qci.to_dict() == direct.to_dict()
+    assert results(rep.qci) == results(direct)
     assert rep.tau == direct.t
 
 

@@ -16,8 +16,10 @@ replace the two tables.
 """
 
 import hashlib
+import json
 import random
 
+import jsonschema
 import pytest
 
 from qci import (
@@ -35,11 +37,13 @@ from qci import (
     saturation_dim,
 )
 from qci.report import (
+    REPORT_SCHEMA,
     curve_document,
     document_json,
     hilbert_document,
     qci_document,
     render_text,
+    results,
 )
 
 
@@ -279,7 +283,7 @@ def test_text_bytes(kind, spec, p):
     assert hashlib.sha256(text.encode()).hexdigest() == _TEXTS[kind, spec, p]
 
 
-def _tuples(value, path="to_dict()"):
+def _tuples(value, path="results()"):
     # paths of every tuple inside a plain-data value
     if isinstance(value, tuple):
         return [path]
@@ -293,8 +297,18 @@ def _tuples(value, path="to_dict()"):
 
 
 def test_reports_hold_no_tuples():
-    leaks = {case: _tuples(_case(*case)[0].to_dict()) for case in _DOCUMENTS}
+    leaks = {case: _tuples(results(_case(*case)[0])) for case in _DOCUMENTS}
     assert not {case: hits for case, hits in leaks.items() if hits}
+
+
+@pytest.mark.parametrize(
+    "kind, spec, p", list(_DOCUMENTS), ids=[f"{k}:{s}@{p}" for k, s, p in _DOCUMENTS]
+)
+def test_documents_satisfy_the_schema(kind, spec, p):
+    # the written JSON of every golden input, refusals, curves and hilbert
+    # documents included, against the schema that report.py keeps beside
+    # its writer
+    jsonschema.validate(json.loads(_document(kind, spec, p)), REPORT_SCHEMA)
 
 
 _LONE = {

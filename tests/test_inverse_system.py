@@ -405,6 +405,32 @@ def test_lost_carried_syzygy_fails_a_check(which, degree, check, field, monkeypa
         core._hilbert_window(Q)
 
 
+def _bump_first_syzygy(carried, p):
+    # the first carried syzygy row, its first nonzero entry moved by one:
+    # the steps above impose a wrong syzygy
+    C, piv = carried
+    row = C[piv.size]
+    j = np.flatnonzero(row)[0]
+    row[j] = (row[j] + 1) % p
+    return carried
+
+
+@pytest.mark.parametrize("degree", [6, 7, 8, 9])
+def test_wrong_carried_syzygy_above_the_top_kernel_fails(degree, field, monkeypatch):
+    # ci_qci(2, 4) has degrees (2, 3, 4), a+b+1 = 6 and k_max = 10.  Above
+    # a+b+1 no check of the window bounds HF from below: the annihilation
+    # check passes any subspace of the true N_{k_max}, and the prefix ranks
+    # stop at a+b+1, so the window returns values below t (after T = 6,
+    # 1, 3, 5, 7, 8, 8, 8, 7, 6, 5, 4).  Only the dimension tag's rule on
+    # the falling tail, "neither constant nor strictly increasing", raises
+    Q = family("ci_qci", field, a=2, c=4)
+    a, b, _ = Q.degrees
+    assert (a + b + 1, core._hilbert_window(Q)[0].k_max) == (6, 10)
+    _corrupt_step(monkeypatch, degree, _bump_first_syzygy, part=1)
+    with pytest.raises(InternalError, match="neither constant nor strictly increasing"):
+        analyze_qci(Q)
+
+
 def test_engine_report_matches_direct_ranks(field, monkeypatch):
     Q, _, _ = _stepped_engine(field, monkeypatch)
     values = analyze_qci(Q).hilbert.values
