@@ -43,15 +43,17 @@ below which the ideal is zero and N is the identity, up to k_max.
 
 B = B_T is the Sylvester matrix of the binary forms g_i = f_i(0, y, z),
 one column per x-free multiplier y^(e-q) z^q, and the steps carry the
-echelon form of [B^T | I] instead of eliminating B again.  Raising T
-multiplies every old multiplier by y, which keeps its q and its binary
-row, with one more zero, and adds z^(T-a_i) at the end of each nonempty
-block, whose row is z^(T-a_i) g_i: the old rows stay valid, and each
-degree adds at most three.  With z moving q to q+1, this raise rule is
-also the generator lifts' (``_raise_columns``).  The carried state is the
-pivot rows (b_k | e_k), each b_k reduced on the pivot columns, and the
-syzygy rows (0 | z_j), a basis of ker B.  With E = [E_p; Z] their units,
-which are invertible,
+echelon form of [B^T | I] instead of eliminating B again.  Each
+multiplier keeps one column for the whole window, in birth order: at the
+rank of (a_i + q, i), the degree where it enters as z^q, ties broken by
+form.  Raising T multiplies every old multiplier by y, which keeps its q,
+its column and its binary row, with one more zero, and adds z^(T-a_i),
+whose row is z^(T-a_i) g_i: the old rows stay valid, and each degree
+adds at most three rows, at the end.  The carried state is the pivot rows
+(b_k | e_k), each b_k 1 at its pivot column and 0 at the others, and the
+syzygy rows (0 | z_j), a basis of ker B; each new row is inserted into it
+alone (``_carry``), and no step eliminates B.  With E = [E_p; Z] their
+units, which are invertible,
 
     [N_{T-1} A; B] E^T = [[X, Y], [B_p^T, 0]],   X = N_{T-1} A E_p^T,
                                                   Y = N_{T-1} A Z^T,
@@ -61,9 +63,9 @@ identity where Y is 0), w = -lam X at the pivot columns and 0 at the free
 binary columns, and (0 | w) for each free binary column j, w = 1 at j, 0
 at the other free columns and -b_k[j] at each pivot column; HF(T) is
 rows(Lam) + T + 1 - rank B.  A step eliminates only Y^T, syzygies of B by
-HF(T-1), and its at most three new binary rows; no step's system is a
-graded map.  The step into T has rank rank Y_T + rank B_T, and these sum
-to dim S_{k_max} - HF(k_max), the rank of the degree-k_max map.
+HF(T-1); no step's system is a graded map.  The step into T has rank
+rank Y_T + rank B_T, and these sum to dim S_{k_max} - HF(k_max), the rank
+of the degree-k_max map.
 N_{k_max} must annihilate the degree-k_max map exactly, or the run fails
 with InternalError; the check contracts N_{k_max} with each form's terms,
 by the monomial positions the map's own columns use, apart from the
@@ -117,14 +119,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GuardError, InternalError
-from .linalg import PrimeField, kernel_basis, matmul, rank, rref
+from .linalg import PrimeField, kernel_basis, matmul, rank
 from .poly import (
     HomogPoly,
     dim_S,
     monomial_basis,
     mult_matrix,
     term_positions,
-    x_free_columns,
 )
 
 # the Hilbert window ends this many values past the anchor max(k*, 0)
@@ -366,8 +367,7 @@ def _classify(a: int, b: int, c: int, t: int, r: int, c2: int) -> Classification
 # -- eliminations ----------------------------------------------------------
 #
 # rank and kernel_basis are called from these frames alone: a linalg trace
-# names an elimination's stage by its caller.  ``_carry``'s rref is not
-# traced, so its time counts as core's own.
+# names an elimination's stage by its caller.
 
 
 def graded_map_matrix(Q: QciInput, m: int) -> np.ndarray:
@@ -396,9 +396,10 @@ def _raise_columns(degrees, m: int) -> tuple[np.ndarray, np.ndarray]:
     """The columns of degree m that y sends the x-free multipliers of
     degree m-1 to, and those of the new multipliers z^(m-a_i).
 
-    Form i's multipliers y^(e-q) z^q, q = 0 .. e, fill one block per form
-    of these degrees, in turn.  One degree up, y keeps q, z moves it to q+1
-    (one column on), and each nonempty block gains z^(m-a_i) at its end.
+    This is the generator lifts' raise rule: there form i's multipliers
+    y^(e-q) z^q, q = 0 .. e, fill one block per form of these degrees, in
+    turn.  One degree up, y keeps q, z moves it to q+1 (one column on), and
+    each nonempty block gains z^(m-a_i) at its end.
     """
     up, new, at = [], [], 0
     for d in degrees:
@@ -410,93 +411,163 @@ def _raise_columns(degrees, m: int) -> tuple[np.ndarray, np.ndarray]:
     return np.array(up, dtype=np.intp), np.array(new, dtype=np.intp)
 
 
-def _carry(field: PrimeField, B: np.ndarray, degrees, carried):
-    """The echelon form of [B_T^T | I] from the carried one of degree T-1.
+class _Carried:
+    """What the x-steps read once per input, and the echelon form of
+    [B_T^T | I] that they carry (``_carry``), allocated for the whole
+    window up to k_max and grown in place.
 
-    B = B_T is the degree-T binary block, its columns the x-free
-    multipliers y^(e-q) z^q of each form in turn (of these ``degrees``),
-    its rows the binary columns z^0 .. z^T.  ``carried`` is (C, piv):
-    C's rows are (b | e) with b = e B^T, the pivot rows first, each b 1 at
-    its pivot column ``piv[k]`` and 0 at the others, then the syzygy rows
-    (0 | z), a basis of ker B.  Raising T multiplies every old multiplier by
-    y: its binary row keeps its entries and gains a 0 at z^T, and its unit
-    moves to its place in the longer blocks, by the raise rule that the
-    generator lifts share (``_raise_columns``).  Each form with a_i <= T adds
-    the multiplier z^(T-a_i), the last of its block, whose row
-    (z^q g_i | unit) is reduced against the pivot rows by one product; the
-    new rows, at most three, are then eliminated among themselves, and
-    their new pivot columns cleared from the old pivot rows.  Returns the
-    state of degree T.
+    Form i's x-free multiplier y^(e-q) z^q has one unit column for the
+    window, ``columns[i][q]``, q = 0 .. k_max - a_i: the rank of
+    (a_i + q, i) in birth order, the degree where it enters as z^q, ties
+    broken by form.  The multipliers of degree T are then the first
+    sum_i max(T - a_i + 1, 0).  ``binary[i]`` holds g_i's x-free
+    coefficients, on y^(a_i-k) z^k for k = 0 .. a_i.  ``terms[i]`` holds
+    where y^e times each of f_i's terms divisible by x sits in its degree,
+    one row per e = 0 .. k_max - a_i, and those terms' coefficients.
 
-    Every product here is exact in int64: its factors are residues and it
-    sums at most T+1 terms, with T+1 <= k_max+1 = a+b+c+2 <= p+1 (or
-    T+1 <= 4 for a+b+c < 2), so a sum stays below p**3 < 2**63.
+    A row (b | e) has b on the binary columns z^0 .. z^k_max and e on the
+    unit columns after them, with b = e B_T^T.  ``rows[:r]`` are the pivot
+    rows, each b 1 at its pivot column ``piv[k]`` and 0 at the other
+    pivots; ``syzygies[:s]`` hold the units z of the syzygy rows (0 | z),
+    a basis of ker B_T.
+    """
+
+    __slots__ = (
+        "degrees", "columns", "binary", "terms", "rows", "piv", "r", "syzygies", "s"
+    )
+
+    def __init__(self, forms, k_max: int):
+        self.degrees = [f.degree for f in forms]
+        a = np.array(self.degrees)
+        self.columns, self.binary, self.terms = [], [], []
+        for i, f in enumerate(forms):
+            e = np.arange(k_max - f.degree + 1)[:, None]
+            # the degrees a_i + q at which form i's multipliers enter
+            m = f.degree + e
+            self.columns.append(
+                np.maximum(m - a, 0).sum(axis=1) + (a[:i] <= m).sum(axis=1)
+            )
+            # each term's j+k and k, for x^i y^j z^k, and its coefficient;
+            # the terms divisible by x come first
+            yz, z, c = f._term_arrays()
+            by_x = np.count_nonzero(yz < f.degree)
+            g = np.zeros(f.degree + 1, dtype=np.int64)
+            g[z[by_x:]] = c[by_x:]
+            self.binary.append(g)
+            # y^e x^i y^j z^k sits at s(s+1)/2 + k, s = e + j + k (see
+            # poly._positions)
+            s = e + yz[:by_x]
+            self.terms.append((s * (s + 1) // 2 + z[:by_x], c[:by_x, None]))
+        n = sum(cols.size for cols in self.columns)
+        self.rows = np.zeros((min(n, k_max + 1), k_max + 1 + n), dtype=np.int64)
+        self.piv = np.zeros(self.rows.shape[0], dtype=np.intp)
+        self.syzygies = np.zeros((n, n), dtype=np.int64)
+        self.r = self.s = 0
+
+
+def _x_block(carried: _Carried, T: int) -> np.ndarray:
+    """A: the x-free multipliers' columns of the degree-T map, in birth
+    order, on its x-divisible rows, the first dim_S(T-1).
+
+    Only f_i's terms divisible by x land there, y^(e-q) z^q times one of
+    them q rows after y^e, e = T - a_i (``_Carried.terms``); its x-free
+    terms, g_i, make B_T, which no step builds.
+    """
+    C = carried
+    exps = [T - a for a in C.degrees]
+    A = np.zeros((dim_S(T - 1), sum(max(e + 1, 0) for e in exps)), dtype=np.int64)
+    for e, cols, (rows, coeffs) in zip(exps, C.columns, C.terms):
+        if e >= 0:
+            A[rows[e][:, None] + np.arange(e + 1), cols[: e + 1]] = coeffs
+    return A
+
+
+def _carry(field: PrimeField, T: int, carried: _Carried) -> None:
+    """Grow the carried echelon form of [B_{T-1}^T | I] to that of B_T.
+
+    Raising T multiplies every old multiplier by y: its binary row keeps
+    its entries, with a 0 at z^T, and its unit column, so the old rows stay
+    as they are.  Each form with a_i <= T adds the multiplier z^q,
+    q = T - a_i, whose row is (z^q g_i | its unit): g_i's coefficients at
+    the binary columns q .. T.  The new rows, at most three, are inserted
+    one at a time, in form order.  A row is reduced at the pivot columns by
+    one product with the pivot rows.  If its binary part is then nonzero,
+    it becomes a pivot row: it is scaled at its first nonzero binary
+    column, and one broadcast rank-one update clears that column from the
+    other pivot rows.  Otherwise its units join the syzygy rows.
+
+    The reducing product sums at most T+1 terms, each a product of residues
+    below p**2, with T+1 <= k_max+1 = a+b+c+2 <= p+1 (or T+1 <= 4 for
+    a+b+c < 2), so it stays below p**3 < 2**63; the scaling and the
+    rank-one update hold one such product per entry.
     """
     p = field.p
-    C, piv = carried
-    T1, n = B.shape
-    r = piv.size
-    up, new = _raise_columns(degrees, T1 - 1)
-    k = new.size
-    units = T1 + up
-    # old pivot rows, the new rows, then the old syzygy rows
-    rows = np.zeros((n, T1 + n), dtype=np.int64)
-    rows[:r, : T1 - 1] = C[:r, : T1 - 1]
-    rows[:r, units] = C[:r, T1 - 1 :]
-    rows[r + k :, units] = C[r:, T1 - 1 :]
-    G = rows[r : r + k]
-    G[:, :T1] = B[:, new].T
-    G[np.arange(k), T1 + new] = 1
-    G -= G[:, piv] @ rows[:r]
-    G %= p
-    # reduced, the new rows are 0 at the old pivot columns; they are
-    # independent by their units, so one whose binary part takes no pivot is
-    # 0 there, a syzygy, and where that part is 0 already each row is one
-    found = np.zeros(0, dtype=np.intp)
-    if G[:, :T1].any():
-        G[:], found = rref(G, field)
-        found = np.array([c for c in found if c < T1], dtype=np.intp)
-    if found.size:
-        rows[:r] -= rows[:r, found] @ G[: found.size]
-        rows[:r] %= p
-    return rows, np.concatenate([piv, found])
+    C = carried
+    units = C.rows.shape[1] - C.syzygies.shape[1]
+    for a, g, cols in zip(C.degrees, C.binary, C.columns):
+        q = T - a
+        if q < 0:
+            continue
+        row = np.zeros(C.rows.shape[1], dtype=np.int64)
+        row[q : T + 1] = g
+        row[units + cols[q]] = 1
+        r = C.r
+        if r:
+            row -= row[C.piv[:r]] @ C.rows[:r]
+            row %= p
+        found = row[: T + 1].nonzero()[0]
+        if found.size:
+            j = found[0]
+            row = row * pow(int(row[j]), -1, p) % p
+            C.rows[:r] -= C.rows[:r, j, None] * row
+            C.rows[:r] %= p
+            C.rows[r], C.piv[r] = row, j
+            C.r = r + 1
+        else:
+            C.syzygies[C.s] = row[units:]
+            C.s += 1
 
 
-def left_null(Q: QciInput, T: int, N_prev: np.ndarray, carried):
+def left_null(Q: QciInput, T: int, N_prev: np.ndarray, carried: _Carried):
     """N_T, a basis of the degree-T map's left null space, from N_prev = N_{T-1}.
 
     One x-step (see the module docstring), with the echelon form of the
-    binary block carried from degree T-1 (see ``_carry``): with [A; B] the
-    x-free multipliers' columns, split after the dim_S(T-1) rows that x
-    times the degree-(T-1) monomials fill, and E = [E_p; Z] the carried
-    rows' units, [N_prev A; B] E^T = [[X, Y], [B_p^T, 0]].  Its left kernel
-    is (lam | w) for lam in Lam = kernel_basis(Y^T), w = -lam X at the pivot
-    columns and 0 at the free binary columns, and (0 | w) for each free
-    binary column j, w = 1 at j, 0 at the other free columns and -b_k[j] at
-    the pivot columns.  Returns N_T = [Lam N_prev | W] and the carried state
-    of degree T.
+    binary block carried from degree T-1 and grown to T (``_carry``): with
+    A the x-free multipliers' columns on the dim_S(T-1) rows that x times
+    the degree-(T-1) monomials fill, in birth order, and E = [E_p; Z] the
+    carried rows' units, [N_prev A; B] E^T = [[X, Y], [B_p^T, 0]].  Its
+    left kernel is (lam | w) for lam in Lam = kernel_basis(Y^T), w = -lam X
+    at the pivot columns and 0 at the free binary columns, and (0 | w) for
+    each free binary column j, w = 1 at j, 0 at the other free columns and
+    -b_k[j] at the pivot columns.  Returns N_T = [Lam N_prev | W] and the
+    carried state, grown to degree T.
+
+    The products are ``matmul``'s, exact at any inner dimension.
     """
     p = Q.prime
-    forms = [f for f in Q.polys if not f.is_zero]
-    XF = x_free_columns(forms, T)
+    _carry(Q.field, T, carried)
+    C = carried
+    r, n = C.r, C.r + C.s
+    units = C.rows.shape[1] - C.syzygies.shape[1]
+    A = _x_block(C, T)
     D = N_prev.shape[1]
-    C, piv = carried = _carry(Q.field, XF[D:], [f.degree for f in forms], carried)
-    r = piv.size
-    XY = matmul(matmul(N_prev, XF[:D], p), C[:, T + 1 :].T, p)
+    E = np.concatenate((C.rows[:r, units : units + n], C.syzygies[: C.s, :n]))
+    XY = matmul(matmul(N_prev, A, p), E.T, p)
     # where Y is 0, or has no entry, Lam is the identity
     if XY[:, r:].any():
         L = kernel_basis(XY[:, r:].T, Q.field)
         N_prev = matmul(L, N_prev, p)
         XY = matmul(L, XY[:, :r], p)
     h = N_prev.shape[0]
+    piv = C.piv[:r]
     free = np.ones(T + 1, dtype=bool)
     free[piv] = False
-    free = np.flatnonzero(free)
+    free = free.nonzero()[0]
     N = np.zeros((h + free.size, D + T + 1), dtype=np.int64)
     N[:h, :D] = N_prev
     N[:h, D + piv] = -XY[:, :r] % p
     N[h + np.arange(free.size), D + free] = 1
-    N[h:, D + piv] = -C[:r, free].T % p
+    N[h:, D + piv] = -C.rows[:r, free].T % p
     return N, carried
 
 
@@ -536,10 +607,9 @@ def _generator_degrees(
     coordinates, with kernel x K_{m-1}, as S is a domain; it maps
     S_1 K_{m-1} onto y V_{m-1} + z V_{m-1}.  So the count of new ones at
     twist k = m - c is h^0(E(k)) - h^0(E(k-1)) - rank [y V_{m-1}; z V_{m-1}],
-    read from the window's tails and placed by the raise rule that the
-    carried echelon form shares (``_raise_columns``).  Twists above the
-    range are not scanned, so the multiset is a truncation, not a Betti
-    table.
+    read from the window's tails and placed by the raise rule
+    (``_raise_columns``).  Twists above the range are not scanned, so the
+    multiset is a truncation, not a Betti table.
     """
     a, b, c = Q.degrees
     gens: list[int] = []
@@ -630,14 +700,17 @@ def _hilbert_window(Q: QciInput) -> tuple[HilbertTable, dict[int, np.ndarray]]:
     a, b, c = Q.degrees
     k_star = a + b + c - 2
     k_max = max(k_star, 0) + _TAIL - 1
-    low = min(f.degree for f in Q.polys if not f.is_zero)
+    forms = [f for f in Q.polys if not f.is_zero]
+    low = min(f.degree for f in forms)
     N = np.eye(dim_S(low - 1), dtype=np.int64)
-    # no multiplier yet: a binary block with no column
-    carried = (np.zeros((0, low), dtype=np.int64), np.zeros(0, dtype=np.intp))
+    # no multiplier yet: no row
+    carried = _Carried(forms, k_max)
     values = [dim_S(T) for T in range(low)]
     for T in range(low, k_max + 1):
         N, carried = left_null(Q, T, N, carried)
         values.append(N.shape[0])
+    # freed before the checks and the top kernel, which set the peak
+    del carried
     _check_annihilation(Q, N, k_max)
     top = a + b + 1
     K = kernel_at(Q, top)

@@ -114,6 +114,7 @@ class HomogPoly:
     def _term_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         # the x-free degree j+k and the z-exponent k of every term, and its
         # coefficient, as int64 arrays: built once, for the matrix builders
+        # here and the x-steps' block in core
         if self._terms is None:
             exps = np.array(list(self.coeffs), dtype=np.int64).reshape(-1, 3)
             coeffs = np.fromiter(self.coeffs.values(), dtype=np.int64)
@@ -375,14 +376,6 @@ def _term_rows(g: HomogPoly, s, k) -> np.ndarray:
     return t_s * (t_s + 1) // 2 + k + g_k[:, None]
 
 
-def _multiply_into(M: np.ndarray, g: HomogPoly, s, k, first: int) -> None:
-    # write g times the source monomials at (s, k) into M's columns first,
-    # first+1, ...
-    if g.is_zero or not k.size:
-        return
-    M[_term_rows(g, s, k), first + np.arange(k.size)] = g._term_arrays()[2][:, None]
-
-
 def mult_matrix(g: HomogPoly, src_degree: int) -> np.ndarray:
     """Matrix of multiplication by ``g`` from degree ``src_degree`` forms.
 
@@ -391,7 +384,7 @@ def mult_matrix(g: HomogPoly, src_degree: int) -> np.ndarray:
     """
     s, k = _positions(src_degree)
     M = np.zeros((dim_S(src_degree + g.degree), k.size), dtype=np.int64)
-    _multiply_into(M, g, s, k, 0)
+    M[_term_rows(g, s, k), np.arange(k.size)] = g._term_arrays()[2][:, None]
     return M
 
 
@@ -406,19 +399,3 @@ def term_positions(g: HomogPoly, src_degree: int, lo: int, hi: int) -> np.ndarra
     s, k = _positions(src_degree)
     return _term_rows(g, s[lo:hi], k[lo:hi])
 
-
-def x_free_columns(forms, degree: int) -> np.ndarray:
-    """The columns of the degree-``degree`` map (A_1, ...) |-> sum A_i g_i
-    whose multiplier has no x, as one block for all ``forms`` in turn.
-
-    The x-free monomials of a degree e are its last e+1, y^e .. z^e (s = e,
-    k = 0 .. e in ``_positions``), so a form of degree above ``degree``
-    gives no column.  Shape is (dim S_degree, sum_i max(degree - deg g_i + 1, 0)).
-    """
-    sizes = [max(degree - g.degree + 1, 0) for g in forms]
-    M = np.zeros((dim_S(degree), sum(sizes)), dtype=np.int64)
-    first = 0
-    for g, n in zip(forms, sizes):
-        _multiply_into(M, g, n - 1, np.arange(n), first)
-        first += n
-    return M

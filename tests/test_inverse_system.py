@@ -10,13 +10,15 @@ canonical one, and the values also with the counting oracle of conftest.py
 on monomial ideals.
 
 The x-steps carry the echelon form of the binary block B_T, the x-free
-multipliers' columns on the x-free monomials; at every degree its pivot
-count, syzygy rows and units are compared with a direct elimination of
-B_T, and losing one of its syzygy rows must trip a cross-check.
+multipliers' columns on the x-free monomials, each multiplier at its birth
+rank; at every degree its pivot count, syzygy rows and units are compared
+with a direct elimination of B_T, built from products in birth order, and
+losing one of its syzygy rows must trip a cross-check.
 
 Each map is eliminated at most once, and most not at all: besides the
-x-steps, whose eliminations (a block Y^T and the new binary rows) are not
-graded maps, ``_hilbert_window`` builds and eliminates only the x-ordered
+x-steps, whose eliminations (a block Y^T) are not graded maps and which
+grow the binary echelon form without one, ``_hilbert_window`` builds and
+eliminates only the x-ordered
 degree-(a+b+1) map, for the x-free tails V_m of the K_m of the syzygy
 window, which the generator lifts read, and for a cross-check of
 HF(0 .. a+b+1).  The ranks of the x-steps' systems, rank Y_T + rank B_T,
@@ -62,7 +64,7 @@ from qci import (
     rref,
 )
 from qci import core, linalg
-from qci.poly import product_positions, x_free_columns
+from qci.poly import product_positions
 
 LARGE_PRIMES = (32003, 2097143)
 
@@ -86,9 +88,25 @@ def _direct_hilbert(Q, m):
     return dim_S(m) - rank(core.graded_map_matrix(Q, m), Q.field)
 
 
+def _carried_state(T, carried):
+    """The carried binary state of degree T as (C, piv): C's rows are the
+    pivot rows (b | e), then the syzygy rows (0 | z), b on the binary
+    columns z^0 .. z^T and e on the n multipliers of degree T, in birth
+    order; piv holds the pivot columns.  A copy, as the carry grows its
+    arrays in place."""
+    r, s = carried.r, carried.s
+    units = carried.rows.shape[1] - carried.syzygies.shape[1]
+    C = np.zeros((r + s, T + 1 + r + s), dtype=np.int64)
+    C[:r, : T + 1] = carried.rows[:r, : T + 1]
+    C[:r, T + 1 :] = carried.rows[:r, units : units + r + s]
+    C[r:, T + 1 :] = carried.syzygies[:s, : r + s]
+    return C, carried.piv[:r].copy()
+
+
 def _record_steps(monkeypatch, part=0):
     """Each input's x-steps {T: N_T}, filled as its Hilbert window makes them;
-    with ``part=1``, {T: the carried binary state (C, piv)} instead.
+    with ``part=1``, {T: the carried binary state (C, piv)} instead (see
+    ``_carried_state``).
 
     The window keeps no N_T, so ``core.left_null`` is wrapped, and the
     original still makes the elimination under its own caller name.
@@ -98,7 +116,7 @@ def _record_steps(monkeypatch, part=0):
 
     def recording(Q, T, N_prev, carried):
         out = left_null(Q, T, N_prev, carried)
-        steps[Q][T] = out[part]
+        steps[Q][T] = _carried_state(T, out[1]) if part else out[0]
         return out
 
     monkeypatch.setattr(core, "left_null", recording)
@@ -234,7 +252,8 @@ def test_lone_syzygy_table_runs_the_plan(field):
 
 def _corrupt_step(monkeypatch, degree, corrupt, part=0):
     # left_null, with its N_T (or, with part=1, the binary state it carries
-    # up) at one degree passed through corrupt; each call makes both afresh
+    # up, which corrupt changes in place) at one degree passed through
+    # corrupt
     left_null = core.left_null
 
     def corrupted(Q, T, N_prev, carried):
@@ -319,11 +338,31 @@ def _binary_input(field, which):
 _BINARY_CASES = _CASES + ["x*y,x*z,x^2", "x^2*y,x*y^2,z^3", "a<b<c"]
 
 
+def _birth_order(degrees, T):
+    # the x-free multipliers (i, q) of degree T, sorted by the degree a_i + q
+    # where each enters as z^q, ties by form
+    found = [(i, q) for i, a in enumerate(degrees) for q in range(T - a + 1)]
+    return sorted(found, key=lambda iq: (degrees[iq[0]] + iq[1], iq[0]))
+
+
+def _binary_block(forms, T):
+    # B_T from products: the column of multiplier (i, q), in birth order, is
+    # y^(T-a_i-q) z^q g_i on the x-free monomials y^T .. z^T, the last T+1
+    field = forms[0].field
+    B = np.zeros((T + 1, 0), dtype=np.int64)
+    for i, q in _birth_order([f.degree for f in forms], T):
+        y_z = HomogPoly.monomial((0, T - forms[i].degree - q, q), field)
+        column = (forms[i] * y_z).coeff_vector()[dim_S(T - 1) :]
+        B = np.column_stack([B, column])
+    return B
+
+
 @pytest.mark.parametrize("which", _BINARY_CASES)
 @pytest.mark.parametrize("prime", [13, *LARGE_PRIMES])
 def test_carried_binary_echelon_matches_direct_elimination(which, prime, monkeypatch):
     # at every degree T of the window, the carried rows (b | e) against the
-    # binary block B_T of the x-free multipliers, eliminated directly: as
+    # binary block B_T of the x-free multipliers in birth order, built from
+    # products and eliminated directly: as
     # many pivot rows as rank(B_T), each 1 at its pivot column and 0 at the
     # others; syzygy rows spanning ker B_T (equal RREF); E B_T^T = [B_p; 0]
     # for the units E, which are invertible.  Where the guard refuses 13,
@@ -336,7 +375,7 @@ def test_carried_binary_echelon_matches_direct_elimination(which, prime, monkeyp
     forms = [f for f in Q.polys if not f.is_zero]
     assert sorted(states[Q]) == list(range(_least_degree(Q), table.k_max + 1))
     for T, (C, piv) in states[Q].items():
-        B = x_free_columns(forms, T)[dim_S(T - 1) :]
+        B = _binary_block(forms, T)
         n, r = B.shape[1], piv.size
         assert C.shape == (n, T + 1 + n), T
         assert r == rank(B, field), T
@@ -379,11 +418,44 @@ def test_raise_columns_follow_the_monomials(degrees):
         assert sorted(up.tolist() + new.tolist()) == list(range(len(place)))
 
 
-def _lose_first_syzygy(carried, p):
-    # the first carried syzygy row set to 0: the steps above no longer
+@pytest.mark.parametrize(
+    "degrees",
+    [(1, 1, 1), (1, 2, 2), (2, 2, 5), (2, 4, 4), (0, 3, 3), (1, 3, 6), (3, 3, 3)],
+)
+def test_carry_places_each_multiplier_at_its_birth_rank(degrees):
+    # form i's multiplier y^(e-q) z^q keeps one unit column for the window,
+    # at the rank of (a_i + q, i); the carry grown to degree T uses only the
+    # first sum_i max(T - a_i + 1, 0) of them, and its rows (b | e) satisfy
+    # b = e B_T^T for B_T built from products in birth order.  The units E
+    # are invertible, so B_T is the only such block: each new row's binary
+    # part is z^q g_i, at its multiplier's column.  The degrees have ties
+    # (forms entering together) and a form of degree 0
+    field = PrimeField(32003)
+    rng = random.Random(sum(degrees))
+    forms = [random_homog(d, field, rng) for d in degrees]
+    k_max = max(sum(degrees) - 2, 0) + 3
+    carried = core._Carried(forms, k_max)
+    order = _birth_order(degrees, k_max)
+    for i, cols in enumerate(carried.columns):
+        assert cols.tolist() == [order.index((i, q)) for q in range(cols.size)]
+    units = carried.rows.shape[1] - carried.syzygies.shape[1]
+    for T in range(min(degrees), k_max + 1):
+        core._carry(field, T, carried)
+        n = sum(max(T - a + 1, 0) for a in degrees)
+        assert set(order[:n]) == set(_birth_order(degrees, T)), T
+        assert not carried.rows[: carried.r, units + n :].any(), T
+        assert not carried.syzygies[: carried.s, n:].any(), T
+        C, _ = _carried_state(T, carried)
+        E = C[:, T + 1 :]
+        assert E.shape == (n, n) and rank(E, field) == n, T
+        B = _binary_block(forms, T)
+        assert np.array_equal(linalg.matmul(E, B.T, field.p), C[:, : T + 1]), T
+
+
+def _lose_last_syzygy(carried, p):
+    # the newest carried syzygy row set to 0: the steps above no longer
     # impose that syzygy
-    C, piv = carried
-    C[piv.size] = 0
+    carried.syzygies[carried.s - 1] = 0
     return carried
 
 
@@ -400,18 +472,18 @@ def test_lost_carried_syzygy_fails_a_check(which, degree, check, field, monkeypa
     Q = _named_input(field, which)
     a, b, _ = Q.degrees
     assert (degree <= a + b + 1) == (check == "prefix rank")
-    _corrupt_step(monkeypatch, degree, _lose_first_syzygy, part=1)
+    _corrupt_step(monkeypatch, degree, _lose_last_syzygy, part=1)
     with pytest.raises(InternalError, match=check):
         core._hilbert_window(Q)
 
 
 def _bump_first_syzygy(carried, p):
-    # the first carried syzygy row, its first nonzero entry moved by one:
-    # the steps above impose a wrong syzygy
-    C, piv = carried
-    row = C[piv.size]
-    j = np.flatnonzero(row)[0]
-    row[j] = (row[j] + 1) % p
+    # the first carried syzygy row z plus the units e of the first pivot
+    # row (b | e): (z + e) B^T = b is not 0, so the steps above impose a
+    # wrong syzygy
+    units = carried.rows.shape[1] - carried.syzygies.shape[1]
+    carried.syzygies[0] += carried.rows[0, units:]
+    carried.syzygies[0] %= p
     return carried
 
 
@@ -533,8 +605,8 @@ def _named_input(field, which):
 )
 def test_each_map_is_eliminated_once(which, both, field, monkeypatch):
     # the window builds one graded map, at a+b+1, and eliminates it and the
-    # x-steps' blocks Y^T and new binary rows, none of which is a graded
-    # map, not even the first step's, with N the identity
+    # x-steps' blocks Y^T, none of which is a graded map, not even the
+    # first step's, with N the identity
     built = []
     graded_map_matrix = core.graded_map_matrix
 
@@ -877,11 +949,11 @@ def _pinned_analysis(field, which):
 @pytest.mark.parametrize(
     "which, calls, pivots",
     [
-        ("node7", 28, 185),
-        ("lines8", 41, 256),
-        ("triangle", 15, 58),
-        ("x,y^2,y*z", 13, 41),
-        ("triple(2, 3, 4)", 14, 57),
+        ("node7", 14, 143),
+        ("lines8", 25, 224),
+        ("triangle", 9, 40),
+        ("x,y^2,y*z", 8, 26),
+        ("triple(2, 3, 4)", 5, 33),
     ],
 )
 def test_elimination_work_is_pinned(which, calls, pivots, field, monkeypatch):

@@ -240,7 +240,7 @@ def _node_step_system(p):
         return kernel(M, field)
 
     N = np.eye(dim_S(7), dtype=np.int64)
-    carried = (np.zeros((0, 8), dtype=np.int64), np.zeros(0, dtype=np.intp))
+    carried = core._Carried(Q.polys, 25)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(core, "kernel_basis", recording)
         for T in range(8, 26):

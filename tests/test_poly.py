@@ -23,7 +23,8 @@ from qci import (
     random_homog,
     variables,
 )
-from qci.poly import product_positions, x_free_columns
+from qci import core
+from qci.poly import product_positions
 
 
 def test_dim_S_values():
@@ -275,8 +276,10 @@ def test_mult_matrix_matches_product(seed, kind):
 @given(seed=st.integers(0, 10**9))
 @settings(max_examples=40, deadline=None)
 def test_column_builders_match_products(seed):
-    # x_free_columns, one block for all forms, holds g times y^(e-q) z^q
-    # for each form g in turn and q = 0 .. e, e = degree - deg g
+    # the x-steps' block A (core._x_block) holds g times y^(e-q) z^q for
+    # each form g and q = 0 .. e, e = degree - deg g, at that multiplier's
+    # birth column, cut to the x-divisible monomials, the first
+    # dim S_{degree-1}; the window's top degree is the block's own or above
     F = PrimeField(32003)
     rng = random.Random(seed)
     forms = []
@@ -292,14 +295,21 @@ def test_column_builders_match_products(seed):
             forms.append(HomogPoly.zero(d, F))
     degree = rng.randrange(0, 9)
     expected = [
-        (g * HomogPoly.monomial((0, e - q, q), F)).coeff_vector()
+        (g * HomogPoly.monomial((0, e - q, q), F)).coeff_vector()[: dim_S(degree - 1)]
         for g in forms
         for e in [degree - g.degree]
         for q in range(e + 1)
     ]
-    M = x_free_columns(forms, degree)
-    assert M.shape == (dim_S(degree), len(expected))
-    assert all(np.array_equal(M[:, i], v) for i, v in enumerate(expected))
+    carried = core._Carried(forms, degree + rng.randrange(0, 4))
+    place = [
+        j
+        for g, cols in zip(forms, carried.columns)
+        for j in cols[: max(degree - g.degree + 1, 0)]
+    ]
+    M = core._x_block(carried, degree)
+    assert M.shape == (dim_S(degree - 1), len(expected))
+    assert sorted(place) == list(range(len(expected)))
+    assert all(np.array_equal(M[:, j], v) for j, v in zip(place, expected))
 
 
 def test_coeff_vector_layout(field):
